@@ -8,10 +8,15 @@ decryption split into per-share partial steps.
 Encoding: false is the group identity 1, true is a fixed element z != 1 of
 large prime order, so an OR-product of k trues decodes to z**k.  Anything
 that is neither 1 nor a small power of z signals a protocol bug and raises.
+
+Exponentiations to the generator g and to the compound key y use cached
+fixed-base tables (``fixed_base_pow``); ``partial_decrypt``, whose base
+varies, uses plain ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -141,6 +146,48 @@ def group_for_bits(bits: int, rng: random.Random | None = None) -> GroupParams:
     return generate_group(bits, rng or random.Random(bits))
 
 
+# ------------------------------------------------- fixed-base exponentiation
+
+# Window width W in bits: one table row of 2**W elements per W exponent bits.
+# At 512 bits a table holds 86 x 64 elements (about 0.6 MB) and an
+# exponentiation takes 86 modular multiplications, where pow squares 511 times.
+_WINDOW = 6
+_DIGIT_MASK = (1 << _WINDOW) - 1
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds base**(d * 2**(W*i)) mod p for every digit d < 2**W
+    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3).
+
+    Bases and moduli are public group values, so one bounded cache serves
+    every simulated agent and run."""
+    rows = []
+    step = base % p  # base**(2**(W*i))
+    for _ in range(-(-p.bit_length() // _WINDOW)):
+        row = [1]
+        for _ in range(1, 1 << _WINDOW):
+            row.append(row[-1] * step % p)
+        step = row[-1] * step % p
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def fixed_base_pow(base: int, e: int, p: int) -> int:
+    """pow(base, e, p) via a cached table for the base: one lookup and one
+    modular multiplication per W-bit digit of e.  Negative exponents and
+    exponents wider than p fall back to pow."""
+    if e < 0 or e.bit_length() > p.bit_length():
+        return pow(base, e, p)
+    acc = 1
+    for row in _fixed_base_table(base, p):
+        if not e:
+            break
+        acc = acc * row[e & _DIGIT_MASK] % p
+        e >>= _WINDOW
+    return acc
+
+
 # ------------------------------------------------------------------- keys
 
 @dataclass(frozen=True)
@@ -157,7 +204,7 @@ class CompoundPublicKey:
 
 def generate_share(params: GroupParams, rng: random.Random) -> KeyPairShare:
     x = rng.randrange(1, params.p - 1)
-    return KeyPairShare(private=x, public=pow(params.g, x, params.p))
+    return KeyPairShare(private=x, public=fixed_base_pow(params.g, x, params.p))
 
 
 def combine_public(params: GroupParams, publics) -> CompoundPublicKey:
@@ -180,7 +227,7 @@ def split_public_shares(params: GroupParams, share: KeyPairShare, count: int,
     exps = [rng.randrange(0, order) for _ in range(count - 1)]
     last = (share.private - sum(exps)) % order
     exps.append(last)
-    return [pow(params.g, e, params.p) for e in exps]
+    return [fixed_base_pow(params.g, e, params.p) for e in exps]
 
 
 # ------------------------------------------------------------- encryption
@@ -202,8 +249,8 @@ def encrypt_element(params: GroupParams, key: CompoundPublicKey, element: int,
                     r: int) -> Cyphertext:
     if not 1 <= r <= params.p - 2:
         raise CryptoError("randomness outside [1, p-2]")
-    return Cyphertext(alpha=element * pow(key.y, r, params.p) % params.p,
-                      beta=pow(params.g, r, params.p))
+    return Cyphertext(alpha=element * fixed_base_pow(key.y, r, params.p) % params.p,
+                      beta=fixed_base_pow(params.g, r, params.p))
 
 
 def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
@@ -215,8 +262,8 @@ def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
 def rerandomize(params: GroupParams, key: CompoundPublicKey, c: Cyphertext,
                 r: int) -> Cyphertext:
     """Multiply in a fresh encryption of 1; r == 0 leaves c unchanged."""
-    return Cyphertext(alpha=c.alpha * pow(key.y, r, params.p) % params.p,
-                      beta=c.beta * pow(params.g, r, params.p) % params.p)
+    return Cyphertext(alpha=c.alpha * fixed_base_pow(key.y, r, params.p) % params.p,
+                      beta=c.beta * fixed_base_pow(params.g, r, params.p) % params.p)
 
 
 def rerandomize_fresh(params: GroupParams, key: CompoundPublicKey,
@@ -260,9 +307,11 @@ def combine_decrypt(params: GroupParams, c: Cyphertext, decryption_shares) -> bo
 def strip_share(params: GroupParams, c: Cyphertext, share: KeyPairShare) -> Cyphertext:
     """Fold one partial decryption into alpha, leaving beta untouched.
 
-    After all shares are stripped, alpha holds the plaintext element."""
+    After all shares are stripped, alpha holds the plaintext element.  Since
+    beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x):
+    one exponentiation and no modular inverse."""
     return Cyphertext(
-        alpha=c.alpha * pow(partial_decrypt(params, c, share), -1, params.p) % params.p,
+        alpha=c.alpha * pow(c.beta, params.p - 1 - share.private, params.p) % params.p,
         beta=c.beta,
     )
 

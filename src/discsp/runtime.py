@@ -167,12 +167,10 @@ class RunConfig:
     b_bits: int = 128
     incr_min: int = 10
     pad: bool | None = None      # None = solver default
-    variant: str = "plus"        # "plus" or "minus"
     crypto_cost_units: int = 1000
     election_rounds: int | None = None  # None = number of variables
     timeout_secs: float | None = None
     debug: bool = False
-    true_power_bound: int = 1 << 16
 
 
 def derive_rng(seed: int, *context) -> random.Random:

@@ -1,20 +1,27 @@
+import hashlib
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discsp import crypto
 from discsp.crypto import (KeyPairShare,
                            MalformedCyphertext, and_cleartext, combine_decrypt,
                            cyphertext_from_bytes, cyphertext_to_bytes,
-                           encrypt, encrypt_element, generate_group,
-                           group_from_bytes, group_to_bytes, or_cipher,
-                           partial_decrypt, rerandomize, rerandomize_fresh,
-                           split_public_shares, strip_share)
+                           encrypt, encrypt_element, fixed_base_pow,
+                           generate_group, group_from_bytes, group_to_bytes,
+                           or_cipher, partial_decrypt, rerandomize,
+                           rerandomize_fresh, split_public_shares, strip_share)
+from discsp.generators import gen_graph_coloring
+from discsp.runtime import RunConfig
+from discsp.solvers import run_solver
 
 TOY = crypto.TOY_GROUP
 TOY64 = crypto.TOY64_GROUP
 G512 = crypto.GROUP_512
+GROUPS = pytest.mark.parametrize("params", [TOY, TOY64, G512],
+                                 ids=["p23", "toy64", "g512"])
 
 
 def keypair(params, rng):
@@ -47,11 +54,14 @@ def test_roundtrip_100_randomness(params, bit):
                                [partial_decrypt(params, c, share)]) is bit
 
 
-def test_rerandomize_zero_is_identity():
-    rng = random.Random(1)
-    share, key = keypair(TOY64, rng)
-    c = encrypt(TOY64, key, True, rng)
-    assert rerandomize(TOY64, key, c, 0) == c
+@settings(max_examples=30, deadline=None)
+@given(params=st.sampled_from([TOY, TOY64, G512]),
+       seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_rerandomize_zero_is_identity(params, seed):
+    rng = random.Random(seed)
+    _share, key = keypair(params, rng)
+    c = encrypt(params, key, bool(seed % 2), rng)
+    assert rerandomize(params, key, c, 0) == c
 
 
 def test_rerandomize_chain_preserves_plaintext():
@@ -71,7 +81,7 @@ def test_rerandomize_changes_representation():
     assert c2.alpha != c.alpha and c2.beta != c.beta
 
 
-@pytest.mark.parametrize("params", [TOY, TOY64, G512], ids=["p23", "toy64", "g512"])
+@GROUPS
 def test_homomorphism_truth_tables(params):
     rng = random.Random(11)
     share, key = keypair(params, rng)
@@ -197,3 +207,80 @@ def test_randomness_range_checked():
         encrypt_element(TOY, key, 1, r=0)
     with pytest.raises(crypto.CryptoError):
         encrypt_element(TOY, key, 1, r=TOY.p - 1)
+
+
+# ------------------------------------------------- fixed-base exponentiation
+
+def in_range_exponents(p):
+    return st.one_of(st.sampled_from([0, 1, p - 2, p - 1]),
+                     st.integers(min_value=0, max_value=p - 1))
+
+
+def out_of_range_exponents(p):
+    """Negative or wider than p: these take the pow fallback."""
+    return st.one_of(st.integers(max_value=-1),
+                     st.integers(min_value=1 << p.bit_length(),
+                                 max_value=1 << (3 * p.bit_length())))
+
+
+def bases(params):
+    """The generator g, or a random public key y = g**x."""
+    return st.one_of(st.just(params.g),
+                     st.integers(min_value=1, max_value=params.p - 2).map(
+                         lambda x: pow(params.g, x, params.p)))
+
+
+@GROUPS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pow_matches_pow(params, data):
+    base = data.draw(bases(params))
+    e = data.draw(in_range_exponents(params.p))
+    assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p)
+
+
+@GROUPS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pow_out_of_range_falls_back_to_pow(params, data):
+    base = data.draw(bases(params))
+    e = data.draw(out_of_range_exponents(params.p))
+    assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p)
+
+
+def test_fixed_base_tables_stay_bounded():
+    rng = random.Random(17)
+    for _ in range(12):
+        y = pow(TOY64.g, rng.randrange(1, TOY64.p - 1), TOY64.p)
+        fixed_base_pow(y, rng.randrange(TOY64.p), TOY64.p)
+    info = crypto._fixed_base_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@GROUPS
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_strip_share_divides_out_partial_decrypt(params, seed):
+    rng = random.Random(seed)
+    share, key = keypair(params, rng)
+    c = encrypt(params, key, bool(seed % 2), rng)
+    inverse = pow(partial_decrypt(params, c, share), -1, params.p)
+    assert strip_share(params, c, share) == crypto.Cyphertext(
+        alpha=c.alpha * inverse % params.p, beta=c.beta)
+
+
+# SHA-256 of Transcript.to_jsonl() for one small encrypted run per solver,
+# recorded before fixed-base exponentiation landed.  A crypto speed-up must
+# produce the same group elements, so these digests must not move.
+TRANSCRIPT_SHA256 = {
+    "p32_plus": "d167edd419f5d8dfb3b846ef9fc63ebcb3661103be53a19833c4f4d51a126461",
+    "p2_plus": "c538f31206a0c880eb5731043c6d1d0382f2185557a9e43cdc0ab12c0b2d8a3d",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(TRANSCRIPT_SHA256))
+def test_encrypted_run_transcript_is_pinned(solver):
+    result = run_solver(solver, gen_graph_coloring(3, seed=5), seed=7,
+                        config=RunConfig(key_bits=64))
+    digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == TRANSCRIPT_SHA256[solver]
