@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
@@ -251,3 +253,23 @@ def test_separator_growth_bounded_by_degree():
         minus = run_solver("pdpop", p, seed=seed, config=cfg)
         degree = max(len(p.neighbor_vars(x)) for x in p.variables)
         assert plus.metrics.sep_max <= max(1, minus.metrics.sep_max) * degree
+
+
+# SHA-256 of Transcript.to_jsonl() for one table-heavy run per solver,
+# recorded before the table algebra moved onto index-map gathers.  Coloring
+# n=7 (instance seed 1) gives pdpop_plus separators of 5 axes and dpop of 3,
+# so coded-axis reorders, codename resolution and diagonal merges all run;
+# a table speed-up must leave every FEAS/DECISION payload as it was.
+TRANSCRIPT_SHA256 = {
+    "pdpop_plus": "6de45ccbe948fd1d241bd1c4770e2f5d5f010fe62fde9a3377a44bbce2a95fff",
+    "dpop": "c3d7d08b4414e88d4824f33f3f28e35f8a5da7f9af55ba1bc3854d1b56cb257b",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(TRANSCRIPT_SHA256))
+def test_table_heavy_transcript_is_pinned(solver):
+    result = run_solver(solver, gen_graph_coloring(7, seed=1), seed=7,
+                        config=RunConfig(key_bits=64))
+    assert result.metrics.sep_max >= 3
+    digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == TRANSCRIPT_SHA256[solver]

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discsp.tables import (Axis, CodenameClash, FeasTable, TableError,
                            add_along_axis, align_to, diagonal_merge, join,
@@ -126,3 +129,157 @@ def test_get_by_assignment():
     assert t.get({"x": "B", "y": "v"}) == 3
     with pytest.raises(TableError):
         t.get({"x": "B"})
+
+
+# -- algebraic laws (property-based) ------------------------------------------
+#
+# Tables are drawn over a pool of six labels, each with one fixed value set of
+# 1-4 values, so tables that share a label share its domain.  Each table takes
+# 0-5 of the labels in random order, each axis listing its values in a random
+# order.
+
+LABELS = "abcdef"
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def domains(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(LABELS),
+                          max_size=len(LABELS)))
+    return {lbl: tuple(f"{lbl}{i}" for i in range(n))
+            for lbl, n in zip(LABELS, sizes)}
+
+
+def tables_over(draw, doms, min_axes=0):
+    labels = draw(st.permutations(LABELS))[:draw(st.integers(min_axes, 5))]
+    scope = [Axis(lbl, draw(st.permutations(doms[lbl]))) for lbl in labels]
+    n = math.prod(len(a.values) for a in scope)
+    entries = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return FeasTable(scope, entries)
+
+
+@st.composite
+def table_pair(draw):
+    doms = draw(domains())
+    return tables_over(draw, doms), tables_over(draw, doms)
+
+
+@st.composite
+def table_and_label(draw):
+    t = tables_over(draw, draw(domains()), min_axes=1)
+    return t, draw(st.sampled_from(t.labels()))
+
+
+def assignments(t):
+    """{label: value} for every cell of t, row-major."""
+    for pos, _ in t.iter_cells():
+        yield {a.label: a.values[p] for a, p in zip(t.scope, pos)}
+
+
+@PROPS
+@given(table_pair())
+def test_join_commutes_and_sums_cellwise(pair):
+    a, b = pair
+    ab, ba = join(a, b), join(b, a)
+    assert set(ab.labels()) == set(a.labels()) | set(b.labels())
+    assert align_to(ba, ab).entries == ab.entries
+    assert tables_equal(ab, ba)
+    for cell in assignments(ab):
+        assert ab.get(cell) == a.get(cell) + b.get(cell)
+
+
+@PROPS
+@given(table_pair(), st.data())
+def test_project_min_of_join_is_brute_force_min(pair, data):
+    m = join(*pair)
+    if not m.labels():
+        return
+    label = data.draw(st.sampled_from(m.labels()))
+    values = m.scope[m.axis(label)].values
+    out, best = project_min(m, label)
+    rest = [lbl for lbl in m.labels() if lbl != label]
+    assert out.labels() == (rest or ["__unit__"])
+    cells = list(assignments(out)) if rest else [{}]
+    for i, cell in enumerate(cells):
+        costs = [m.get({**cell, label: v}) for v in values]
+        assert out.entries[i] == min(costs)
+        # ties go to the lowest index on the axis's listed order
+        assert best.choices[i] == values[costs.index(min(costs))]
+
+
+@PROPS
+@given(table_and_label(), st.data())
+def test_resolve_codename_inverts_relabel_and_reorder(tl, data):
+    t, label = tl
+    values = t.scope[t.axis(label)].values
+    codes = data.draw(st.permutations(range(100, 100 + len(values))))
+    code_of = dict(zip(values, codes))
+    coded = relabel_axis(t, label, 999, [code_of[v] for v in values])
+    coded = reorder_axis_values(coded, 999, data.draw(st.permutations(codes)))
+    back = resolve_codename(coded, 999, label,
+                            {c: v for v, c in code_of.items()}, values)
+    assert back.scope == t.scope
+    assert back.entries == t.entries
+
+
+@PROPS
+@given(table_and_label(), st.data())
+def test_diagonal_merge_selects_the_diagonal(tl, data):
+    t, label = tl
+    dup = Axis("dup", data.draw(st.permutations(t.scope[t.axis(label)].values)))
+    k = data.draw(st.integers(0, len(t.scope)))
+    scope = t.scope[:k] + [dup] + t.scope[k:]
+    n = math.prod(len(a.values) for a in scope)
+    wide = FeasTable(scope, data.draw(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    merged = diagonal_merge(wide, label, "dup")
+    assert merged.scope == t.scope
+    for cell in assignments(merged):
+        assert merged.get(cell) == wide.get({**cell, "dup": cell[label]})
+
+
+@PROPS
+@given(table_and_label(), st.data())
+def test_reorder_there_and_back_is_identity(tl, data):
+    t, label = tl
+    values = t.scope[t.axis(label)].values
+    shuffled = reorder_axis_values(t, label, data.draw(st.permutations(values)))
+    for cell in assignments(t):
+        assert shuffled.get(cell) == t.get(cell)
+    back = reorder_axis_values(shuffled, label, values)
+    assert back.scope == t.scope
+    assert back.entries == t.entries
+
+
+@PROPS
+@given(table_and_label(), st.data())
+def test_add_along_axis_minus_undoes_plus(tl, data):
+    t, label = tl
+    values = t.scope[t.axis(label)].values
+    amounts = dict(zip(values, data.draw(st.lists(
+        st.integers(-1000, 1000), min_size=len(values), max_size=len(values)))))
+    up = add_along_axis(t, label, amounts, 1)
+    for cell in assignments(t):
+        assert up.get(cell) == t.get(cell) + amounts[cell[label]]
+    assert add_along_axis(up, label, amounts, -1).entries == t.entries
+
+
+@PROPS
+@given(table_pair(), st.data())
+def test_callbacks_run_once_per_output_cell_in_row_major_order(pair, data):
+    # p2's encrypted combine/reduce draw randomness, so call order is fixed.
+    a, b = pair
+    calls = []
+    m = join(a, b, combine=lambda x, y: calls.append((x, y)) or len(calls))
+    cells = list(assignments(m))
+    assert calls == [(a.get(cell), b.get(cell)) for cell in cells]
+    assert m.entries == list(range(1, len(cells) + 1))
+    if not m.labels():
+        return
+    label = data.draw(st.sampled_from(m.labels()))
+    values = m.scope[m.axis(label)].values
+    seen = []
+    out = project(m, label, lambda col: seen.append(list(col)) or len(seen))
+    rest = list(assignments(out)) if out.labels() != ["__unit__"] else [{}]
+    assert seen == [[m.get({**cell, label: v}) for v in values] for cell in rest]
+    assert out.entries == list(range(1, len(rest) + 1))
