@@ -96,7 +96,7 @@ class DpopProcess(KernelProcess):
             yield from self.charge(m.size())
 
         decided: dict = {}
-        if not is_root_view(view):
+        if not view.is_root:
             m_out, best = project_min(m, x)
             yield from self.charge(m.size())
             self.sim.log_logical("FEAS", sep=len(m_out.scope))
@@ -127,10 +127,6 @@ class DpopProcess(KernelProcess):
         if self.sim.config.debug:
             out["view"] = view
         return out
-
-
-def is_root_view(view: PseudoTreeView) -> bool:
-    return view.is_root
 
 
 def make_processes(problem: Problem, sim: Sim, config: RunConfig,

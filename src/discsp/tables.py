@@ -14,6 +14,8 @@ row-major over the scope list: the last axis varies fastest.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 
@@ -103,70 +105,86 @@ def zero_table(label, values) -> FeasTable:
     return FeasTable([Axis(label, tuple(values))], [0] * len(tuple(values)))
 
 
-def const_table(label, values, entry) -> FeasTable:
-    return FeasTable([Axis(label, tuple(values))], [entry] * len(tuple(values)))
+def _index_map(src_scope: list[Axis], out_scope: list[Axis],
+               feeds=None) -> list[int]:
+    """Flat source index for every cell of `out_scope`, row-major.
+
+    `feeds[k]` lists the (source axis, remap) pairs output axis k reads:
+    position p on output axis k is position remap[p] on each listed source
+    axis.  An output axis that reads none repeats the source along it (join
+    broadcasting an operand); diagonal_merge has one output axis read two.
+    Without `feeds`, each output axis reads the source axis of its label,
+    matched by value.  The map is built by expanding per-axis offsets, so
+    no cell position is ever decoded.
+    """
+    if feeds is None:
+        feeds = _feeds_by_label(src_scope, out_scope)
+    strides, n = [], 1
+    for a in reversed(src_scope):
+        strides.append(n)
+        n *= len(a.values)
+    strides.reverse()
+    idx = [0]
+    for a, pairs in zip(out_scope, feeds):
+        offs = [sum(strides[j] * remap[p] for j, remap in pairs)
+                for p in range(len(a.values))]
+        idx = [i + o for i in idx for o in offs]
+    return idx
 
 
-def from_cost_fn(axes: list[Axis], fn) -> FeasTable:
-    """Tabulate fn(*values) over the axes' Cartesian product."""
-    entries = [fn(*vals) for vals in itertools.product(*(a.values for a in axes))]
-    return FeasTable(list(axes), entries)
+def _feeds_by_label(src_scope: list[Axis], out_scope: list[Axis]) -> list:
+    where = {a.label: j for j, a in enumerate(src_scope)}
+    feeds = []
+    for a in out_scope:
+        j = where.get(a.label)
+        if j is None:
+            feeds.append(())
+            continue
+        src = src_scope[j].values
+        if set(src) != set(a.values):
+            raise TableError(f"domain mismatch on label {a.label!r}")
+        feeds.append(((j, [src.index(v) for v in a.values]),))
+    return feeds
+
+
+def _gather(t: FeasTable, out_scope: list[Axis], feeds=None) -> list:
+    return list(map(t.entries.__getitem__, _index_map(t.scope, out_scope, feeds)))
 
 
 def join(t1: FeasTable, t2: FeasTable, combine=None) -> FeasTable:
     """Pointwise combination over the union scope (default: integer sum).
 
     Shared labels must range over the same value set; t2's axis order is
-    aligned to t1's by value identity.
+    aligned to t1's by value identity.  `combine` runs once per output cell,
+    in row-major order.
     """
-    if combine is None:
-        combine = lambda a, b: a + b
     t1_labels = set(t1.labels())
     out_scope = list(t1.scope) + [a for a in t2.scope if a.label not in t1_labels]
-    # Position maps from output cell positions into t1 and t2.
-    t2_axis_for_out = []
-    for a in out_scope:
-        try:
-            j = t2.axis(a.label)
-        except TableError:
-            t2_axis_for_out.append(None)
-            continue
-        b = t2.scope[j]
-        if set(b.values) != set(a.values):
-            raise TableError(f"domain mismatch on shared label {a.label!r}")
-        remap = tuple(b.values.index(v) for v in a.values)
-        t2_axis_for_out.append((j, remap))
-    n1 = len(t1.scope)
-    out_entries = []
-    ranges = [range(len(a.values)) for a in out_scope]
-    for pos in itertools.product(*ranges):
-        i1 = t1.index_of(pos[:n1])
-        pos2 = [0] * len(t2.scope)
-        for k, m in enumerate(t2_axis_for_out):
-            if m is not None:
-                j, remap = m
-                pos2[j] = remap[pos[k]]
-        out_entries.append(combine(t1.entries[i1], t2.entries[t2.index_of(pos2)]))
-    return FeasTable(out_scope, out_entries)
+    left = _gather(t1, out_scope)
+    right = _gather(t2, out_scope)
+    return FeasTable(out_scope, list(map(combine or operator.add, left, right)))
+
+
+def _columns(t: FeasTable, label):
+    """The scope left after eliminating `label` (the unit axis if none is
+    left), and per cell of it, row-major, the tuple of entries along
+    `label` in its listed order."""
+    k = t.axis(label)
+    rest = t.scope[:k] + t.scope[k + 1:]
+    flat = _gather(t, [t.scope[k]] + rest)
+    m = math.prod(len(a.values) for a in rest)
+    rows = [flat[i * m:(i + 1) * m] for i in range(len(t.scope[k].values))]
+    return rest or [Axis("__unit__", ("*",))], zip(*rows)
 
 
 def project(t: FeasTable, label, reduce_fn) -> FeasTable:
-    """Eliminate one axis by reducing entries along it."""
-    k = t.axis(label)
-    out_scope = t.scope[:k] + t.scope[k + 1:]
-    axis_vals = t.scope[k].values
-    out_entries = []
-    ranges = [range(len(a.values)) for a in out_scope]
-    for pos in itertools.product(*ranges):
-        cells = []
-        for j in range(len(axis_vals)):
-            full = list(pos[:k]) + [j] + list(pos[k:])
-            cells.append(t.entries[t.index_of(full)])
-        out_entries.append(reduce_fn(cells))
-    if not out_scope:
-        # Fully reduced: represent as a single-cell table over a unit axis.
-        return FeasTable([Axis("__unit__", ("*",))], out_entries)
-    return FeasTable(out_scope, out_entries)
+    """Eliminate one axis by reducing entries along it.
+
+    `reduce_fn` gets the list of entries along the axis, once per remaining
+    cell in row-major order.  A fully reduced table has one `__unit__` axis.
+    """
+    scope, columns = _columns(t, label)
+    return FeasTable(scope, [reduce_fn(list(col)) for col in columns])
 
 
 @dataclass
@@ -191,24 +209,14 @@ def project_min(t: FeasTable, label) -> tuple[FeasTable, BestResponse]:
 
     Ties break toward the lowest domain index.
     """
-    k = t.axis(label)
-    axis = t.scope[k]
-    out_scope = t.scope[:k] + t.scope[k + 1:]
+    values = t.scope[t.axis(label)].values
+    scope, columns = _columns(t, label)
     mins, choices = [], []
-    ranges = [range(len(a.values)) for a in out_scope]
-    for pos in itertools.product(*ranges):
-        best_v, best_c = None, None
-        for j, v in enumerate(axis.values):
-            full = list(pos[:k]) + [j] + list(pos[k:])
-            c = t.entries[t.index_of(full)]
-            if best_c is None or c < best_c:
-                best_c, best_v = c, v
-        mins.append(best_c)
-        choices.append(best_v)
-    if not out_scope:
-        out_scope = [Axis("__unit__", ("*",))]
-    return (FeasTable(list(out_scope), mins),
-            BestResponse(str(label), list(out_scope), choices))
+    for col in columns:
+        c = min(col)  # the first minimal entry; index() finds its position
+        mins.append(c)
+        choices.append(values[col.index(c)])
+    return FeasTable(scope, mins), BestResponse(str(label), list(scope), choices)
 
 
 def relabel_axis(t: FeasTable, old_label, new_label, new_values) -> FeasTable:
@@ -229,24 +237,9 @@ def relabel_axis(t: FeasTable, old_label, new_label, new_values) -> FeasTable:
 
 def reorder_axis_values(t: FeasTable, label, new_order) -> FeasTable:
     """Permute the listed order of one axis's values (entries follow)."""
-    k = t.axis(label)
-    axis = t.scope[k]
-    new_order = tuple(new_order)
-    if set(new_order) != set(axis.values):
-        raise TableError("reorder must permute the existing values")
-    remap = [axis.values.index(v) for v in new_order]
     scope = list(t.scope)
-    scope[k] = Axis(label, new_order)
-    out = [None] * len(t.entries)
-    ranges = [range(len(a.values)) for a in scope]
-    for pos in itertools.product(*ranges):
-        src = list(pos)
-        src[k] = remap[pos[k]]
-        dst_idx = 0
-        for a, p in zip(scope, pos):
-            dst_idx = dst_idx * len(a.values) + p
-        out[dst_idx] = t.entries[t.index_of(src)]
-    return FeasTable(scope, out)
+    scope[t.axis(label)] = Axis(label, new_order)
+    return FeasTable(scope, _gather(t, scope))
 
 
 def diagonal_merge(t: FeasTable, label_a, label_b) -> FeasTable:
@@ -256,19 +249,17 @@ def diagonal_merge(t: FeasTable, label_a, label_b) -> FeasTable:
     value.  Both axes must range over the same value set.
     """
     ka, kb = t.axis(label_a), t.axis(label_b)
+    if ka == kb:
+        raise TableError(f"diagonal merge of axis {label_a!r} with itself")
     a, b = t.scope[ka], t.scope[kb]
     if set(a.values) != set(b.values):
         raise TableError("diagonal merge on mismatched value sets")
-    out_scope = [ax for i, ax in enumerate(t.scope) if i != kb]
-    ka_out = ka if ka < kb else ka - 1
-    pos_b_for_a = [b.values.index(v) for v in a.values]
-    out_entries = []
-    ranges = [range(len(ax.values)) for ax in out_scope]
-    for pos in itertools.product(*ranges):
-        full = list(pos)
-        full.insert(kb, pos_b_for_a[pos[ka_out]])
-        out_entries.append(t.entries[t.index_of(full)])
-    return FeasTable(out_scope, out_entries)
+    out_scope = [ax for j, ax in enumerate(t.scope) if j != kb]
+    feeds = [[(j, range(len(ax.values)))]
+             for j, ax in enumerate(t.scope) if j != kb]
+    feeds[ka if ka < kb else ka - 1].append(
+        (kb, [b.values.index(v) for v in a.values]))
+    return FeasTable(out_scope, _gather(t, out_scope, feeds))
 
 
 def resolve_codename(t: FeasTable, code_label, variable, code_to_value,
@@ -306,13 +297,10 @@ def add_along_axis(t: FeasTable, label, amounts: dict, sign=1) -> FeasTable:
     `amounts` maps each of the axis's listed values to an integer; every
     entry in that value's slice is shifted by sign * amount.
     """
-    k = t.axis(label)
-    axis = t.scope[k]
-    out = list(t.entries)
-    ranges = [range(len(a.values)) for a in t.scope]
-    for i, pos in enumerate(itertools.product(*ranges)):
-        out[i] = out[i] + sign * amounts[axis.values[pos[k]]]
-    return FeasTable(list(t.scope), out)
+    axis = t.scope[t.axis(label)]
+    shift = [sign * amounts[v] for v in axis.values]
+    shifts = map(shift.__getitem__, _index_map([axis], t.scope))
+    return FeasTable(list(t.scope), list(map(operator.add, t.entries, shifts)))
 
 
 def tables_equal(t1: FeasTable, t2: FeasTable) -> bool:
@@ -328,19 +316,6 @@ def tables_equal(t1: FeasTable, t2: FeasTable) -> bool:
 
 def align_to(t: FeasTable, ref: FeasTable) -> FeasTable:
     """Reorder t's axes (and value orders) to match ref's scope."""
-    out = t
-    for a in ref.scope:
-        out = reorder_axis_values(out, a.label, a.values)
-    perm = [out.axis(a.label) for a in ref.scope]
-    scope = [out.scope[i] for i in perm]
-    entries = [None] * len(out.entries)
-    ranges = [range(len(a.values)) for a in scope]
-    for pos in itertools.product(*ranges):
-        src = [0] * len(perm)
-        for dst_axis, src_axis in enumerate(perm):
-            src[src_axis] = pos[dst_axis]
-        dst_idx = 0
-        for a, p in zip(scope, pos):
-            dst_idx = dst_idx * len(a.values) + p
-        entries[dst_idx] = out.entries[out.index_of(src)]
-    return FeasTable(scope, entries)
+    if set(t.labels()) != set(ref.labels()):
+        raise TableError(f"cannot align scope {t.labels()} to {ref.labels()}")
+    return FeasTable(list(ref.scope), _gather(t, ref.scope))

@@ -113,6 +113,12 @@ def test_diagonal_merge_mismatched_values():
         diagonal_merge(t, "x", "y")
 
 
+def test_diagonal_merge_of_an_axis_with_itself():
+    t = table([("x", RGB), ("y", ("u", "v"))], list(range(6)))
+    with pytest.raises(TableError):
+        diagonal_merge(t, "x", "x")
+
+
 def test_align_and_equality():
     t1 = table([("x", ("a", "b")), ("y", ("c", "d"))], [1, 2, 3, 4])
     # same function expressed over (y, x) with both value orders flipped:
