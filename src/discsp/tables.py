@@ -8,7 +8,9 @@ operations (join, project, relabel, diagonal merge) are entry-agnostic.
 Axes are labelled either by a real variable name (str) or by a codename
 (int); each axis carries the ordered tuple of values it ranges over, which
 for coded axes are value-codes in an arbitrary (permuted) order.  Layout is
-row-major over the scope list: the last axis varies fastest.
+row-major over the scope list: the last axis varies fastest.  Every
+structural operation reads its input through one flat index map built from
+per-axis strides and value remaps (`_index_map`), then gathers or reduces.
 """
 
 from __future__ import annotations
