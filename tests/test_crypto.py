@@ -270,11 +270,15 @@ def test_strip_share_divides_out_partial_decrypt(params, seed):
 
 
 # SHA-256 of Transcript.to_jsonl() for one small encrypted run per solver,
-# recorded before fixed-base exponentiation landed.  A crypto speed-up must
-# produce the same group elements, so these digests must not move.
+# recorded before fixed-base exponentiation landed (the plain variants before
+# the solver registry moved to process classes).  A crypto speed-up must
+# produce the same group elements, and each registered name must build its
+# own variant, so these digests must not move.
 TRANSCRIPT_SHA256 = {
     "p32_plus": "d167edd419f5d8dfb3b846ef9fc63ebcb3661103be53a19833c4f4d51a126461",
     "p2_plus": "c538f31206a0c880eb5731043c6d1d0382f2185557a9e43cdc0ab12c0b2d8a3d",
+    "p32": "9ee8bcb8e625d3778378a94192386c057925b38bf9f5e9e95612bb228c1e7a6b",
+    "p2": "922ab2823cf75f28160be145caa12a3d56c8748e089db7af0e7e93186a852227",
 }
 
 

@@ -259,9 +259,12 @@ def test_separator_growth_bounded_by_degree():
 # recorded before the table algebra moved onto index-map gathers.  Coloring
 # n=7 (instance seed 1) gives pdpop_plus separators of 5 axes and dpop of 3,
 # so coded-axis reorders, codename resolution and diagonal merges all run;
-# a table speed-up must leave every FEAS/DECISION payload as it was.
+# a table speed-up must leave every FEAS/DECISION payload as it was.  Plain
+# pdpop (separators of 3 axes, one codename package per variable) was pinned
+# before the solver registry moved to process classes.
 TRANSCRIPT_SHA256 = {
     "pdpop_plus": "6de45ccbe948fd1d241bd1c4770e2f5d5f010fe62fde9a3377a44bbce2a95fff",
+    "pdpop": "8f27dd4e9b207a8db2724d7798b9482a6774393ffca5d9d5dfeff762f4af127c",
     "dpop": "c3d7d08b4414e88d4824f33f3f28e35f8a5da7f9af55ba1bc3854d1b56cb257b",
 }
 
