@@ -64,22 +64,9 @@ def assignment_from_pairs(pairs) -> dict:
 class DpopProcess(KernelProcess):
     """DPOP state machine for one variable."""
 
-    def __init__(self, var: str, sim: Sim, preset_views=None, order_hint=None):
-        super().__init__(var, sim, order_hint)
-        self.preset_views = preset_views
-
     def main(self):
-        if self.preset_views is not None:
-            view = self.preset_views[self.var]
-            self.views[0] = view
-            is_root = view.is_root
-        else:
-            rounds = (self.sim.config.election_rounds
-                      or len(self.sim.problem.variables))
-            is_root = yield from self.elect_root(rounds)
-            view = yield from self.build_tree(0, is_root)
-        result = yield from self.propagate(view)
-        return result
+        view = yield from self.first_tree()
+        return (yield from self.propagate(view))
 
     def propagate(self, view: PseudoTreeView):
         x = self.var
@@ -129,13 +116,7 @@ class DpopProcess(KernelProcess):
         return out
 
 
-def make_processes(problem: Problem, sim: Sim, config: RunConfig,
-                   preset_views=None, order_hint=None):
-    return {x: DpopProcess(x, sim, preset_views, order_hint)
-            for x in problem.variables}
-
-
-register_solver("dpop", make_processes, pad_default=False)
+register_solver("dpop", DpopProcess, pad_default=False)
 
 
 def solve(problem: Problem, views: dict[str, PseudoTreeView], seed: int = 0,

@@ -169,7 +169,8 @@ def tree_from_parents(problem: Problem, parents: dict,
 class KernelProcess(Process):
     """Process base with the structural phases and routing intercepts."""
 
-    def __init__(self, var: str, sim: Sim, order_hint: dict | None = None):
+    def __init__(self, var: str, sim: Sim, preset_views: dict | None = None,
+                 order_hint: dict | None = None):
         super().__init__(var, sim)
         p = sim.problem
         self.neighbors = sorted(p.neighbor_vars(var))
@@ -181,6 +182,7 @@ class KernelProcess(Process):
         self._dfs_pp: set[str] = set()
         self._dfs_pc: set[str] = set()
         self.ids: IdAssignment | None = None
+        self.preset_views = preset_views
         self.order_hint = order_hint or {}
 
     # -- routing -------------------------------------------------------------
@@ -302,6 +304,16 @@ class KernelProcess(Process):
         )
         return self.views[epoch]
 
+    def first_tree(self):
+        """The epoch-0 pseudo-tree: the preset view when one was given, else
+        a root election over as many rounds as there are variables followed
+        by a DFS from the winner."""
+        if self.preset_views is not None:
+            self.views[0] = self.preset_views[self.var]
+            return self.views[0]
+        is_root = yield from self.elect_root(len(self.sim.problem.variables))
+        return (yield from self.build_tree(0, is_root))
+
     # -- unique IDs ---------------------------------------------------------------
 
     def assign_ids(self, epoch: int, incr_min: int):
@@ -347,21 +359,18 @@ class KernelProcess(Process):
 class _PhaseProcess(KernelProcess):
     """Runs a configurable sequence of kernel phases (for unit use)."""
 
-    def __init__(self, var, sim, phases, order_hint=None, root=None,
-                 incr_min=10):
-        super().__init__(var, sim, order_hint)
+    def __init__(self, var, sim, phases, order_hint=None, root=None):
+        super().__init__(var, sim, order_hint=order_hint)
         self.phases = phases
         self.preset_root = root
-        self.incr_min = incr_min
 
     def main(self):
         out = {}
         is_root = False
         for phase in self.phases:
             if phase == "elect":
-                rounds = (self.sim.config.election_rounds
-                          or len(self.sim.problem.variables))
-                is_root = yield from self.elect_root(rounds)
+                is_root = yield from self.elect_root(
+                    len(self.sim.problem.variables))
                 out["is_root"] = is_root
                 out["converged"] = True
             elif phase == "dfs":
@@ -370,24 +379,23 @@ class _PhaseProcess(KernelProcess):
                 view = yield from self.build_tree(0, is_root)
                 out["view"] = view
             elif phase == "ids":
-                ids = yield from self.assign_ids(0, self.incr_min)
+                ids = yield from self.assign_ids(0, self.sim.config.incr_min)
                 out["ids"] = ids
         return out
 
 
 def _run_phases(problem: Problem, seed: int, phases, order_hint=None,
-                root=None, incr_min=10, config: RunConfig | None = None):
+                root=None, config: RunConfig | None = None):
     sim = Sim(problem, seed, config or RunConfig())
     for x in problem.variables:
-        sim.add_process(_PhaseProcess(x, sim, phases, order_hint, root, incr_min))
+        sim.add_process(_PhaseProcess(x, sim, phases, order_hint, root))
     results = sim.run()
     return results, sim
 
 
-def elect_root(problem: Problem, seed: int, rounds: int | None = None):
+def elect_root(problem: Problem, seed: int):
     """Distributed election; returns ({var: is_root}, converged)."""
-    cfg = RunConfig(election_rounds=rounds)
-    results, _ = _run_phases(problem, seed, ["elect"], config=cfg)
+    results, _ = _run_phases(problem, seed, ["elect"])
     return {x: r["is_root"] for x, r in results.items()}, True
 
 
@@ -402,6 +410,6 @@ def assign_unique_ids(problem: Problem, root: str, seed: int,
                       incr_min: int = 10, order_hint: dict | None = None):
     """DFS + ID assignment; returns ({var: IdAssignment}, {var: view})."""
     results, _ = _run_phases(problem, seed, ["dfs", "ids"], order_hint, root,
-                             incr_min)
+                             RunConfig(incr_min=incr_min))
     return ({x: r["ids"] for x, r in results.items()},
             {x: r["view"] for x, r in results.items()})

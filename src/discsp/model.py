@@ -10,7 +10,7 @@ int) with a stable total order given by their position in the domain list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 Value = "str | int"
 
@@ -72,13 +72,6 @@ class Constraint:
             scope, domains, lambda *v: v not in forbidden, visibility, name
         )
 
-    @classmethod
-    def from_allowed(cls, scope, domains, allowed, visibility=(), name=""):
-        allowed = {tuple(t) for t in allowed}
-        return cls.from_predicate(
-            scope, domains, lambda *v: v in allowed, visibility, name
-        )
-
     def index_of(self, values):
         idx = 0
         for dom, v in zip(self.domains, values):
@@ -92,9 +85,6 @@ class Constraint:
     def cost(self, values) -> int:
         """0 if the tuple is feasible, 1 otherwise."""
         return self.table[self.index_of(values)]
-
-    def is_feasible(self, values) -> bool:
-        return self.cost(values) == 0
 
 
 @dataclass(frozen=True)
@@ -219,16 +209,6 @@ def evaluate(problem: Problem, assignment: dict) -> int:
     return sum(
         c.cost(tuple(assignment[x] for x in c.scope)) for c in problem.constraints
     )
-
-
-def to_max_discsp(problem: Problem) -> Problem:
-    """Recast boolean constraints as {0,1}-valued cost tables.
-
-    Constraints are already stored as 0/1 cost tables, so the recast is a
-    structural copy; it exists so callers can state the reformulation
-    explicitly.  evaluate() over the result equals the violation count.
-    """
-    return replace(problem)
 
 
 def decompose_shared_constraint(c: Constraint, owner: dict[str, str]):

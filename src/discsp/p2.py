@@ -17,7 +17,6 @@ from .dpop import local_join, table_from_payload, table_to_payload
 from .kernel import PseudoTreeView, circular_order
 from .model import Problem
 from .p32 import P32Process
-from .runtime import RunConfig, Sim
 from .solvers import register_solver
 from .tables import FeasTable, join, map_entries, project
 
@@ -185,17 +184,5 @@ class P2Process(P32Process):
         return value is not None, value
 
 
-def make_processes_plus(problem: Problem, sim: Sim, config: RunConfig,
-                        order_hint=None):
-    return {x: P2Process(x, sim, "plus", order_hint)
-            for x in problem.variables}
-
-
-def make_processes_minus(problem: Problem, sim: Sim, config: RunConfig,
-                         order_hint=None):
-    return {x: P2Process(x, sim, "minus", order_hint)
-            for x in problem.variables}
-
-
-register_solver("p2_plus", make_processes_plus, pad_default=True)
-register_solver("p2", make_processes_minus, pad_default=True)
+register_solver("p2_plus", P2Process, pad_default=True, variant="plus")
+register_solver("p2", P2Process, pad_default=True, variant="minus")

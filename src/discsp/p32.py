@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from . import crypto
 from .kernel import PseudoTreeView
-from .model import Constraint, Problem
+from .model import Constraint
 from .pdpop import PdpopProcess
-from .runtime import Msg, RunConfig, Sim
+from .runtime import Msg, Sim
 from .solvers import register_solver
+
+
+# Simulated compute units charged per modular exponentiation.
+CRYPTO_COST_UNITS = 1000
 
 
 class P32Error(RuntimeError):
@@ -30,9 +34,8 @@ class P32Error(RuntimeError):
 class P32Process(PdpopProcess):
     """One variable's state machine for the rerooted encrypted solvers."""
 
-    def __init__(self, var: str, sim: Sim, variant: str = "plus",
-                 order_hint=None):
-        super().__init__(var, sim, variant, None, order_hint)
+    def __init__(self, var: str, sim: Sim, variant: str = "plus"):
+        super().__init__(var, sim, variant)
         self.params = crypto.group_for_bits(sim.config.key_bits)
         self.key_share: crypto.KeyPairShare | None = None
         self.compound: crypto.CompoundPublicKey | None = None
@@ -49,7 +52,7 @@ class P32Process(PdpopProcess):
     # -- crypto helpers -------------------------------------------------------
 
     def charge_exps(self, n: int):
-        yield from self.charge(n * self.sim.config.crypto_cost_units)
+        yield from self.charge(n * CRYPTO_COST_UNITS)
 
     def fresh_small(self, v: int) -> crypto.Cyphertext:
         return crypto.encrypt_small(self.params, self.compound, v,
@@ -216,10 +219,8 @@ class P32Process(PdpopProcess):
     # -- main -------------------------------------------------------------------------
 
     def main(self):
-        rounds = (self.sim.config.election_rounds
-                  or len(self.sim.problem.variables))
-        self.is_temp_root = yield from self.elect_root(rounds)
-        yield from self.build_tree(0, self.is_temp_root)
+        view = yield from self.first_tree()
+        self.is_temp_root = view.is_root
         ids = yield from self.assign_ids(0, self.sim.config.incr_min)
         n_plus = ids.total_bound
         yield from self.setup_compound_key(n_plus, ids.next_bound - ids.id + 1)
@@ -278,17 +279,5 @@ class P32Process(PdpopProcess):
         return {"aborted": True}
 
 
-def make_processes_plus(problem: Problem, sim: Sim, config: RunConfig,
-                        order_hint=None):
-    return {x: P32Process(x, sim, "plus", order_hint)
-            for x in problem.variables}
-
-
-def make_processes_minus(problem: Problem, sim: Sim, config: RunConfig,
-                         order_hint=None):
-    return {x: P32Process(x, sim, "minus", order_hint)
-            for x in problem.variables}
-
-
-register_solver("p32_plus", make_processes_plus, pad_default=True)
-register_solver("p32", make_processes_minus, pad_default=True)
+register_solver("p32_plus", P32Process, pad_default=True, variant="plus")
+register_solver("p32", P32Process, pad_default=True, variant="minus")

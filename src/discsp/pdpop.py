@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .dpop import (assignment_from_pairs, assignment_to_pairs, local_join,
                    table_from_payload, table_to_payload)
 from .kernel import KernelProcess, PseudoTreeView
-from .model import Constraint, Problem
-from .runtime import RunConfig, Sim
+from .model import Constraint
+from .runtime import Sim
 from .solvers import register_solver
 from .tables import (Axis, FeasTable, add_along_axis, join, map_entries,
                      project_min, relabel_axis, reorder_axis_values,
@@ -93,12 +93,11 @@ class PdpopProcess(KernelProcess):
     rerooted solvers."""
 
     def __init__(self, var: str, sim: Sim, variant: str = "plus",
-                 preset_views=None, order_hint=None):
-        super().__init__(var, sim, order_hint)
+                 preset_views=None):
+        super().__init__(var, sim, preset_views)
         if variant not in ("plus", "minus"):
             raise PdpopError(f"unknown variant {variant!r}")
         self.variant = variant
-        self.preset_views = preset_views
         self.local_constraints: list[Constraint] = []
         self.sent_packages: dict = {}   # (epoch, recipient) -> package
         self.recv_packages: dict = {}   # (epoch, ancestor) -> package
@@ -277,15 +276,7 @@ class PdpopProcess(KernelProcess):
     # -- overall P-DPOP(+) ------------------------------------------------------
 
     def main(self):
-        if self.preset_views is not None:
-            view = self.preset_views[self.var]
-            self.views[0] = view
-            is_root = view.is_root
-        else:
-            rounds = (self.sim.config.election_rounds
-                      or len(self.sim.problem.variables))
-            is_root = yield from self.elect_root(rounds)
-            view = yield from self.build_tree(0, is_root)
+        view = yield from self.first_tree()
         yield from self.exchange_codenames(view, 0)
         yield from self.exchange_keys(view, 0)
         feasible, min_count, root_value, best, seps = yield from self.feas_phase(
@@ -303,17 +294,5 @@ class PdpopProcess(KernelProcess):
         return out
 
 
-def make_processes_plus(problem: Problem, sim: Sim, config: RunConfig,
-                        preset_views=None, order_hint=None):
-    return {x: PdpopProcess(x, sim, "plus", preset_views, order_hint)
-            for x in problem.variables}
-
-
-def make_processes_minus(problem: Problem, sim: Sim, config: RunConfig,
-                         preset_views=None, order_hint=None):
-    return {x: PdpopProcess(x, sim, "minus", preset_views, order_hint)
-            for x in problem.variables}
-
-
-register_solver("pdpop_plus", make_processes_plus, pad_default=True)
-register_solver("pdpop", make_processes_minus, pad_default=True)
+register_solver("pdpop_plus", PdpopProcess, pad_default=True, variant="plus")
+register_solver("pdpop", PdpopProcess, pad_default=True, variant="minus")

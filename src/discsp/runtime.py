@@ -120,21 +120,6 @@ class Transcript:
         ) + ("\n" if self.records else "")
 
 
-def simulated_time(transcript: Transcript, cost_fn) -> int:
-    """Longest dependency-chain cost over the message causality graph.
-
-    cost_fn(record) is the compute cost the sender incurred to produce that
-    message; a receiver's clock is the max of its own clock and the sender's
-    clock at send time.  Transmission itself is free.
-    """
-    clocks: dict[str, int] = {}
-    for rec in transcript:
-        t = clocks.get(rec.sender_var, 0) + cost_fn(rec)
-        clocks[rec.sender_var] = t
-        clocks[rec.receiver_var] = max(clocks.get(rec.receiver_var, 0), t)
-    return max(clocks.values(), default=0)
-
-
 # ----------------------------------------------------------------- metrics
 
 @dataclass
@@ -151,13 +136,6 @@ class Metrics:
     def bump(self, counter: dict, key: str, n: int = 1):
         counter[key] = counter.get(key, 0) + n
 
-    def csv_header(self) -> list[str]:
-        return ["simulated_time", "message_count", "info_bytes", "sep_max"]
-
-    def csv_row(self) -> list:
-        return [self.simulated_time, self.message_count, self.info_bytes,
-                self.sep_max]
-
 
 # ------------------------------------------------------------------ config
 
@@ -167,8 +145,6 @@ class RunConfig:
     b_bits: int = 128
     incr_min: int = 10
     pad: bool | None = None      # None = solver default
-    crypto_cost_units: int = 1000
-    election_rounds: int | None = None  # None = number of variables
     timeout_secs: float | None = None
     debug: bool = False
 

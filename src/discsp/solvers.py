@@ -11,15 +11,18 @@ from .runtime import Metrics, RunConfig, Sim, Transcript
 @dataclass(frozen=True)
 class SolverSpec:
     name: str
-    factory: object
+    process: type           # Process subclass, built once per variable
     pad_default: bool
+    variant: tuple = ()     # extra positional arguments after (var, sim)
 
 
 SOLVERS: dict[str, SolverSpec] = {}
 
 
-def register_solver(name: str, factory, pad_default: bool):
-    SOLVERS[name] = SolverSpec(name, factory, pad_default)
+def register_solver(name: str, process_cls: type, pad_default: bool,
+                    variant: "str | None" = None):
+    SOLVERS[name] = SolverSpec(name, process_cls, pad_default,
+                               () if variant is None else (variant,))
 
 
 @dataclass
@@ -60,8 +63,8 @@ def run_solver(name: str, problem: Problem, seed: int,
         size = max(len(problem.domains[x]) for x in problem.variables)
         run_problem = pad_domains(problem, size)
     sim = Sim(run_problem, seed, config)
-    for proc in spec.factory(run_problem, sim, config).values():
-        sim.add_process(proc)
+    for x in run_problem.variables:
+        sim.add_process(spec.process(x, sim, *spec.variant))
     results = sim.run(config.timeout_secs)
 
     per_agent: dict = {}

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from discsp.model import (Constraint, ModelError, Problem, decompose_shared_constraint,
-                          evaluate, pad_domains, to_max_discsp)
+                          evaluate, pad_domains)
 from discsp.oracle import brute_force
 
 RGB = ("R", "B", "G")
@@ -44,8 +44,7 @@ def test_evaluate_out_of_domain(fig1):
 
 
 def test_max_discsp_unary_recast(fig1):
-    recast = to_max_discsp(fig1)
-    u5 = next(c for c in recast.constraints if c.name == "u_x5")
+    u5 = next(c for c in fig1.constraints if c.name == "u_x5")
     assert u5.cost(("B",)) == 1
     assert u5.cost(("G",)) == 0
 
@@ -58,11 +57,10 @@ def test_max_discsp_binary_recast():
 
 
 def test_evaluate_equals_cost_sum_exhaustive(fig1):
-    recast = to_max_discsp(fig1)
     small = [c for c in fig1.constraints]
     for values in itertools.product(RGB, repeat=5):
         a = dict(zip(fig1.variables, values))
-        total = sum(c.cost(tuple(a[x] for x in c.scope)) for c in recast.constraints)
+        total = sum(c.cost(tuple(a[x] for x in c.scope)) for c in fig1.constraints)
         assert evaluate(fig1, a) == total
     assert len(small) == 8
 

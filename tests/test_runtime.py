@@ -2,9 +2,8 @@ import pytest
 
 from discsp.generators import figure1_instance
 from discsp.model import Constraint, Problem
-from discsp.runtime import (DeadlockError, Process, Record, RunConfig,
-                            SimError, Sim, Transcript, canonical,
-                            simulated_time, wire_size)
+from discsp.runtime import (DeadlockError, Process, RunConfig, SimError, Sim,
+                            canonical, wire_size)
 from discsp.solvers import run_solver
 
 
@@ -83,39 +82,40 @@ def test_channel_violation_rejected():
         sim.run()
 
 
-def rec(sender, receiver, tick=0):
-    return Record(tick=tick, sender_var=sender, sender_agent=sender,
-                  receiver_var=receiver, receiver_agent=receiver,
-                  type="M", payload={}, size=1, sent_clock=0)
-
-
-def test_simulated_time_serial_chain():
-    t = Transcript([rec(f"v{i}", f"v{i+1}", i) for i in range(6)])
-    assert simulated_time(t, lambda r: 1) == 6
-
-
 def test_simulated_time_parallel_branches_max_rule():
-    # Branch A costs 3, branch B costs 5, join costs 2: total 5 + 2.
-    records = (
-        [rec("a0", "a1"), rec("a1", "a2"), rec("a2", "j")]      # 3 unit costs
-        + [rec(f"b{i}", f"b{i+1}") for i in range(4)] + [rec("b4", "j")]
-        + [rec("j", "out")]
-    )
-    def cost(r):
-        return 2 if r.sender_var == "j" else 1
-    assert simulated_time(Transcript(records), cost) == 7
+    # Branch A charges 3, branch B charges 5, the joiner charges 2 after
+    # hearing from both: the clock is the slower branch plus the join, 5 + 2,
+    # not the serial sum 3 + 5 + 2.
+    dom = ("0",)
+    owner = {x: x for x in ("a", "b", "j", "out")}
+    cons = tuple(
+        Constraint.from_predicate((u, v), (dom, dom), lambda *_: True,
+                                  {u, v}, f"{u}{v}")
+        for u, v in (("a", "j"), ("b", "j"), ("j", "out")))
+    p = Problem(tuple(owner), tuple(owner), owner,
+                {x: dom for x in owner}, cons)
+    cost = {"a": 3, "b": 5}
 
+    class Branching(Process):
+        def main(self):
+            if self.var in cost:
+                yield from self.charge(cost[self.var])
+                yield from self.send("j", "DONE", {})
+            elif self.var == "j":
+                for u in cost:
+                    yield from self.get(
+                        lambda m, u=u: m.type == "DONE" and m.sender == u)
+                yield from self.charge(2)
+                yield from self.send("out", "DONE", {})
+            else:
+                yield from self.get(lambda m: m.type == "DONE")
+            return {}
 
-def test_simulated_time_beats_serialized_total_on_branching_tree():
-    # The reference pseudo-tree has two parallel branches; with unit cost
-    # per message the dependency-max time is strictly below the serial sum.
-    from discsp import dpop
-    from discsp.generators import figure1_instance, figure2_tree_hints
-    from discsp.kernel import build_dfs_tree
-    p = figure1_instance()
-    views = build_dfs_tree(p, "x2", seed=1, order_hint=figure2_tree_hints())
-    _a, _m, _metrics, transcript = dpop.solve(p, views, seed=0)
-    assert simulated_time(transcript, lambda r: 1) < len(transcript)
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(Branching(x, sim))
+    sim.run()
+    assert sim.metrics.simulated_time == 7
 
 
 def test_canonical_rejects_unknown_types():
@@ -170,10 +170,3 @@ def test_transcript_jsonl_roundtrip_structure(fig1):
     first = json.loads(lines[0])
     assert {"tick", "sender_var", "receiver_var", "type", "size",
             "payload"} <= set(first)
-
-
-def test_metrics_csv_row(fig1):
-    r = run_solver("dpop", fig1, seed=2)
-    header, row = r.metrics.csv_header(), r.metrics.csv_row()
-    assert len(header) == len(row)
-    assert row[header.index("message_count")] == r.metrics.message_count
