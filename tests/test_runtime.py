@@ -1,10 +1,10 @@
 import pytest
 
-from discsp.generators import figure1_instance
+from discsp.generators import figure1_instance, gen_graph_coloring
 from discsp.model import Constraint, Problem
 from discsp.runtime import (DeadlockError, Process, RunConfig, SimError, Sim,
                             canonical, wire_size)
-from discsp.solvers import run_solver
+from discsp.solvers import SOLVERS, run_solver
 
 
 def two_var_problem():
@@ -128,6 +128,28 @@ def test_wire_size_ints_are_length_prefixed():
     assert wire_size(1 << 127) == 5 + 16  # 128-bit integer payload
     assert wire_size("ab") == 6
     assert wire_size([1, 2]) == 4 + 2 * 6
+
+
+# The instances whose transcripts are pinned in test_crypto.py (encrypted
+# solvers) and test_pdpop.py (table solvers).
+PINNED_INSTANCE = {
+    "p32_plus": (3, 5), "p32": (3, 5), "p2_plus": (3, 5), "p2": (3, 5),
+    "pdpop_plus": (7, 1), "pdpop": (7, 1), "dpop": (7, 1),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_record_size_is_the_size_of_its_envelope(solver):
+    # Every delivery, forwarded ring hops included, is sized as the
+    # canonical encoding of its whole {"type", "payload"} envelope.
+    size, seed = PINNED_INSTANCE[solver]
+    result = run_solver(solver, gen_graph_coloring(size, seed=seed), seed=7,
+                        config=RunConfig(key_bits=64))
+    assert len(result.transcript) > 0
+    for rec in result.transcript:
+        envelope = {"type": rec.type, "payload": rec.payload}
+        assert rec.size == wire_size(canonical(envelope))
+    assert result.metrics.info_bytes == sum(r.size for r in result.transcript)
 
 
 def test_determinism_same_seed_identical_transcript():
