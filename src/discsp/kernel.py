@@ -213,7 +213,8 @@ class KernelProcess(Process):
                                     dict(msg.payload["inner"]), sender=None))
             else:
                 _, kind, dst = decision
-                yield from self.send(dst, kind, dict(msg.payload))
+                # The same envelope with the encoding it was delivered with.
+                yield ("send", dst, Msg(kind, msg.payload, self.var, msg.wire))
             return True
         if msg.type == "TOKEN" and msg.payload.get("kind") == "visit":
             if msg.payload["epoch"] == self.dfs_epoch and self._dfs_visited:
@@ -372,7 +373,6 @@ class _PhaseProcess(KernelProcess):
                 is_root = yield from self.elect_root(
                     len(self.sim.problem.variables))
                 out["is_root"] = is_root
-                out["converged"] = True
             elif phase == "dfs":
                 if self.preset_root is not None:
                     is_root = self.var == self.preset_root
@@ -394,9 +394,9 @@ def _run_phases(problem: Problem, seed: int, phases, order_hint=None,
 
 
 def elect_root(problem: Problem, seed: int):
-    """Distributed election; returns ({var: is_root}, converged)."""
+    """Distributed election; returns {var: is_root}."""
     results, _ = _run_phases(problem, seed, ["elect"])
-    return {x: r["is_root"] for x, r in results.items()}, True
+    return {x: r["is_root"] for x, r in results.items()}
 
 
 def build_dfs_tree(problem: Problem, root: str, seed: int,

@@ -275,9 +275,6 @@ class P32Process(PdpopProcess):
             })
         return out
 
-    def stopped_result(self) -> dict:
-        return {"aborted": True}
-
 
 register_solver("p32_plus", P32Process, pad_default=True, variant="plus")
 register_solver("p32", P32Process, pad_default=True, variant="minus")

@@ -5,9 +5,10 @@ effects: ``("send", dst, Msg)``, ``("recv",)`` and ``("compute", units)``.
 The scheduler delivers messages in global send order, which preserves FIFO
 per channel and makes every run a pure function of the seed.  Every
 delivered message is appended to the transcript with a canonical payload
-snapshot and its wire size; simulated time is tracked per variable with the
-usual dependency-max rule (a receiver's clock is at least the sender's clock
-at send time).
+snapshot and its wire size, both taken in one pass over the payload (a
+forwarded ring hop reuses the pass of the hop before); simulated time is
+tracked per variable with the usual dependency-max rule (a receiver's clock
+is at least the sender's clock at send time).
 """
 
 from __future__ import annotations
@@ -39,24 +40,81 @@ class Msg:
     type: str
     payload: dict
     sender: "str | None" = None  # variable name; None for unwrapped routed payloads
+    # encode(payload), set on first delivery; a forwarded hop that carries
+    # the same payload carries this too, so it is not encoded again.
+    wire: "tuple | None" = field(default=None, repr=False, compare=False)
 
 
 # ------------------------------------------------------- canonical encoding
+
+def encode(obj):
+    """Return ``(canonical(obj), wire_size(canonical(obj)))`` from one walk.
+
+    The built-in payload types are dispatched on their exact type; anything
+    else (objects with .canonical(), subclasses of the built-ins) takes the
+    checks of ``canonical`` in its order.
+    """
+    t = type(obj)
+    if t is int:
+        return obj, 5 + ((obj.bit_length() + 7) // 8 or 1)
+    if t is str:
+        return obj, 4 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
+    if t is dict:
+        return _encode_dict(obj)
+    if t is list or t is tuple:
+        return _encode_list(obj)
+    if t is bool or obj is None:
+        return obj, 1
+    if hasattr(obj, "canonical"):
+        return encode(obj.canonical())
+    if isinstance(obj, dict):
+        return _encode_dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return _encode_list(obj)
+    if isinstance(obj, (int, str, bool)):
+        return obj, wire_size(obj)
+    raise TypeError(f"payload value {obj!r} is not canonically encodable")
+
+
+def _encode_dict(obj):
+    out = {}
+    size = 4
+    for k, v in obj.items():
+        if type(k) is not str:
+            k = str(k)
+        size += 4 + (len(k) if k.isascii() else len(k.encode("utf-8")))
+        if type(v) is int:  # e.g. the alpha and beta of a cyphertext
+            out[k] = v
+            size += 5 + ((v.bit_length() + 7) // 8 or 1)
+        else:
+            out[k], n = encode(v)
+            size += n
+    if len(out) < len(obj):
+        # Keys that collide after str() keep the last value only.
+        size = wire_size(out)
+    return out, size
+
+
+def _encode_list(obj):
+    out = []
+    size = 4
+    for v in obj:
+        if type(v) is int:  # the common leaf (table entries, group elements)
+            out.append(v)
+            size += 5 + ((v.bit_length() + 7) // 8 or 1)
+        else:
+            struct, n = encode(v)
+            out.append(struct)
+            size += n
+    return out, size
+
 
 def canonical(obj):
     """Reduce a payload to JSON-able structure (dicts/lists/ints/strs/bools).
 
     Objects exposing .canonical() (tables, cyphertexts) encode themselves.
     """
-    if hasattr(obj, "canonical"):
-        return canonical(obj.canonical())
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    raise TypeError(f"payload value {obj!r} is not canonically encodable")
+    return encode(obj)[0]
 
 
 def wire_size(struct) -> int:
@@ -77,6 +135,11 @@ def wire_size(struct) -> int:
     if isinstance(struct, dict):
         return 4 + sum(wire_size(k) + wire_size(v) for k, v in struct.items())
     raise TypeError(f"not canonical: {struct!r}")
+
+
+# A delivery is sized as {"type": msg.type, "payload": msg.payload}: the
+# item count and the two key strings, plus the type and payload sizes.
+_ENVELOPE_SIZE = 4 + wire_size("type") + wire_size("payload")
 
 
 # --------------------------------------------------------------- transcript
@@ -311,14 +374,16 @@ class Sim:
     def _deliver(self, seq, src, dst, msg, sent_clock):
         if dst not in self.processes:
             raise SimError(f"message to unknown variable {dst}")
-        struct = canonical({"type": msg.type, "payload": msg.payload})
-        size = wire_size(struct)
+        if msg.wire is None:
+            msg.wire = encode(msg.payload)
+        payload, payload_size = msg.wire
+        size = _ENVELOPE_SIZE + wire_size(msg.type) + payload_size
         owner = self.problem.owner
         self.transcript.append(Record(
             tick=len(self.transcript.records), sender_var=src,
             sender_agent=owner[src], receiver_var=dst,
             receiver_agent=owner[dst], type=msg.type,
-            payload=struct["payload"], size=size, sent_clock=sent_clock,
+            payload=payload, size=size, sent_clock=sent_clock,
         ))
         self.metrics.message_count += 1
         self.metrics.info_bytes += size

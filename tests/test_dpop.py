@@ -107,7 +107,7 @@ def test_feas_semantics_against_subtree_oracle():
     sender's subtree as a function of its separator."""
     for seed in range(6):
         p = gen_graph_coloring(6, seed=seed + 200)
-        roots, _ = elect_root(p, seed=seed)
+        roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
         _a, _m, _metrics, transcript = dpop.solve(p, views, seed=seed)

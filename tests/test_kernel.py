@@ -41,17 +41,16 @@ def triangle_problem():
 # -- election -------------------------------------------------------------------
 
 def test_election_single_variable():
-    roots, converged = elect_root(single_var_problem(), seed=1)
-    assert roots == {"x1": True} and converged
+    assert elect_root(single_var_problem(), seed=1) == {"x1": True}
 
 
 def test_election_unique_root_fig1(fig1):
-    roots, _ = elect_root(fig1, seed=3)
+    roots = elect_root(fig1, seed=3)
     assert sum(roots.values()) == 1
 
 
 def test_election_seed_dependence(fig1):
-    winners = {next(x for x, w in elect_root(fig1, seed=s)[0].items() if w)
+    winners = {next(x for x, w in elect_root(fig1, seed=s).items() if w)
                for s in range(8)}
     assert len(winners) >= 2  # different seeds can elect different roots
 
@@ -67,7 +66,7 @@ def test_election_disconnected_one_root_per_component():
     )
     p = Problem(("a1", "a2", "a3", "a4"), ("x1", "x2", "x3", "x4"), owner,
                 {x: dom for x in owner}, cons)
-    roots, _ = elect_root(p, seed=5)
+    roots = elect_root(p, seed=5)
     assert sum(roots[x] for x in ("x1", "x2")) == 1
     assert sum(roots[x] for x in ("x3", "x4")) == 1
 
@@ -108,7 +107,7 @@ def test_dfs_triangle_one_backedge():
 def test_dfs_property_backedges_connect_ancestors():
     for seed in range(6):
         p = gen_graph_coloring(7, seed=seed)
-        roots, _ = elect_root(p, seed=seed)
+        roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
         parents = {x: views[x].parent for x in p.variables}
@@ -236,7 +235,7 @@ def test_routing_random_trees_visit_all_exactly_once():
     for seed in range(8):
         n = 4 + seed % 5
         p = gen_graph_coloring(n, seed=seed + 50)
-        roots, _ = elect_root(p, seed=seed)
+        roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
         order = circular_order(views)

@@ -60,7 +60,7 @@ def test_shadow_equals_boolean_dp_per_step():
     for seed in range(5):
         p = gen_graph_coloring(5, seed=seed + 40)
         from discsp.kernel import build_dfs_tree, elect_root
-        roots, _ = elect_root(p, seed=seed)
+        roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
         order = circular_order(views)
@@ -272,7 +272,7 @@ def test_linear_separators_dominate_tree_separators():
     from discsp.kernel import build_dfs_tree, elect_root
     for seed in range(10):
         p = gen_graph_coloring(6, seed=seed + 60)
-        roots, _ = elect_root(p, seed=seed)
+        roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
         tree_sep = tree_separators(p, views)

@@ -1,10 +1,17 @@
-import pytest
+import enum
+import json
+from collections import OrderedDict
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from discsp.crypto import Cyphertext
 from discsp.generators import figure1_instance, gen_graph_coloring
 from discsp.model import Constraint, Problem
 from discsp.runtime import (DeadlockError, Process, RunConfig, SimError, Sim,
-                            canonical, wire_size)
+                            canonical, encode, wire_size)
 from discsp.solvers import SOLVERS, run_solver
+from discsp.tables import Axis, FeasTable
 
 
 def two_var_problem():
@@ -121,6 +128,77 @@ def test_simulated_time_parallel_branches_max_rule():
 def test_canonical_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical({"x": object()})
+
+
+def test_encode_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        encode({"x": object()})
+    with pytest.raises(TypeError):
+        encode([1, 2.5])
+
+
+def reference_canonical(obj):
+    """The canonical reduction spelled out check by check, as a test oracle."""
+    if hasattr(obj, "canonical"):
+        return reference_canonical(obj.canonical())
+    if isinstance(obj, dict):
+        return {str(k): reference_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_canonical(v) for v in obj]
+    if isinstance(obj, (int, str, bool)) or obj is None:
+        return obj
+    raise TypeError(obj)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 300
+
+
+class Label(str):
+    pass
+
+
+ints = st.integers(-(1 << 300), 1 << 300)
+cyphertexts = st.builds(Cyphertext, ints, ints)
+
+
+@st.composite
+def feas_tables(draw):
+    sizes = draw(st.lists(st.integers(1, 3), max_size=3))
+    scope = [Axis(lbl, tuple(range(n))) for lbl, n in zip(("x", 7, "y"), sizes)]
+    n = 1
+    for k in sizes:
+        n *= k
+    leaf = st.one_of(st.integers(0, 9), st.booleans(), cyphertexts)
+    return FeasTable(scope, draw(st.lists(leaf, min_size=n, max_size=n)))
+
+
+leaves = st.one_of(
+    st.none(), st.booleans(), ints, st.text(max_size=6), cyphertexts,
+    feas_tables(), st.sampled_from([Colour.RED, Colour.BLUE, Label("é")]))
+keys = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.booleans(),
+                 st.sampled_from(["1", "True", Label("ü")]))
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+        st.dictionaries(keys, inner, max_size=4).map(OrderedDict)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+@example({1: "a", "1": [1, 2, 3]})
+@example({"1": [1, 2, 3], 1: "a", True: None, "True": 0})
+@example(["ascii", "dé", "日本", -1, -(1 << 129), 1 << 129, 0, None, True])
+def test_encode_is_canonical_and_its_wire_size(x):
+    struct, size = encode(x)
+    assert json.dumps(struct) == json.dumps(reference_canonical(x))
+    assert json.dumps(canonical(x)) == json.dumps(struct)
+    assert size == wire_size(canonical(x))
 
 
 def test_wire_size_ints_are_length_prefixed():
