@@ -214,7 +214,8 @@ class KernelProcess(Process):
             else:
                 _, kind, dst = decision
                 # The same envelope with the encoding it was delivered with.
-                yield ("send", dst, Msg(kind, msg.payload, self.var, msg.wire))
+                yield ("send", dst, Msg(kind, msg.payload, sender=self.var,
+                                        wire=msg.wire))
             return True
         if msg.type == "TOKEN" and msg.payload.get("kind") == "visit":
             if msg.payload["epoch"] == self.dfs_epoch and self._dfs_visited:

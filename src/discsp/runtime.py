@@ -50,9 +50,11 @@ class Msg:
 def encode(obj):
     """Return ``(canonical(obj), wire_size(canonical(obj)))`` from one walk.
 
-    The built-in payload types are dispatched on their exact type; anything
-    else (objects with .canonical(), subclasses of the built-ins) takes the
-    checks of ``canonical`` in its order.
+    The built-in payload types are dispatched on their exact type.  Anything
+    else is checked in order: an object with .canonical() (tables,
+    cyphertexts) encodes what that returns, then subclasses of dict,
+    list/tuple and int/str/bool are taken as their base type; any other
+    value raises TypeError.
     """
     t = type(obj)
     if t is int:

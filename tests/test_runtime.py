@@ -128,9 +128,6 @@ def test_simulated_time_parallel_branches_max_rule():
 def test_canonical_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical({"x": object()})
-
-
-def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError):
         encode({"x": object()})
     with pytest.raises(TypeError):
@@ -220,9 +217,9 @@ PINNED_INSTANCE = {
 def test_record_size_is_the_size_of_its_envelope(solver):
     # Every delivery, forwarded ring hops included, is sized as the
     # canonical encoding of its whole {"type", "payload"} envelope.
-    size, seed = PINNED_INSTANCE[solver]
-    result = run_solver(solver, gen_graph_coloring(size, seed=seed), seed=7,
-                        config=RunConfig(key_bits=64))
+    n, instance_seed = PINNED_INSTANCE[solver]
+    result = run_solver(solver, gen_graph_coloring(n, seed=instance_seed),
+                        seed=7, config=RunConfig(key_bits=64))
     assert len(result.transcript) > 0
     for rec in result.transcript:
         envelope = {"type": rec.type, "payload": rec.payload}
