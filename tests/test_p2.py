@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from conftest import run_gen
+from conftest import infeasible_triangle, run_gen
 from discsp import crypto, p2
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -178,16 +179,19 @@ def test_end_to_end_feasible(fig1):
 
 
 def test_infeasible_detected_first_iteration():
-    dom = ("R", "B")
-    owner = {x: f"ag_{x}" for x in ("u", "v", "w")}
-    cons = tuple(
-        Constraint.from_predicate((a, b), (dom, dom), lambda s, t: s != t,
-                                  {owner[a], owner[b]}, name=f"ne_{a}{b}")
-        for a, b in (("u", "v"), ("v", "w"), ("u", "w")))
-    p = Problem(tuple(owner.values()), ("u", "v", "w"), owner,
-                {x: dom for x in owner}, cons)
-    r = run_solver("p2", p, seed=4, config=CFG)
+    r = run_solver("p2", infeasible_triangle(), seed=4, config=CFG)
     assert r.feasible is False and r.iterations == 1 and r.per_agent == {}
+
+
+def test_infeasible_transcript_is_pinned():
+    # The ABORT path of the linear-order pipeline, recorded before the
+    # scheduler handed deliveries straight to the blocked receiver.
+    r = run_solver("p2_plus", infeasible_triangle(), seed=4, config=CFG)
+    assert r.feasible is False
+    assert any(rec.type == "ABORT" for rec in r.transcript)
+    digest = hashlib.sha256(r.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == (
+        "880cbcd6e81892dc30b303193f79b64fd0a4c19f148e082e6f28af6c296fb819")
 
 
 def test_feas_payloads_fully_encrypted(fig1):

@@ -1,3 +1,6 @@
+import hashlib
+
+from conftest import infeasible_triangle
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -96,19 +99,23 @@ def test_feasible_run_produces_valid_joint_solution(fig1):
 
 
 def test_infeasible_terminates_after_one_iteration():
-    dom = ("R", "B")
-    owner = {x: f"ag_{x}" for x in ("u", "v", "w")}
-    cons = tuple(
-        Constraint.from_predicate((a, b), (dom, dom), lambda s, t: s != t,
-                                  {owner[a], owner[b]}, name=f"ne_{a}{b}")
-        for a, b in (("u", "v"), ("v", "w"), ("u", "w")))
-    p = Problem(tuple(owner.values()), ("u", "v", "w"), owner,
-                {x: dom for x in owner}, cons)
-    r = run_solver("p32", p, seed=2, config=CFG)
+    r = run_solver("p32", infeasible_triangle(), seed=2, config=CFG)
     assert r.feasible is False
     assert r.iterations == 1
     assert r.per_agent == {}
     assert any(rec.type == "ABORT" for rec in r.transcript)
+
+
+def test_infeasible_transcript_is_pinned():
+    # The ABORT path (the root's ABORT down its tree, the children's
+    # intercept forwarding it), recorded before the scheduler handed
+    # deliveries straight to the blocked receiver.
+    r = run_solver("p32_plus", infeasible_triangle(), seed=2, config=CFG)
+    assert r.feasible is False
+    assert any(rec.type == "ABORT" for rec in r.transcript)
+    digest = hashlib.sha256(r.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == (
+        "7011019779590f16f00aa90bfab92d3220be3d0435cfcd1270fb7ab5f43f67da")
 
 
 def test_no_decision_messages_and_audit_clean(fig1):
