@@ -83,9 +83,11 @@ def cmd_bench(args) -> int:
     write_csv(summary, summary_path, SUMMARY_FIELDS)
     mismatches = [r for r in rows if r["oracle_ok"] is False]
     timeouts = [r for r in rows if r["status"] == "timeout"]
+    out_of_memory = [r for r in rows if r["status"] == "out_of_memory"]
     print(f"wrote {len(rows)} runs to {runs_path}")
     print(f"wrote {len(summary)} summary rows to {summary_path}")
-    print(f"oracle mismatches: {len(mismatches)}; timeouts: {len(timeouts)}")
+    print(f"oracle mismatches: {len(mismatches)}; timeouts: {len(timeouts)}; "
+          f"out of memory: {len(out_of_memory)}")
     for line in trend_check(summary):
         print(line)
     return 0

@@ -337,44 +337,3 @@ def encrypt_small(params: GroupParams, key: CompoundPublicKey, v: int,
     return encrypt_element(params, key, encode_small(params, v),
                            rng.randrange(1, params.p - 1))
 
-
-# ---------------------------------------------------------- serialization
-
-def _uint_bytes(n: int) -> bytes:
-    if n < 0:
-        raise CryptoError("negative integer in wire encoding")
-    raw = n.to_bytes((n.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def _read_uint(buf: bytes, off: int) -> tuple[int, int]:
-    ln = int.from_bytes(buf[off:off + 4], "big")
-    off += 4
-    return int.from_bytes(buf[off:off + ln], "big"), off + ln
-
-
-def cyphertext_to_bytes(c: Cyphertext) -> bytes:
-    return _uint_bytes(c.alpha) + _uint_bytes(c.beta)
-
-
-def cyphertext_from_bytes(buf: bytes) -> Cyphertext:
-    alpha, off = _read_uint(buf, 0)
-    beta, off = _read_uint(buf, off)
-    if off != len(buf):
-        raise CryptoError("trailing bytes in cyphertext encoding")
-    return Cyphertext(alpha=alpha, beta=beta)
-
-
-def group_to_bytes(params: GroupParams) -> bytes:
-    return (_uint_bytes(params.p) + _uint_bytes(params.g) + _uint_bytes(params.z)
-            + _uint_bytes(params.bit_length))
-
-
-def group_from_bytes(buf: bytes) -> GroupParams:
-    p, off = _read_uint(buf, 0)
-    g, off = _read_uint(buf, off)
-    z, off = _read_uint(buf, off)
-    bits, off = _read_uint(buf, off)
-    if off != len(buf):
-        raise CryptoError("trailing bytes in group encoding")
-    return GroupParams(p=p, g=g, z=z, bit_length=bits)

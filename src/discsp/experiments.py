@@ -80,8 +80,11 @@ def _run_one(task: dict) -> dict:
     t0 = time.perf_counter()
     try:
         result = run_solver(solver, problem, seed, cfg)
-    except SimTimeout:
-        row["status"] = "timeout"
+    except (SimTimeout, MemoryError) as exc:
+        # One instance too large for the host must not cost the whole grid
+        # its rows (under --workers, pool.map would re-raise it).
+        row["status"] = ("timeout" if isinstance(exc, SimTimeout)
+                         else "out_of_memory")
         row["wall_ms"] = round(1000 * (time.perf_counter() - t0), 1)
         return row
     row["wall_ms"] = round(1000 * (time.perf_counter() - t0), 1)

@@ -169,6 +169,8 @@ def tree_from_parents(problem: Problem, parents: dict,
 class KernelProcess(Process):
     """Process base with the structural phases and routing intercepts."""
 
+    INTERCEPTS = frozenset({"PREV", "LAST", "TOKEN"})
+
     def __init__(self, var: str, sim: Sim, preset_views: dict | None = None,
                  order_hint: dict | None = None):
         super().__init__(var, sim)

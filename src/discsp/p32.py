@@ -34,6 +34,8 @@ class P32Error(RuntimeError):
 class P32Process(PdpopProcess):
     """One variable's state machine for the rerooted encrypted solvers."""
 
+    INTERCEPTS = PdpopProcess.INTERCEPTS | {"VECT", "DECR", "ABORT"}
+
     def __init__(self, var: str, sim: Sim, variant: str = "plus"):
         super().__init__(var, sim, variant)
         self.params = crypto.group_for_bits(sim.config.key_bits)

@@ -3,12 +3,14 @@
 Each variable runs a protocol coroutine (a Python generator) that yields
 effects: ``("send", dst, Msg)``, ``("recv",)`` and ``("compute", units)``.
 The scheduler delivers messages in global send order, which preserves FIFO
-per channel and makes every run a pure function of the seed.  Every
-delivered message is appended to the transcript with a canonical payload
-snapshot and its wire size, both taken in one pass over the payload (a
-forwarded ring hop reuses the pass of the hop before); simulated time is
-tracked per variable with the usual dependency-max rule (a receiver's clock
-is at least the sender's clock at send time).
+per channel and makes every run a pure function of the seed.  Deliveries
+happen only between process steps, when every live process is blocked on
+``recv``, so each delivery resumes its receiver directly.  Every delivered
+message is appended to the transcript with a canonical payload snapshot and
+its wire size, both taken in one pass over the payload (a forwarded ring hop
+reuses the pass of the hop before); simulated time is tracked per variable
+with the usual dependency-max rule (a receiver's clock is at least the
+sender's clock at send time).
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ _ENVELOPE_SIZE = 4 + wire_size("type") + wire_size("payload")
 
 # --------------------------------------------------------------- transcript
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Record:
     tick: int
     sender_var: str
@@ -162,9 +164,6 @@ class Record:
 @dataclass
 class Transcript:
     records: list[Record] = field(default_factory=list)
-
-    def append(self, rec: Record):
-        self.records.append(rec)
 
     def __iter__(self):
         return iter(self.records)
@@ -232,9 +231,13 @@ class Process:
 
     Subclasses implement main(); helper generators use ``yield from`` and the
     effect vocabulary send/recv/compute.  Messages that arrive while main is
-    blocked are funneled through intercept handlers (routing, ring services);
-    unconsumed messages are stashed until a later wait matches them.
+    blocked are funneled through intercept handlers (routing, ring services)
+    when their type is in INTERCEPTS; unconsumed messages are stashed until a
+    later wait matches them.
     """
+
+    # Message types intercept() may consume; no other type is offered to it.
+    INTERCEPTS: frozenset = frozenset()
 
     def __init__(self, var: str, sim: "Sim"):
         self.var = var
@@ -260,35 +263,38 @@ class Process:
         handled message; when it turns true, returns None.  An abort flag
         set by an intercept bails out of the wait entirely.
         """
+        stash = self.stash
+        intercepts = self.INTERCEPTS
         while True:
             if self.aborted:
                 raise Stop()
             if until is not None and until():
                 return None
-            if match is not None:
-                for i, m in enumerate(self.stash):
+            if match is not None and stash:
+                for i, m in enumerate(stash):
                     if match(m):
-                        return self.stash.pop(i)
-            incoming = yield ("recv",)
-            arrivals = [incoming]
-            while arrivals:
-                m = arrivals.pop(0)
-                handled = yield from self.intercept(m, arrivals)
-                if self.aborted:
-                    raise Stop()
-                if handled:
-                    continue
+                        return stash.pop(i)
+            arrivals = [(yield ("recv",))]
+            # An intercept may append to arrivals while it is walked.
+            for i, m in enumerate(arrivals):
+                if m.type in intercepts:
+                    handled = yield from self.intercept(m, arrivals)
+                    if self.aborted:
+                        raise Stop()
+                    if handled:
+                        continue
                 if match is not None and match(m):
                     # Drain remaining unwrapped arrivals into the stash first.
-                    self.stash.extend(arrivals)
+                    stash.extend(arrivals[i + 1:])
                     return m
-                self.stash.append(m)
+                stash.append(m)
 
     def intercept(self, msg: Msg, arrivals: list) -> bool:
         """Handle service traffic; return True when consumed.
 
-        Subclasses extend this.  Appending to `arrivals` re-injects an
-        unwrapped payload as a fresh arrival.
+        Subclasses extend this and list the types they handle in INTERCEPTS.
+        Appending to `arrivals` re-injects an unwrapped payload as a fresh
+        arrival.
         """
         if False:
             yield  # pragma: no cover - makes this a generator
@@ -308,11 +314,10 @@ class Process:
         self.done = True
         # Keep servicing ring traffic until global quiescence.
         while True:
-            msg = yield ("recv",)
-            arrivals = [msg]
-            while arrivals:
-                m = arrivals.pop(0)
-                yield from self.intercept(m, arrivals)
+            arrivals = [(yield ("recv",))]
+            for m in arrivals:
+                if m.type in self.INTERCEPTS:
+                    yield from self.intercept(m, arrivals)
                 # Unmatched post-completion traffic is dropped.
 
     def stopped_result(self) -> dict:
@@ -332,11 +337,8 @@ class Sim:
         self.metrics = Metrics()
         self.clocks: dict[str, int] = {}
         self.processes: dict[str, Process] = {}
-        self._gens: dict[str, object] = {}
-        self._waiting: dict[str, bool] = {}
-        self._inbox: dict[str, deque] = {}
+        self._gens: dict[str, object] = {}  # live generators only
         self._queue: deque = deque()
-        self._seq = 0
         self._deadline = None
         self.neighbor_vars = {
             x: set(problem.neighbor_vars(x)) for x in problem.variables
@@ -344,7 +346,6 @@ class Sim:
 
     def add_process(self, proc: Process):
         self.processes[proc.var] = proc
-        self._inbox[proc.var] = deque()
 
     def rng(self, *context) -> random.Random:
         return derive_rng(self.seed, *context)
@@ -355,14 +356,13 @@ class Sim:
         if timeout_secs:
             self._deadline = time.monotonic() + timeout_secs
         for var in sorted(self.processes):
-            gen = self.processes[var].run()
-            self._gens[var] = gen
-            self._advance(var, first=True)
-        while self._queue:
+            gen = self._gens[var] = self.processes[var].run()
+            self._step(var, gen, None)
+        queue, deliver = self._queue, self._deliver
+        while queue:
             if self._deadline is not None and time.monotonic() > self._deadline:
                 raise SimTimeout(f"simulation exceeded {timeout_secs}s")
-            seq, src, dst, msg, sent_clock = self._queue.popleft()
-            self._deliver(seq, src, dst, msg, sent_clock)
+            deliver(*queue.popleft())
         blocked = [v for v, p in self.processes.items() if not p.done]
         if blocked:
             detail = {v: [m.type for m in self.processes[v].stash] for v in blocked}
@@ -373,60 +373,53 @@ class Sim:
         self.metrics.simulated_time = max(self.clocks.values(), default=0)
         return {v: p.result for v, p in self.processes.items()}
 
-    def _deliver(self, seq, src, dst, msg, sent_clock):
-        if dst not in self.processes:
+    def _deliver(self, src, dst, msg, sent_clock):
+        gen = self._gens.get(dst)
+        if gen is None:
+            if dst in self.processes:
+                raise SimError(f"message {msg.type} to {dst}, whose process "
+                               f"has ended")
             raise SimError(f"message to unknown variable {dst}")
-        if msg.wire is None:
-            msg.wire = encode(msg.payload)
-        payload, payload_size = msg.wire
-        size = _ENVELOPE_SIZE + wire_size(msg.type) + payload_size
+        wire = msg.wire
+        if wire is None:
+            wire = msg.wire = encode(msg.payload)
+        msg_type = msg.type
+        size = _ENVELOPE_SIZE + wire_size(msg_type) + wire[1]
         owner = self.problem.owner
-        self.transcript.append(Record(
-            tick=len(self.transcript.records), sender_var=src,
-            sender_agent=owner[src], receiver_var=dst,
-            receiver_agent=owner[dst], type=msg.type,
-            payload=payload, size=size, sent_clock=sent_clock,
-        ))
-        self.metrics.message_count += 1
-        self.metrics.info_bytes += size
-        self.metrics.bump(self.metrics.physical_counts, msg.type)
-        self.clocks[dst] = max(self.clocks.get(dst, 0), sent_clock)
-        self._inbox[dst].append(msg)
-        self._advance(dst)
+        records = self.transcript.records
+        records.append(Record(len(records), src, owner[src], dst, owner[dst],
+                              msg_type, wire[0], size, sent_clock))
+        metrics = self.metrics
+        metrics.message_count += 1
+        metrics.info_bytes += size
+        counts = metrics.physical_counts
+        counts[msg_type] = counts.get(msg_type, 0) + 1
+        clocks = self.clocks
+        clocks[dst] = max(clocks.get(dst, 0), sent_clock)
+        self._step(dst, gen, msg)
 
-    def _advance(self, var: str, first: bool = False):
-        gen = self._gens[var]
+    def _step(self, var: str, gen, value):
+        """Resume `var`'s generator with `value` and run its effects until it
+        blocks on its next recv (or ends)."""
+        send = gen.send
+        clocks = self.clocks
         try:
-            if first:
-                effect = gen.send(None)
-            else:
-                if not self._waiting.get(var) or not self._inbox[var]:
-                    return
-                self._waiting[var] = False
-                effect = gen.send(self._inbox[var].popleft())
+            effect = send(value)
             while True:
                 kind = effect[0]
                 if kind == "recv":
-                    if self._inbox[var]:
-                        effect = gen.send(self._inbox[var].popleft())
-                        continue
-                    self._waiting[var] = True
                     return
                 if kind == "send":
                     _, dst, msg = effect
                     self._check_channel(var, dst)
-                    self._seq += 1
-                    self._queue.append(
-                        (self._seq, var, dst, msg, self.clocks.get(var, 0)))
-                    effect = gen.send(None)
-                    continue
-                if kind == "compute":
-                    self.clocks[var] = self.clocks.get(var, 0) + effect[1]
-                    effect = gen.send(None)
-                    continue
-                raise SimError(f"unknown effect {effect!r}")
+                    self._queue.append((var, dst, msg, clocks.get(var, 0)))
+                elif kind == "compute":
+                    clocks[var] = clocks.get(var, 0) + effect[1]
+                else:
+                    raise SimError(f"unknown effect {effect!r}")
+                effect = send(None)
         except StopIteration:
-            self._waiting[var] = False
+            del self._gens[var]
 
     def _check_channel(self, src: str, dst: str):
         if dst == src:

@@ -1,5 +1,6 @@
 import csv
 
+from discsp import experiments
 from discsp.cli import main
 from discsp.experiments import (ExperimentConfig, RUN_FIELDS, median_ci,
                                 run_experiment, summarize, trend_check,
@@ -72,6 +73,34 @@ def test_timeout_recorded_not_fatal():
     rows = run_experiment(cfg)
     assert [r["status"] for r in rows] == ["timeout"]
     assert summarize(rows) == []  # timed-out rows excluded from medians
+
+
+def test_out_of_memory_recorded_not_fatal(monkeypatch):
+    real_run_solver = experiments.run_solver
+
+    def run_solver(solver, problem, seed, cfg):
+        if solver == "pdpop_plus":
+            raise MemoryError()
+        return real_run_solver(solver, problem, seed, cfg)
+
+    monkeypatch.setattr(experiments, "run_solver", run_solver)
+    cfg = ExperimentConfig(family="coloring", sizes=(3,), instances=1, seed=1,
+                           solvers=("dpop", "pdpop_plus"), key_bits=64)
+    rows = run_experiment(cfg)
+    assert [r["status"] for r in rows] == ["ok", "out_of_memory"]
+    assert isinstance(rows[1]["wall_ms"], float)
+    assert rows[1]["feasible"] == "" and rows[1]["message_count"] == ""
+    assert {s["solver"] for s in summarize(rows)} == {"dpop"}
+
+
+def test_cli_bench_counts_out_of_memory_runs(tmp_path, capsys, monkeypatch):
+    def run_solver(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(experiments, "run_solver", run_solver)
+    assert main(["bench", "--sizes", "3", "--instances", "2",
+                 "--solvers", "dpop", "--out", str(tmp_path / "b")]) == 0
+    assert "timeouts: 0; out of memory: 2" in capsys.readouterr().out
 
 
 def test_parallel_workers_with_crypto_solver():

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 from collections import OrderedDict
@@ -5,6 +6,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import infeasible_triangle
 from discsp.crypto import Cyphertext
 from discsp.generators import figure1_instance, gen_graph_coloring
 from discsp.model import Constraint, Problem
@@ -61,6 +63,21 @@ def test_deadlock_detection():
     for x in p.variables:
         sim.add_process(StuckProcess(x, sim))
     with pytest.raises(DeadlockError):
+        sim.run()
+
+
+def test_delivery_to_an_ended_process_raises():
+    class EndsAtOnce(Process):
+        def run(self):  # no service loop: the generator ends after its send
+            if self.var == "x2":
+                yield from self.send("x1", "LATE", {})
+            self.done = True
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(EndsAtOnce(x, sim))
+    with pytest.raises(SimError, match="LATE to x1, whose process has ended"):
         sim.run()
 
 
@@ -225,6 +242,43 @@ def test_record_size_is_the_size_of_its_envelope(solver):
         envelope = {"type": rec.type, "payload": rec.payload}
         assert rec.size == wire_size(canonical(envelope))
     assert result.metrics.info_bytes == sum(r.size for r in result.transcript)
+
+
+class EveryType(frozenset):
+    """An INTERCEPTS set that admits every message type."""
+
+    def __contains__(self, msg_type):
+        return True
+
+
+def pinned_runs():
+    """Every pinned run as (solver, problem, seed, config): the coloring
+    instances above and the ABORT path on the infeasible triangle
+    (test_p32.py and test_p2.py)."""
+    for solver in sorted(SOLVERS):
+        n, instance_seed = PINNED_INSTANCE[solver]
+        yield pytest.param(solver, gen_graph_coloring(n, seed=instance_seed),
+                           7, RunConfig(key_bits=64), id=solver)
+    abort_cfg = RunConfig(key_bits=64, b_bits=128, incr_min=2, debug=True)
+    for solver, seed in (("p32_plus", 2), ("p2_plus", 4)):
+        yield pytest.param(solver, infeasible_triangle(), seed, abort_cfg,
+                           id=f"{solver}-abort")
+
+
+@pytest.mark.parametrize("solver,problem,seed,config", pinned_runs())
+def test_intercept_gate_leaves_transcripts_unchanged(solver, problem, seed,
+                                                     config, monkeypatch):
+    # Offering every arrival to intercept() must change nothing: the types
+    # outside INTERCEPTS are exactly those every intercept passes over.
+    gated = run_solver(solver, problem, seed=seed, config=config)
+    spec = SOLVERS[solver]
+    ungated = type(f"Ungated{spec.process.__name__}", (spec.process,),
+                   {"INTERCEPTS": EveryType()})
+    monkeypatch.setitem(SOLVERS, solver,
+                        dataclasses.replace(spec, process=ungated))
+    result = run_solver(solver, problem, seed=seed, config=config)
+    assert result.transcript.to_jsonl() == gated.transcript.to_jsonl()
+    assert result.feasible == gated.feasible
 
 
 def test_determinism_same_seed_identical_transcript():
