@@ -277,3 +277,19 @@ def test_encrypted_run_transcript_is_pinned(solver):
                         config=RunConfig(key_bits=64))
     digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
     assert digest.hexdigest() == TRANSCRIPT_SHA256[solver]
+
+
+# The same run at the default 512-bit group, where the fixed-base tables are
+# widest: the pins above all run at 64 bits.
+TRANSCRIPT_SHA256_512 = {
+    "p32_plus": "755105984be20098f1dcfba00a4f4edc91cfcbcf1930a435db13f2475c5a3c15",
+    "p2_plus": "6119823b34b8e26558469736c6d62266eb0188f75639b9747538b344f32bda21",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(TRANSCRIPT_SHA256_512))
+def test_encrypted_run_transcript_is_pinned_at_512_bits(solver):
+    result = run_solver(solver, gen_graph_coloring(3, seed=5), seed=7,
+                        config=RunConfig(key_bits=512))
+    digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == TRANSCRIPT_SHA256_512[solver]
