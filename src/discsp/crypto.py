@@ -10,8 +10,10 @@ large prime order, so an OR-product of k trues decodes to z**k.  Anything
 that is neither 1 nor a small power of z signals a protocol bug and raises.
 
 Exponentiations to the generator g and to the compound key y use cached
-fixed-base tables (``fixed_base_pow``); ``partial_decrypt``, whose base
-varies, uses plain ``pow``.
+fixed-base tables of W-bit windows (W = 8 up to 128-bit moduli, 6 above);
+encryption and re-randomization raise y and g in one walk over the digits of
+their shared exponent.  ``partial_decrypt`` and ``strip_share``, whose base
+varies, use plain ``pow``.
 """
 
 from __future__ import annotations
@@ -148,29 +150,31 @@ def group_for_bits(bits: int, rng: random.Random | None = None) -> GroupParams:
 
 # ------------------------------------------------- fixed-base exponentiation
 
-# Window width W in bits: one table row of 2**W elements per W exponent bits.
-# At 512 bits a table holds 86 x 64 elements (about 0.6 MB) and an
-# exponentiation takes 86 modular multiplications, where pow squares 511 times.
-_WINDOW = 6
-_DIGIT_MASK = (1 << _WINDOW) - 1
-
-
 @functools.lru_cache(maxsize=4)
 def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Row i holds base**(d * 2**(W*i)) mod p for every digit d < 2**W
-    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3).
-
-    Bases and moduli are public group values, so one bounded cache serves
-    every simulated agent and run."""
+    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3).  W is 8 up to
+    128-bit moduli (8 rows of 256 at 64 bits) and 6 above (86 rows of 64, about
+    0.6 MB, at 512 bits), so an exponentiation takes 8 or 86 multiplications
+    where pow squares 63 or 511 times.  Bases and moduli are public group
+    values, so one bounded cache serves every simulated agent and run."""
+    _pair_table.cache_clear()  # no pair may keep an evicted table alive
+    w = 8 if p.bit_length() <= 128 else 6
     rows = []
     step = base % p  # base**(2**(W*i))
-    for _ in range(-(-p.bit_length() // _WINDOW)):
+    for _ in range(-(-p.bit_length() // w)):
         row = [1]
-        for _ in range(1, 1 << _WINDOW):
+        for _ in range(1, 1 << w):
             row.append(row[-1] * step % p)
         step = row[-1] * step % p
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_table(y: int, g: int, p: int) -> tuple:
+    """Rows (y row i, g row i), shared with the single-base tables."""
+    return tuple(zip(_fixed_base_table(y, p), _fixed_base_table(g, p)))
 
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
@@ -179,13 +183,29 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
     exponents wider than p fall back to pow."""
     if e < 0 or e.bit_length() > p.bit_length():
         return pow(base, e, p)
-    acc = 1
-    for row in _fixed_base_table(base, p):
-        if not e:
-            break
-        acc = acc * row[e & _DIGIT_MASK] % p
-        e >>= _WINDOW
+    rows = _fixed_base_table(base, p)
+    mask = len(rows[0]) - 1
+    w, acc = mask.bit_length(), 1
+    for row in rows:
+        acc = acc * row[e & mask] % p
+        e >>= w
     return acc
+
+
+def fixed_base_pow_pair(y: int, g: int, e: int, p: int) -> tuple[int, int]:
+    """(pow(y, e, p), pow(g, e, p)) in one walk over the digits of e, with
+    two accumulators and the fallback of fixed_base_pow."""
+    if e < 0 or e.bit_length() > p.bit_length():
+        return pow(y, e, p), pow(g, e, p)
+    rows = _pair_table(y, g, p)
+    mask = len(rows[0][0]) - 1
+    w, acc_y, acc_g = mask.bit_length(), 1, 1
+    for row_y, row_g in rows:
+        d = e & mask
+        acc_y = acc_y * row_y[d] % p
+        acc_g = acc_g * row_g[d] % p
+        e >>= w
+    return acc_y, acc_g
 
 
 # ------------------------------------------------------------------- keys
@@ -249,8 +269,8 @@ def encrypt_element(params: GroupParams, key: CompoundPublicKey, element: int,
                     r: int) -> Cyphertext:
     if not 1 <= r <= params.p - 2:
         raise CryptoError("randomness outside [1, p-2]")
-    return Cyphertext(alpha=element * fixed_base_pow(key.y, r, params.p) % params.p,
-                      beta=fixed_base_pow(params.g, r, params.p))
+    y_r, g_r = fixed_base_pow_pair(key.y, params.g, r, params.p)
+    return Cyphertext(alpha=element * y_r % params.p, beta=g_r)
 
 
 def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
@@ -262,8 +282,8 @@ def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
 def rerandomize(params: GroupParams, key: CompoundPublicKey, c: Cyphertext,
                 r: int) -> Cyphertext:
     """Multiply in a fresh encryption of 1; r == 0 leaves c unchanged."""
-    return Cyphertext(alpha=c.alpha * fixed_base_pow(key.y, r, params.p) % params.p,
-                      beta=c.beta * fixed_base_pow(params.g, r, params.p) % params.p)
+    y_r, g_r = fixed_base_pow_pair(key.y, params.g, r, params.p)
+    return Cyphertext(alpha=c.alpha * y_r % params.p, beta=c.beta * g_r % params.p)
 
 
 def rerandomize_fresh(params: GroupParams, key: CompoundPublicKey,

@@ -9,6 +9,7 @@ from discsp import crypto
 from discsp.crypto import (KeyPairShare,
                            MalformedCyphertext, and_cleartext, combine_decrypt,
                            encrypt, encrypt_element, fixed_base_pow,
+                           fixed_base_pow_pair,
                            generate_group,
                            or_cipher, partial_decrypt, rerandomize,
                            rerandomize_fresh, split_public_shares, strip_share)
@@ -237,13 +238,51 @@ def test_fixed_base_pow_out_of_range_falls_back_to_pow(params, data):
     assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p)
 
 
+@GROUPS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pow_pair_matches_pow(params, data):
+    y = data.draw(bases(params))
+    e = data.draw(st.one_of(in_range_exponents(params.p),
+                            out_of_range_exponents(params.p)))
+    assert fixed_base_pow_pair(y, params.g, e, params.p) == (
+        pow(y, e, params.p), pow(params.g, e, params.p))
+
+
 def test_fixed_base_tables_stay_bounded():
     rng = random.Random(17)
-    for _ in range(12):
-        y = pow(TOY64.g, rng.randrange(1, TOY64.p - 1), TOY64.p)
-        fixed_base_pow(y, rng.randrange(TOY64.p), TOY64.p)
-    info = crypto._fixed_base_table.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for params in (TOY64, G512, TOY64):
+        for _ in range(6):
+            y = pow(params.g, rng.randrange(1, params.p - 1), params.p)
+            e = rng.randrange(params.p)
+            fixed_base_pow_pair(y, params.g, e, params.p)
+            fixed_base_pow(y, e, params.p)
+    for cache in (crypto._fixed_base_table, crypto._pair_table):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_window_width_follows_the_modulus():
+    """W = 8 up to 128-bit moduli, 6 above: 8 rows of 256 at 64 bits, and
+    the 86 rows of 64 at 512 bits that the 6-bit window always had."""
+    for params, rows, width in ((TOY64, 8, 256), (G512, 86, 64)):
+        table = crypto._fixed_base_table(params.g, params.p)
+        assert (len(table), {len(row) for row in table}) == (rows, {width})
+
+
+def test_pair_tables_share_the_single_base_rows():
+    """A pair table holds the rows of the single-base tables, never a copy,
+    even after the single-base cache has evicted both of its bases."""
+    p, g = TOY64.p, TOY64.g
+    rng = random.Random(5)
+    y = pow(g, rng.randrange(1, p - 1), p)
+    fixed_base_pow_pair(y, g, rng.randrange(p), p)
+    for _ in range(crypto._fixed_base_table.cache_info().maxsize):
+        fixed_base_pow(pow(g, rng.randrange(1, p - 1), p), rng.randrange(p), p)
+    pair = crypto._pair_table(y, g, p)
+    singles = zip(crypto._fixed_base_table(y, p), crypto._fixed_base_table(g, p))
+    assert all(row_y is single_y and row_g is single_g
+               for (row_y, row_g), (single_y, single_g) in zip(pair, singles))
 
 
 @GROUPS
