@@ -426,7 +426,10 @@ class Sim:
             return
         if dst in self.neighbor_vars[src]:
             return
-        if self.problem.owner[src] == self.problem.owner[dst]:
+        owner = self.problem.owner
+        if dst not in owner:
+            raise SimError(f"{src} sent to {dst!r}, which is not a problem variable")
+        if owner[src] == owner[dst]:
             return
         raise SimError(
             f"channel violation: {src} -> {dst} are not constraint-graph "

@@ -106,6 +106,21 @@ def test_channel_violation_rejected():
         sim.run()
 
 
+def test_send_to_an_unknown_name_raises_sim_error():
+    class Stray(Process):
+        def main(self):
+            if self.var == "x1":
+                yield from self.send("nope", "PING", {})
+            return {}
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(Stray(x, sim))
+    with pytest.raises(SimError, match="x1 sent to 'nope', which is not a problem"):
+        sim.run()
+
+
 def test_simulated_time_parallel_branches_max_rule():
     # Branch A charges 3, branch B charges 5, the joiner charges 2 after
     # hearing from both: the clock is the slower branch plus the join, 5 + 2,
