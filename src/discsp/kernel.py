@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Problem
-from .runtime import Msg, Process, RunConfig, Sim
+from .runtime import Msg, Process, Sim
 
 
 class KernelError(RuntimeError):
@@ -356,63 +356,3 @@ class KernelProcess(Process):
                                 total_bound=total, incr_min=incr_min)
         self.ids.validate()
         return self.ids
-
-
-# ------------------------------------------------ standalone kernel drivers
-
-class _PhaseProcess(KernelProcess):
-    """Runs a configurable sequence of kernel phases (for unit use)."""
-
-    def __init__(self, var, sim, phases, order_hint=None, root=None):
-        super().__init__(var, sim, order_hint=order_hint)
-        self.phases = phases
-        self.preset_root = root
-
-    def main(self):
-        out = {}
-        is_root = False
-        for phase in self.phases:
-            if phase == "elect":
-                is_root = yield from self.elect_root(
-                    len(self.sim.problem.variables))
-                out["is_root"] = is_root
-            elif phase == "dfs":
-                if self.preset_root is not None:
-                    is_root = self.var == self.preset_root
-                view = yield from self.build_tree(0, is_root)
-                out["view"] = view
-            elif phase == "ids":
-                ids = yield from self.assign_ids(0, self.sim.config.incr_min)
-                out["ids"] = ids
-        return out
-
-
-def _run_phases(problem: Problem, seed: int, phases, order_hint=None,
-                root=None, config: RunConfig | None = None):
-    sim = Sim(problem, seed, config or RunConfig())
-    for x in problem.variables:
-        sim.add_process(_PhaseProcess(x, sim, phases, order_hint, root))
-    results = sim.run()
-    return results, sim
-
-
-def elect_root(problem: Problem, seed: int):
-    """Distributed election; returns {var: is_root}."""
-    results, _ = _run_phases(problem, seed, ["elect"])
-    return {x: r["is_root"] for x, r in results.items()}
-
-
-def build_dfs_tree(problem: Problem, root: str, seed: int,
-                   order_hint: dict | None = None) -> dict[str, PseudoTreeView]:
-    """Distributed DFS from a given root; returns all local views."""
-    results, _ = _run_phases(problem, seed, ["dfs"], order_hint, root)
-    return {x: r["view"] for x, r in results.items()}
-
-
-def assign_unique_ids(problem: Problem, root: str, seed: int,
-                      incr_min: int = 10, order_hint: dict | None = None):
-    """DFS + ID assignment; returns ({var: IdAssignment}, {var: view})."""
-    results, _ = _run_phases(problem, seed, ["dfs", "ids"], order_hint, root,
-                             RunConfig(incr_min=incr_min))
-    return ({x: r["ids"] for x, r in results.items()},
-            {x: r["view"] for x, r in results.items()})

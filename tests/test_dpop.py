@@ -1,8 +1,8 @@
 import itertools
 
+from conftest import build_dfs_tree, elect_root
 from discsp import dpop
 from discsp.generators import gen_graph_coloring
-from discsp.kernel import build_dfs_tree, elect_root
 from discsp.model import Constraint, Problem, evaluate
 from discsp.oracle import brute_force, subtree_min_table
 from discsp.solvers import run_solver

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from conftest import assign_unique_ids, build_dfs_tree, elect_root
 from discsp.generators import figure2_tree_hints, gen_graph_coloring
-from discsp.kernel import (IdAssignment, KernelError, assign_unique_ids,
-                           build_dfs_tree, circular_order, elect_root,
+from discsp.kernel import (IdAssignment, KernelError, circular_order,
                            route_hop, to_previous_hop, tree_from_parents)
 from discsp.model import Constraint, Problem
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import infeasible_triangle, run_gen
+from conftest import build_dfs_tree, elect_root, infeasible_triangle, run_gen
 from discsp import crypto, p2
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -60,7 +60,6 @@ def test_shadow_equals_boolean_dp_per_step():
     already-processed suffix of the linear order."""
     for seed in range(5):
         p = gen_graph_coloring(5, seed=seed + 40)
-        from discsp.kernel import build_dfs_tree, elect_root
         roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
@@ -273,7 +272,6 @@ def linear_separators(problem, views):
 
 
 def test_linear_separators_dominate_tree_separators():
-    from discsp.kernel import build_dfs_tree, elect_root
     for seed in range(10):
         p = gen_graph_coloring(6, seed=seed + 60)
         roots = elect_root(p, seed=seed)
