@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
-from discsp.generators import gen_graph_coloring
+from discsp.generators import gen_graph_coloring, gen_party_game
 from discsp.model import evaluate
 from discsp.oracle import brute_force
 from discsp.pdpop import (apply_key, make_codename_package,
@@ -276,3 +276,22 @@ def test_table_heavy_transcript_is_pinned(solver):
     assert result.metrics.sep_max >= 3
     digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
     assert digest.hexdigest() == TRANSCRIPT_SHA256[solver]
+
+
+# SHA-256 of Transcript.to_jsonl() for one run where agents own several
+# variables (party n=6, instance seed 1: 16 variables over 6 agents, 800
+# election SCORE deliveries).  Every pin above gives each agent one variable;
+# these fix the election and the intra-agent traffic of a multi-variable run.
+MULTI_VARIABLE_SHA256 = {
+    "dpop": "78e493e6f7db634f21d4b985d5b602110af8a99b0be4e8bc80b97c50aabaaadf",
+    "pdpop_plus": "675af6a9117196037f76e291dce081fab7a8869426d4a1020857e519cc3cbc96",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(MULTI_VARIABLE_SHA256))
+def test_multi_variable_agent_transcript_is_pinned(solver):
+    problem = gen_party_game(6, seed=1)
+    assert len(problem.variables) > len(problem.agents)
+    result = run_solver(solver, problem, seed=7, config=RunConfig(key_bits=64))
+    digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
+    assert digest.hexdigest() == MULTI_VARIABLE_SHA256[solver]
