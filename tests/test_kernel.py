@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import assign_unique_ids, build_dfs_tree, elect_root
-from discsp.generators import figure2_tree_hints, gen_graph_coloring
+from conftest import _run_phases, assign_unique_ids, build_dfs_tree, elect_root
+from discsp.generators import (figure2_tree_hints, gen_graph_coloring,
+                               gen_party_game)
 from discsp.kernel import (IdAssignment, KernelError, circular_order,
                            route_hop, to_previous_hop, tree_from_parents)
 from discsp.model import Constraint, Problem
+from discsp.runtime import derive_rng
 
 
 def single_var_problem():
@@ -69,6 +72,30 @@ def test_election_disconnected_one_root_per_component():
     roots = elect_root(p, seed=5)
     assert sum(roots[x] for x in ("x1", "x2")) == 1
     assert sum(roots[x] for x in ("x3", "x4")) == 1
+
+
+small_connected = st.one_of(
+    st.builds(gen_graph_coloring, st.integers(1, 8),
+              seed=st.integers(0, 2 ** 16)),
+    st.builds(gen_party_game, st.integers(1, 5),
+              seed=st.integers(0, 2 ** 16)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=small_connected, seed=st.integers(0, 2 ** 32))
+def test_election_elects_the_top_score_in_n_rounds_of_flooding(problem, seed):
+    # Oracle: the winner is the variable with the largest election draw, and
+    # every variable sends one SCORE per neighbour in each of n rounds.
+    assert problem.is_connected()
+    roots = elect_root(problem, seed=seed)
+    top = max(problem.variables, key=lambda x: derive_rng(
+        seed, x, "election").getrandbits(128))
+    assert [x for x, won in roots.items() if won] == [top]
+    _results, sim = _run_phases(problem, seed, ["elect"])
+    degrees = sum(len(problem.neighbor_vars(x)) for x in problem.variables)
+    assert (sim.metrics.physical_counts.get("SCORE", 0)
+            == len(problem.variables) * degrees)
 
 
 # -- DFS --------------------------------------------------------------------------
