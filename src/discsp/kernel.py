@@ -237,17 +237,26 @@ class KernelProcess(Process):
     # -- root election ---------------------------------------------------------
 
     def elect_root(self, rounds: int):
-        """Synchronous max-score flooding; returns True iff this variable wins."""
+        """Synchronous max-score flooding; returns True iff this variable wins.
+
+        Each round sends one SCORE message object to every neighbour, so it
+        is encoded once, and takes the round's scores in the order they
+        arrive: each neighbour sends exactly one per round.
+        """
         rng = self.sim.rng(self.var, "election")
         my_score = rng.getrandbits(128)
         best = my_score
+        neighbors = self.neighbors
         for r in range(1, rounds + 1):
-            for u in self.neighbors:
-                yield from self.send(u, "SCORE", {"round": r, "score": best})
-            for u in self.neighbors:
-                m = yield from self.get(
-                    lambda m, u=u, r=r: m.type == "SCORE" and m.sender == u
-                    and m.payload["round"] == r)
+            msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
+            for u in neighbors:
+                yield ("send", u, msg)
+
+            def this_round(m, r=r):
+                return m.type == "SCORE" and m.payload["round"] == r
+
+            for _ in neighbors:
+                m = yield from self.get(this_round)
                 best = max(best, m.payload["score"])
             yield from self.charge(1)
         return best == my_score

@@ -125,6 +125,8 @@ def wire_size(struct) -> int:
     """Length of the canonical byte encoding: strings are utf-8 with a
     4-byte length prefix, integers big-endian with a 4-byte length prefix,
     containers prefix their item count."""
+    if type(struct) is str:  # every delivery sizes its type string here
+        return 4 + (len(struct) if struct.isascii() else len(struct.encode("utf-8")))
     if isinstance(struct, bool):
         return 1
     if isinstance(struct, int):
