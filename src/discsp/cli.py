@@ -11,7 +11,7 @@ from .experiments import (ExperimentConfig, SUMMARY_FIELDS, run_experiment,
                           summarize, trend_check, write_csv)
 from .generators import FAMILIES
 from .model import evaluate
-from .runtime import RunConfig
+from .runtime import RunConfig, SimTimeout
 from .solvers import SOLVERS, run_solver
 
 
@@ -97,7 +97,11 @@ def cmd_solve(args) -> int:
     problem = problemio.load(args.problem)
     cfg = RunConfig(key_bits=args.key_bits, b_bits=args.b_bits,
                     incr_min=args.incr_min, timeout_secs=args.timeout_secs)
-    result = run_solver(args.solver, problem, args.seed, cfg)
+    try:
+        result = run_solver(args.solver, problem, args.seed, cfg)
+    except SimTimeout as err:
+        print(f"timeout: {err}", file=sys.stderr)
+        return 1
     print(f"solver: {args.solver}")
     print(f"feasible: {result.feasible}")
     print(f"iterations: {result.iterations}")

@@ -141,6 +141,18 @@ def test_cli_gen_and_solve(tmp_path, capsys):
     assert "feasible:" in text
 
 
+def test_cli_solve_reports_a_timeout_without_a_traceback(tmp_path, capsys):
+    out = tmp_path / "instance.discsp"
+    assert main(["gen", "--family", "coloring", "--size", "8", "--seed", "0",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(out), "--solver", "p2_plus", "--key-bits", "64",
+                 "--timeout-secs", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["timeout: simulation exceeded 0.01s"]
+
+
 def test_cli_bench_writes_csvs(tmp_path, capsys):
     prefix = str(tmp_path / "bench")
     code = main(["bench", "--family", "coloring", "--sizes", "3",
