@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .kernel import KernelProcess, PseudoTreeView
 from .model import Constraint, Problem
-from .runtime import RunConfig, Sim
 from .solvers import register_solver
 from .tables import Axis, FeasTable, join, project_min, zero_table
 
@@ -117,20 +116,3 @@ class DpopProcess(KernelProcess):
 
 
 register_solver("dpop", DpopProcess, pad_default=False)
-
-
-def solve(problem: Problem, views: dict[str, PseudoTreeView], seed: int = 0,
-          config: RunConfig | None = None):
-    """Run DPOP on a pre-built pseudo-tree.
-
-    Returns (assignment, min_violations, metrics, transcript).
-    """
-    config = config or RunConfig()
-    sim = Sim(problem, seed, config)
-    for x in problem.variables:
-        sim.add_process(DpopProcess(x, sim, preset_views=views))
-    results = sim.run(config.timeout_secs)
-    assignment = {x: r["value"] for x, r in results.items()}
-    min_count = next(r["min_violations"] for r in results.values()
-                     if r.get("root"))
-    return assignment, min_count, sim.metrics, sim.transcript

@@ -1,5 +1,6 @@
 import pytest
 
+from discsp.dpop import DpopProcess
 from discsp.generators import figure1_instance, figure2_tree_hints
 from discsp.kernel import KernelProcess, PseudoTreeView
 from discsp.model import Constraint, Problem
@@ -98,3 +99,20 @@ def assign_unique_ids(problem: Problem, root: str, seed: int,
                              RunConfig(incr_min=incr_min))
     return ({x: r["ids"] for x, r in results.items()},
             {x: r["view"] for x, r in results.items()})
+
+
+def solve_dpop(problem: Problem, views: dict[str, PseudoTreeView], seed: int = 0,
+               config: RunConfig | None = None):
+    """Run DPOP on a pre-built pseudo-tree.
+
+    Returns (assignment, min_violations, metrics, transcript).
+    """
+    config = config or RunConfig()
+    sim = Sim(problem, seed, config)
+    for x in problem.variables:
+        sim.add_process(DpopProcess(x, sim, preset_views=views))
+    results = sim.run(config.timeout_secs)
+    assignment = {x: r["value"] for x, r in results.items()}
+    min_count = next(r["min_violations"] for r in results.values()
+                     if r.get("root"))
+    return assignment, min_count, sim.metrics, sim.transcript

@@ -8,8 +8,8 @@ import math
 import random
 import time
 
-from conftest import run_gen
-from discsp import crypto, dpop
+from conftest import run_gen, solve_dpop
+from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.experiments import (ExperimentConfig, run_experiment, summarize
                                 as summarize_rows, trend_check)
@@ -36,7 +36,7 @@ def expected(scope, entries):
 
 def test_criterion_1_figure2_regression(fig1, fig2_views):
     t0 = time.perf_counter()
-    _assignment, min_count, _metrics, transcript = dpop.solve(
+    _assignment, min_count, _metrics, transcript = solve_dpop(
         fig1, fig2_views, seed=0)
     elapsed = time.perf_counter() - t0
     want = {

@@ -1,6 +1,6 @@
 import itertools
 
-from conftest import build_dfs_tree, elect_root
+from conftest import build_dfs_tree, elect_root, solve_dpop
 from discsp import dpop
 from discsp.generators import gen_graph_coloring
 from discsp.model import Constraint, Problem, evaluate
@@ -39,8 +39,8 @@ def feas_tables_from_transcript(transcript):
 
 
 def test_figure2_feas_tables_exact(fig1, fig2_views):
-    assignment, min_count, metrics, transcript = dpop.solve(fig1, fig2_views,
-                                                            seed=0)
+    assignment, min_count, metrics, transcript = solve_dpop(fig1, fig2_views,
+                                                             seed=0)
     got = feas_tables_from_transcript(transcript)
     assert set(got) == set(FIG2_TABLES)
     for edge, want in FIG2_TABLES.items():
@@ -61,7 +61,7 @@ def test_local_join_examples(fig1, fig2_views):
 
 
 def test_message_count_law(fig1, fig2_views):
-    _a, _m, metrics, _t = dpop.solve(fig1, fig2_views, seed=0)
+    _a, _m, metrics, _t = solve_dpop(fig1, fig2_views, seed=0)
     assert metrics.logical_counts["FEAS"] == 4
     assert metrics.logical_counts["DECISION"] == 4
     assert metrics.physical_counts["FEAS"] == 4
@@ -110,7 +110,7 @@ def test_feas_semantics_against_subtree_oracle():
         roots = elect_root(p, seed=seed)
         root = next(x for x, w in roots.items() if w)
         views = build_dfs_tree(p, root, seed=seed)
-        _a, _m, _metrics, transcript = dpop.solve(p, views, seed=seed)
+        _a, _m, _metrics, transcript = solve_dpop(p, views, seed=seed)
         children = {x: views[x].children for x in p.variables}
 
         def subtree(x):
@@ -128,7 +128,7 @@ def test_feas_semantics_against_subtree_oracle():
 
 
 def test_largest_table_bounded_by_domain_power_sep(fig1, fig2_views):
-    _a, _m, metrics, transcript = dpop.solve(fig1, fig2_views, seed=0)
+    _a, _m, metrics, transcript = solve_dpop(fig1, fig2_views, seed=0)
     d_max = 3
     for t in feas_tables_from_transcript(transcript).values():
         assert t.size() <= d_max ** metrics.sep_max
