@@ -23,6 +23,13 @@ def _csv_strs(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _positive_secs(text: str) -> float:
+    secs = float(text)
+    if not secs > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return secs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discsp",
@@ -42,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--key-bits", type=int, default=512)
     bench.add_argument("--b-bits", type=int, default=128)
     bench.add_argument("--incr-min", type=int, default=10)
-    bench.add_argument("--timeout-secs", type=float, default=600.0)
+    bench.add_argument("--timeout-secs", type=_positive_secs, default=600.0)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out", default="bench",
                        help="output prefix: writes <out>_runs.csv and "
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--key-bits", type=int, default=512)
     solve.add_argument("--b-bits", type=int, default=128)
     solve.add_argument("--incr-min", type=int, default=10)
-    solve.add_argument("--timeout-secs", type=float, default=None)
+    solve.add_argument("--timeout-secs", type=_positive_secs, default=None)
 
     gen = sub.add_parser("gen", help="generate a benchmark instance file")
     gen.add_argument("--family", choices=sorted(FAMILIES), default="coloring")

@@ -355,7 +355,12 @@ class Sim:
     # -- running -----------------------------------------------------------
 
     def run(self, timeout_secs: float | None = None):
-        if timeout_secs:
+        """Run every process to completion; raise SimTimeout once the wall
+        time passes `timeout_secs` (None runs unbounded)."""
+        if timeout_secs is not None:
+            if not timeout_secs > 0:
+                raise ValueError(
+                    f"timeout_secs must be positive, got {timeout_secs}")
             self._deadline = time.monotonic() + timeout_secs
         for var in sorted(self.processes):
             gen = self._gens[var] = self.processes[var].run()

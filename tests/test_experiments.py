@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from discsp import experiments
 from discsp.cli import main
 from discsp.experiments import (ExperimentConfig, RUN_FIELDS, median_ci,
@@ -151,6 +153,19 @@ def test_cli_solve_reports_a_timeout_without_a_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["timeout: simulation exceeded 0.01s"]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("secs", ["0", "-1"])
+def test_cli_rejects_a_non_positive_timeout(tmp_path, capsys, command, secs):
+    out = tmp_path / "instance.discsp"
+    assert main(["gen", "--size", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = [str(out)] if command == "solve" else ["--out", str(tmp_path / "b")]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, "--timeout-secs", secs])
+    assert exit_info.value.code == 2
+    assert f"--timeout-secs: must be positive, got {secs}" in capsys.readouterr().err
 
 
 def test_cli_bench_writes_csvs(tmp_path, capsys):

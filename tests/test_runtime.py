@@ -66,6 +66,18 @@ def test_deadlock_detection():
         sim.run()
 
 
+@pytest.mark.parametrize("timeout_secs", [0, -1])
+def test_non_positive_timeout_is_rejected(timeout_secs):
+    """0 used to run unbounded and -1 to time out at once."""
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(PingProcess(x, sim))
+    with pytest.raises(ValueError, match="timeout_secs must be positive"):
+        sim.run(timeout_secs)
+    assert len(sim.transcript) == 0
+
+
 def test_delivery_to_an_ended_process_raises():
     class EndsAtOnce(Process):
         def run(self):  # no service loop: the generator ends after its send
