@@ -171,8 +171,7 @@ class KernelProcess(Process):
 
     INTERCEPTS = frozenset({"PREV", "LAST", "TOKEN"})
 
-    def __init__(self, var: str, sim: Sim, preset_views: dict | None = None,
-                 order_hint: dict | None = None):
+    def __init__(self, var: str, sim: Sim, preset_views: dict | None = None):
         super().__init__(var, sim)
         p = sim.problem
         self.neighbors = sorted(p.neighbor_vars(var))
@@ -185,7 +184,6 @@ class KernelProcess(Process):
         self._dfs_pc: set[str] = set()
         self.ids: IdAssignment | None = None
         self.preset_views = preset_views
-        self.order_hint = order_hint or {}
 
     # -- routing -------------------------------------------------------------
 
@@ -264,9 +262,6 @@ class KernelProcess(Process):
     # -- DFS construction -------------------------------------------------------
 
     def _probe_order(self, epoch: int) -> list[str]:
-        hint = self.order_hint.get(self.var)
-        if hint:
-            return [u for u in hint if u in self.neighbors]
         order = list(self.neighbors)
         self.sim.rng(self.var, "dfs", epoch).shuffle(order)
         return order

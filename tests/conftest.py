@@ -47,9 +47,17 @@ class _PhaseProcess(KernelProcess):
     """Runs a configurable sequence of kernel phases."""
 
     def __init__(self, var, sim, phases, order_hint=None, root=None):
-        super().__init__(var, sim, order_hint=order_hint)
+        super().__init__(var, sim)
         self.phases = phases
         self.preset_root = root
+        self.order_hint = order_hint or {}
+
+    def _probe_order(self, epoch):
+        """Probe in the hinted neighbour order, if this variable has one."""
+        hint = self.order_hint.get(self.var)
+        if hint:
+            return [u for u in hint if u in self.neighbors]
+        return super()._probe_order(epoch)
 
     def main(self):
         out = {}
