@@ -56,10 +56,6 @@ class P32Process(PdpopProcess):
     def charge_exps(self, n: int):
         yield from self.charge(n * CRYPTO_COST_UNITS)
 
-    def fresh_small(self, v: int) -> crypto.Cyphertext:
-        return crypto.encrypt_small(self.params, self.compound, v,
-                                    self.crypto_rng)
-
     # -- phase 1: shares ------------------------------------------------------
 
     def setup_compound_key(self, n_plus: int, share_count: int):
@@ -99,17 +95,20 @@ class P32Process(PdpopProcess):
         self.my_vect_id = rng.getrandbits(128)
         self.perm = list(range(n_plus))
         rng.shuffle(self.perm)
-        vect = [self.fresh_small(v) for v in entries]
+        vect = crypto.rerandomize_entries(
+            self.params, self.compound,
+            ((crypto.encode_small(self.params, v), 1) for v in entries),
+            self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", n_plus)
         yield from self.charge_exps(2 * n_plus)
         yield from self.route_to_previous(0, "VECT", {
-            "id": self.my_vect_id, "round": 1,
-            "vector": [c.canonical() for c in vect],
+            "id": self.my_vect_id, "round": 1, "vector": vect,
         })
 
     def _handle_vect(self, payload: dict):
-        vect = [crypto.Cyphertext(e["alpha"], e["beta"])
-                for e in payload["vector"]]
+        """One ring hop of a root vector.  Entries stay canonical dicts from
+        hop to hop; they become Cyphertexts only when the vector is home."""
+        vect = payload["vector"]
         vid, rnd = payload["id"], payload["round"]
         overwrite: set[int] = set()
         if rnd == 1:
@@ -122,21 +121,21 @@ class P32Process(PdpopProcess):
         if rnd == 3:
             vect = [vect[self.perm[j]] for j in range(len(vect))]
         if rnd == 4 and vid == self.my_vect_id:
-            self.vector = vect
+            self.vector = [crypto.Cyphertext(e["alpha"], e["beta"])
+                           for e in vect]
             self.vector_home = True
             return
-        out = []
-        for j, c in enumerate(vect):
-            if j in overwrite:
-                out.append(self.fresh_small(-1))
-            else:
-                out.append(crypto.rerandomize_fresh(self.params, self.compound,
-                                                    c, self.crypto_rng))
+        # Overwritten entries become fresh encryptions of -1.
+        minus_one = (crypto.encode_small(self.params, -1), 1)
+        out = crypto.rerandomize_entries(
+            self.params, self.compound,
+            (minus_one if j in overwrite else (e["alpha"], e["beta"])
+             for j, e in enumerate(vect)),
+            self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", len(out))
         yield from self.charge_exps(2 * len(out))
         yield from self.route_to_previous(0, "VECT", {
-            "id": vid, "round": rnd,
-            "vector": [c.canonical() for c in out],
+            "id": vid, "round": rnd, "vector": out,
         }, log=False)
 
     def shuffle_vectors(self):

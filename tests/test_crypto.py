@@ -12,7 +12,8 @@ from discsp.crypto import (KeyPairShare,
                            fixed_base_pow_pair,
                            generate_group,
                            or_cipher, partial_decrypt, rerandomize,
-                           rerandomize_fresh, split_public_shares, strip_share)
+                           rerandomize_entries, rerandomize_fresh,
+                           split_public_shares, strip_share)
 from discsp.generators import gen_graph_coloring
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
@@ -79,6 +80,36 @@ def test_rerandomize_changes_representation():
     c = encrypt(TOY64, key, False, rng)
     c2 = rerandomize_fresh(TOY64, key, c, rng)
     assert c2.alpha != c.alpha and c2.beta != c.beta
+
+
+@GROUPS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
+    """The vector kernel yields, from an equal-seeded rng, the canonical
+    forms of rerandomize_fresh for each cyphertext and encrypt_element for
+    each (element, 1) pair, drawing one randomness per entry in order."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    _share, key = keypair(params, rng)
+    seed = data.draw(st.integers(0, 2 ** 32))
+    old_rng = random.Random(seed)
+    pairs, expected = [], []
+    for fresh, k in data.draw(st.lists(st.tuples(st.booleans(),
+                                                 st.integers(1, 3)),
+                                       max_size=10)):
+        if fresh:
+            element = pow(params.z, k, params.p)
+            pairs.append((element, 1))
+            expected.append(encrypt_element(
+                params, key, element, old_rng.randrange(1, params.p - 1)))
+        else:
+            c = encrypt(params, key, bool(k % 2), rng)
+            pairs.append((c.alpha, c.beta))
+            expected.append(rerandomize_fresh(params, key, c, old_rng))
+    new_rng = random.Random(seed)
+    assert rerandomize_entries(params, key, iter(pairs), new_rng) == [
+        c.canonical() for c in expected]
+    assert new_rng.getstate() == old_rng.getstate()
 
 
 @GROUPS
@@ -247,6 +278,21 @@ def test_fixed_base_pow_pair_matches_pow(params, data):
                             out_of_range_exponents(params.p)))
     assert fixed_base_pow_pair(y, params.g, e, params.p) == (
         pow(y, e, params.p), pow(params.g, e, params.p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(min_value=120, max_value=136), data=st.data())
+def test_fixed_base_walks_match_pow_around_the_narrow_cut(bits, data):
+    """Odd moduli on both sides of 128 bits, where the walks switch from one
+    reduction at the end to one reduction per row."""
+    p = data.draw(st.integers(min_value=1 << (bits - 1),
+                              max_value=(1 << bits) - 1)) | 1
+    y, g = (data.draw(st.integers(min_value=2, max_value=p - 1))
+            for _ in range(2))
+    e = data.draw(st.one_of(in_range_exponents(p), st.integers(
+        min_value=1 << bits, max_value=1 << (3 * bits))))
+    assert fixed_base_pow(y, e, p) == pow(y, e, p)
+    assert fixed_base_pow_pair(y, g, e, p) == (pow(y, e, p), pow(g, e, p))
 
 
 def test_fixed_base_tables_stay_bounded():
