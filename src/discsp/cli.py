@@ -10,7 +10,7 @@ from . import problemio
 from .experiments import (ExperimentConfig, SUMMARY_FIELDS, run_experiment,
                           summarize, trend_check, write_csv)
 from .generators import FAMILIES
-from .model import evaluate
+from .model import ModelError, evaluate
 from .runtime import RunConfig, SimTimeout
 from .solvers import SOLVERS, run_solver
 
@@ -101,7 +101,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = problemio.load(args.problem)
+    try:
+        problem = problemio.load(args.problem)
+    except (OSError, UnicodeError, ModelError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     cfg = RunConfig(key_bits=args.key_bits, b_bits=args.b_bits,
                     incr_min=args.incr_min, timeout_secs=args.timeout_secs)
     try:

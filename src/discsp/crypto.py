@@ -16,8 +16,10 @@ their shared exponent.  Up to 128 bits a walk multiplies its row entries
 together and reduces mod p once at the end; above, it reduces every row.
 ``rerandomize_entries`` re-randomizes a whole vector of (alpha, beta) pairs
 in one call, the batched form of ``rerandomize_fresh`` and
-``encrypt_element`` that the rerooting solvers' vector shuffle uses.
-``partial_decrypt`` and ``strip_share``, whose base varies, use plain ``pow``.
+``encrypt_element``: it makes every cyphertext a solver sends, in the
+canonical wire form ``{"alpha", "beta"}`` (P2 runs its encryptions, ANDs
+and ORs as algebra over tables of pairs).  ``partial_decrypt`` and
+``strip_share``, whose base varies, use plain ``pow``.
 """
 
 from __future__ import annotations
@@ -288,9 +290,6 @@ class Cyphertext:
     alpha: int
     beta: int
 
-    def canonical(self):
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 def encode_bool(params: GroupParams, m: bool) -> int:
     return params.z if m else 1
@@ -400,10 +399,4 @@ def decode_small(params: GroupParams, element: int) -> int:
         if element == encode_small(params, v):
             return v
     raise MalformedCyphertext("element is not an encoded vector entry")
-
-
-def encrypt_small(params: GroupParams, key: CompoundPublicKey, v: int,
-                  rng: random.Random) -> Cyphertext:
-    return encrypt_element(params, key, encode_small(params, v),
-                           rng.randrange(1, params.p - 1))
 

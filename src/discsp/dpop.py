@@ -43,13 +43,9 @@ def table_to_payload(t: FeasTable) -> dict:
 
 
 def table_from_payload(payload: dict) -> FeasTable:
-    from .crypto import Cyphertext
     struct = payload["table"]
     axes = [Axis(ax["label"], tuple(ax["values"])) for ax in struct["scope"]]
-    entries = [Cyphertext(e["alpha"], e["beta"])
-               if isinstance(e, dict) else e
-               for e in struct["entries"]]
-    return FeasTable(axes, entries)
+    return FeasTable(axes, list(struct["entries"]))
 
 
 def assignment_to_pairs(assignment: dict) -> list:

@@ -4,10 +4,13 @@ ElGamal is not fully homomorphic: OR of two cyphertexts works, but AND only
 against a cleartext boolean, so the bottom-up propagation runs on a linear
 variable ordering (the circular order of the iteration's pseudo-tree, cut
 at the root) where each variable joins exactly one encrypted message with
-its own cleartext local table.  Feasibility values travel as cyphertexts
-under the compound key, labels as codenames; only the root learns a value,
-found by dichotomic collaborative decryption.  Rerooting, grounding and
-early termination are inherited from the P^3/2 machinery.
+its own cleartext local table.  Feasibility values travel as canonical
+``{"alpha", "beta"}`` cyphertexts under the compound key, labels as
+codenames; only the root learns a value, found by dichotomic collaborative
+decryption.  Fresh encryption, AND with a cleartext boolean and the OR
+projection are algebra over tables of (alpha, beta) pairs, and each table
+is re-randomized in one ``crypto.rerandomize_entries`` call.  Rerooting,
+grounding and early termination are inherited from the P^3/2 machinery.
 """
 
 from __future__ import annotations
@@ -92,40 +95,42 @@ class P2Process(P32Process):
     """Rerooted solver whose per-iteration propagation is the encrypted
     linear-order pipeline."""
 
-    def _encrypt_table(self, t: FeasTable) -> FeasTable:
-        out = map_entries(
-            t, lambda b: crypto.encrypt(self.params, self.compound, bool(b),
-                                        self.crypto_rng))
+    def _rerandomized(self, t: FeasTable):
+        """Turn a table of (alpha, beta) pairs into canonical cyphertexts:
+        one draw and two exponentiations per cell, in row-major order."""
+        entries = crypto.rerandomize_entries(self.params, self.compound,
+                                             t.entries, self.crypto_rng)
+        yield from self.charge_exps(2 * len(entries))
+        return FeasTable(t.scope, entries)
+
+    def _encrypt_table(self, t: FeasTable):
         self.sim.stat("p2_enc", t.size())
-        return out
+        return (yield from self._rerandomized(map_entries(
+            t, lambda b: (crypto.encode_bool(self.params, b), 1))))
 
     def encrypted_join(self, enc: FeasTable, plain: FeasTable) -> FeasTable:
-        exps = [0]
-
+        """AND with a cleartext table, as pairs: true keeps a cyphertext,
+        false gives (1, 1), which re-randomizes to an encryption of false."""
         def combine(c, b):
-            if not isinstance(c, crypto.Cyphertext) or isinstance(
-                    b, crypto.Cyphertext):
+            if type(c) is not dict or type(b) is dict:
                 raise P2Error("encrypted join needs cyphertext AND cleartext")
-            exps[0] += 2
-            return crypto.and_cleartext(self.params, self.compound, c,
-                                        bool(b), self.crypto_rng)
+            return (c["alpha"], c["beta"]) if b else (1, 1)
 
-        out = join(enc, plain, combine=combine)
-        return out, exps[0]
+        return join(enc, plain, combine=combine)
 
     def encrypted_project(self, enc: FeasTable) -> FeasTable:
-        exps = [0]
+        """OR out this variable: per remaining cell, the product of the
+        cyphertexts along its axis, as a pair."""
+        p = self.params.p
 
         def reduce_or(cells):
-            c = cells[0]
-            for other in cells[1:]:
-                c = crypto.or_cipher(self.params, c, other)
-            exps[0] += 2
-            return crypto.rerandomize_fresh(self.params, self.compound, c,
-                                            self.crypto_rng)
+            alpha = beta = 1
+            for c in cells:
+                alpha = alpha * c["alpha"] % p
+                beta = beta * c["beta"] % p
+            return alpha, beta
 
-        out = project(enc, self.var, reduce_or)
-        return out, exps[0]
+        return project(enc, self.var, reduce_or)
 
     def _counted_decrypt(self, c):
         self._dichotomy_count += 1
@@ -145,16 +150,14 @@ class P2Process(P32Process):
                 lambda m: m.type in ("START", "FEAS")
                 and m.payload.get("epoch") == epoch)
             if m.type == "START":
-                out = project_or(plain, x)
-                out = self._encrypt_table(out)
-                yield from self.charge_exps(2 * out.size())
+                out = yield from self._encrypt_table(project_or(plain, x))
             else:
                 enc = table_from_payload(m.payload)
                 enc = self.resolve_own_codes(enc, epoch)
-                enc, exps = self.encrypted_join(enc, plain)
-                yield from self.charge_exps(exps)
-                out, exps = self.encrypted_project(enc)
-                yield from self.charge_exps(exps)
+                enc = yield from self._rerandomized(
+                    self.encrypted_join(enc, plain))
+                out = yield from self._rerandomized(
+                    self.encrypted_project(enc))
             payload = table_to_payload(out)
             payload["epoch"] = epoch
             yield from self.route_to_previous(epoch, "FEAS", payload,
@@ -170,15 +173,14 @@ class P2Process(P32Process):
             enc = self.resolve_own_codes(enc, epoch)
             if enc.labels() != [x]:
                 raise P2Error(f"root table has unresolved labels {enc.labels()}")
-            enc, exps = self.encrypted_join(enc, plain)
-            yield from self.charge_exps(exps)
+            enc = yield from self._rerandomized(self.encrypted_join(enc, plain))
         else:
-            enc = self._encrypt_table(plain)
-            yield from self.charge_exps(2 * enc.size())
+            enc = yield from self._encrypt_table(plain)
         domain = enc.scope[0].values
+        entries = [crypto.Cyphertext(e["alpha"], e["beta"]) for e in enc.entries]
         self._dichotomy_count = 0
         value = yield from feasible_value(
-            domain, enc.entries, self._counted_decrypt,
+            domain, entries, self._counted_decrypt,
             lambda a, b: crypto.or_cipher(self.params, a, b))
         self.sim.note("p2_decrypt_counts", self._dichotomy_count)
         return value is not None, value

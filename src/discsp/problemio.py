@@ -35,9 +35,16 @@ def _enc_value(v) -> str:
     raise ModelError(f"unsupported value type {type(v).__name__}")
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ModelError(f"expected an integer, got {tok!r}") from None
+
+
 def _dec_value(tok: str):
     if tok.startswith("i:"):
-        return int(tok[2:])
+        return _int(tok[2:])
     if tok.startswith("s:"):
         return tok[2:]
     raise ModelError(f"malformed value token {tok!r}")
@@ -84,37 +91,40 @@ def loads(text: str) -> Problem:
         pos += 1
         return ln
 
+    def section(tag: str) -> int:
+        toks = take().split()
+        if len(toks) != 2 or toks[0] != tag or not toks[1].isdecimal():
+            raise ModelError(f"expected '{tag} <count>', got {toks}")
+        return int(toks[1])
+
     header = take().split()
     if header != ["discsp", "1"]:
         raise ModelError(f"unsupported header {header}")
-    tag, k = take().split()
-    if tag != "agents":
-        raise ModelError("expected agents section")
-    agents = [take().strip() for _ in range(int(k))]
-    tag, n = take().split()
-    if tag != "variables":
-        raise ModelError("expected variables section")
+    agents = [take().strip() for _ in range(section("agents"))]
     variables, owner, domains = [], {}, {}
-    for _ in range(int(n)):
+    for _ in range(section("variables")):
         toks = take().split()
+        if len(toks) < 2:
+            raise ModelError(f"variable line {toks} names no owner")
         x, ag, vals = toks[0], toks[1], [_dec_value(t) for t in toks[2:]]
         variables.append(x)
         owner[x] = ag
         domains[x] = tuple(vals)
-    tag, m = take().split()
-    if tag != "constraints":
-        raise ModelError("expected constraints section")
     constraints = []
-    for _ in range(int(m)):
+    for _ in range(section("constraints")):
         toks = take().split()
-        if toks[0] != "constraint" or toks[2] != "scope":
+        if len(toks) < 4 or toks[0] != "constraint" or toks[2] != "scope":
             raise ModelError(f"malformed constraint header {toks}")
         name = toks[1]
-        arity = int(toks[3])
+        arity = _int(toks[3])
         scope = toks[4:4 + arity]
-        if toks[4 + arity] != "forbidden":
-            raise ModelError("expected forbidden tuple count")
-        count = int(toks[5 + arity])
+        if len(toks) != 6 + arity or toks[4 + arity] != "forbidden":
+            raise ModelError(f"malformed constraint header {toks}")
+        count = _int(toks[5 + arity])
+        unknown = [x for x in scope if x not in domains]
+        if unknown:
+            raise ModelError(f"constraint {name} scope names undeclared "
+                             f"variables {unknown}")
         forbidden = []
         for _ in range(count):
             vals = tuple(_dec_value(t) for t in take().split())

@@ -5,12 +5,14 @@ effects: ``("send", dst, Msg)``, ``("recv",)`` and ``("compute", units)``.
 The scheduler delivers messages in global send order, which preserves FIFO
 per channel and makes every run a pure function of the seed.  Deliveries
 happen only between process steps, when every live process is blocked on
-``recv``, so each delivery resumes its receiver directly.  Every delivered
-message is appended to the transcript with a canonical payload snapshot and
-its wire size, both taken in one pass over the payload (a forwarded ring hop
-reuses the pass of the hop before); simulated time is tracked per variable
-with the usual dependency-max rule (a receiver's clock is at least the
-sender's clock at send time).
+``recv``, so each delivery resumes its receiver directly.  Payloads must be
+canonical (dicts with str keys, lists, ints, strs, bools and None); anything
+else raises TypeError at its first delivery.  Every delivered message is
+appended to the transcript with a copy of its payload and its wire size,
+both taken in one pass over the payload (a forwarded ring hop reuses the
+pass of the hop before); simulated time is tracked per variable with the
+usual dependency-max rule (a receiver's clock is at least the sender's
+clock at send time).
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ class Msg:
 # ------------------------------------------------------- canonical encoding
 
 def encode(obj):
-    """Return ``(canonical(obj), wire_size(canonical(obj)))`` from one walk.
+    """Return ``(copy, wire_size(copy))`` of a canonical payload in one walk.
 
-    The built-in payload types are dispatched on their exact type.  Anything
-    else is checked in order: an object with .canonical() (tables,
-    cyphertexts) encodes what that returns, then subclasses of dict,
-    list/tuple and int/str/bool are taken as their base type; any other
-    value raises TypeError.
+    A payload must already be canonical: dicts with ``str`` keys, lists,
+    ints, strs, bools and None, matched on their exact type.  Anything else
+    (tuples, floats, subclasses, objects such as tables or cyphertexts)
+    raises TypeError.  The copy has new containers, so the transcript keeps
+    a snapshot that later changes to the sent payload do not reach.
     """
     t = type(obj)
     if t is int:
@@ -65,19 +67,11 @@ def encode(obj):
         return obj, 4 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
     if t is dict:
         return _encode_dict(obj)
-    if t is list or t is tuple:
+    if t is list:
         return _encode_list(obj)
     if t is bool or obj is None:
         return obj, 1
-    if hasattr(obj, "canonical"):
-        return encode(obj.canonical())
-    if isinstance(obj, dict):
-        return _encode_dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return _encode_list(obj)
-    if isinstance(obj, (int, str, bool)):
-        return obj, wire_size(obj)
-    raise TypeError(f"payload value {obj!r} is not canonically encodable")
+    raise TypeError(f"payload value {obj!r} is not canonical")
 
 
 def _encode_dict(obj):
@@ -85,7 +79,7 @@ def _encode_dict(obj):
     size = 4
     for k, v in obj.items():
         if type(k) is not str:
-            k = str(k)
+            raise TypeError(f"payload key {k!r} is not a str")
         size += 4 + (len(k) if k.isascii() else len(k.encode("utf-8")))
         if type(v) is int:  # e.g. the alpha and beta of a cyphertext
             out[k] = v
@@ -93,9 +87,6 @@ def _encode_dict(obj):
         else:
             out[k], n = encode(v)
             size += n
-    if len(out) < len(obj):
-        # Keys that collide after str() keep the last value only.
-        size = wire_size(out)
     return out, size
 
 
@@ -114,10 +105,7 @@ def _encode_list(obj):
 
 
 def canonical(obj):
-    """Reduce a payload to JSON-able structure (dicts/lists/ints/strs/bools).
-
-    Objects exposing .canonical() (tables, cyphertexts) encode themselves.
-    """
+    """The copy of a canonical payload that ``encode`` makes."""
     return encode(obj)[0]
 
 
@@ -125,20 +113,16 @@ def wire_size(struct) -> int:
     """Length of the canonical byte encoding: strings are utf-8 with a
     4-byte length prefix, integers big-endian with a 4-byte length prefix,
     containers prefix their item count."""
-    if type(struct) is str:  # every delivery sizes its type string here
+    t = type(struct)
+    if t is str:  # every delivery sizes its type string here
         return 4 + (len(struct) if struct.isascii() else len(struct.encode("utf-8")))
-    if isinstance(struct, bool):
+    if t is int:
+        return 5 + ((struct.bit_length() + 7) // 8 or 1)
+    if t is bool or struct is None:
         return 1
-    if isinstance(struct, int):
-        n = abs(struct)
-        return 5 + ((n.bit_length() + 7) // 8 or 1)
-    if struct is None:
-        return 1
-    if isinstance(struct, str):
-        return 4 + len(struct.encode("utf-8"))
-    if isinstance(struct, list):
+    if t is list:
         return 4 + sum(wire_size(v) for v in struct)
-    if isinstance(struct, dict):
+    if t is dict:
         return 4 + sum(wire_size(k) + wire_size(v) for k, v in struct.items())
     raise TypeError(f"not canonical: {struct!r}")
 

@@ -88,14 +88,15 @@ def test_rerandomize_changes_representation():
 def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
     """The vector kernel yields, from an equal-seeded rng, the canonical
     forms of rerandomize_fresh for each cyphertext and encrypt_element for
-    each (element, 1) pair, drawing one randomness per entry in order."""
+    each (element, 1) pair, drawing one randomness per entry in order.  The
+    element exponent 0 gives the (1, 1) pair of P2's AND with false."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     _share, key = keypair(params, rng)
     seed = data.draw(st.integers(0, 2 ** 32))
     old_rng = random.Random(seed)
     pairs, expected = [], []
     for fresh, k in data.draw(st.lists(st.tuples(st.booleans(),
-                                                 st.integers(1, 3)),
+                                                 st.integers(0, 3)),
                                        max_size=10)):
         if fresh:
             element = pow(params.z, k, params.p)
@@ -108,7 +109,7 @@ def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
             expected.append(rerandomize_fresh(params, key, c, old_rng))
     new_rng = random.Random(seed)
     assert rerandomize_entries(params, key, iter(pairs), new_rng) == [
-        c.canonical() for c in expected]
+        {"alpha": c.alpha, "beta": c.beta} for c in expected]
     assert new_rng.getstate() == old_rng.getstate()
 
 
@@ -193,7 +194,9 @@ def test_small_value_encoding_roundtrip():
     rng = random.Random(31)
     share, key = keypair(TOY64, rng)
     for v in (-1, 0, 1):
-        c = crypto.encrypt_small(TOY64, key, v, rng)
+        [e] = rerandomize_entries(
+            TOY64, key, [(crypto.encode_small(TOY64, v), 1)], rng)
+        c = crypto.Cyphertext(e["alpha"], e["beta"])
         element = crypto.recover_element(
             TOY64, c, [partial_decrypt(TOY64, c, share)])
         assert crypto.decode_small(TOY64, element) == v

@@ -155,6 +155,20 @@ def test_cli_solve_reports_a_timeout_without_a_traceback(tmp_path, capsys):
     assert captured.err.splitlines() == ["timeout: simulation exceeded 0.01s"]
 
 
+def test_cli_solve_reports_a_malformed_or_missing_file_in_one_line(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.discsp"
+    bad.write_text("discsp 1\nagents two\n")
+    assert main(["solve", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: expected 'agents <count>', got ['agents', 'two']"]
+    assert main(["solve", str(tmp_path / "missing.discsp")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "missing.discsp" in line
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 @pytest.mark.parametrize("secs", ["0", "-1"])
 def test_cli_rejects_a_non_positive_timeout(tmp_path, capsys, command, secs):

@@ -160,6 +160,7 @@ def test_encrypted_join_rejects_two_cyphertexts(fig1):
     share = crypto.generate_share(proc.params, rng)
     proc.compound = crypto.combine_public(proc.params, [share.public])
     c = crypto.encrypt(proc.params, proc.compound, True, rng)
+    c = {"alpha": c.alpha, "beta": c.beta}
     enc = FeasTable([Axis("x1", RGB)], [c, c, c])
     with pytest.raises(p2.P2Error):
         proc.encrypted_join(enc, enc)

@@ -58,6 +58,25 @@ def test_malformed_header_rejected():
         problemio.loads("discsp 2\nagents 0\n")
 
 
+HEAD = "discsp 1\nagents 1\na1\nvariables 2\nx a1 i:0 i:1\ny a1 i:0 i:1\n"
+
+
+@pytest.mark.parametrize("text", [
+    "discsp 1\nagents\n",
+    "discsp 1\nagents two\na1\na2\n",
+    "discsp 1\nagents -1\nvariables 0\nconstraints 0\n",
+    "discsp 1\nagents 1\na1\nvariables 1\nx\n",
+    HEAD + "constraints 1\nconstraint c\n",
+    HEAD + "constraints 1\nconstraint c scope 2 x z forbidden 0\n",
+    HEAD + "constraints 1\nconstraint c scope 4 x y forbidden 0\n",
+], ids=["agents-no-count", "agents-two", "agents-negative",
+        "variable-no-owner", "constraint-header-cut",
+        "undeclared-scope-variable", "arity-past-line-end"])
+def test_malformed_file_raises_model_error(text):
+    with pytest.raises(ModelError):
+        problemio.loads(text)
+
+
 def test_truncated_file_rejected(fig1):
     text = problemio.dumps(fig1)
     with pytest.raises(ModelError):

@@ -178,19 +178,6 @@ def test_canonical_rejects_unknown_types():
         encode([1, 2.5])
 
 
-def reference_canonical(obj):
-    """The canonical reduction spelled out check by check, as a test oracle."""
-    if hasattr(obj, "canonical"):
-        return reference_canonical(obj.canonical())
-    if isinstance(obj, dict):
-        return {str(k): reference_canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [reference_canonical(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    raise TypeError(obj)
-
-
 class Colour(enum.IntEnum):
     RED = 1
     BLUE = 300
@@ -201,45 +188,74 @@ class Label(str):
 
 
 ints = st.integers(-(1 << 300), 1 << 300)
-cyphertexts = st.builds(Cyphertext, ints, ints)
-
-
-@st.composite
-def feas_tables(draw):
-    sizes = draw(st.lists(st.integers(1, 3), max_size=3))
-    scope = [Axis(lbl, tuple(range(n))) for lbl, n in zip(("x", 7, "y"), sizes)]
-    n = 1
-    for k in sizes:
-        n *= k
-    leaf = st.one_of(st.integers(0, 9), st.booleans(), cyphertexts)
-    return FeasTable(scope, draw(st.lists(leaf, min_size=n, max_size=n)))
-
-
-leaves = st.one_of(
-    st.none(), st.booleans(), ints, st.text(max_size=6), cyphertexts,
-    feas_tables(), st.sampled_from([Colour.RED, Colour.BLUE, Label("é")]))
-keys = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.booleans(),
-                 st.sampled_from(["1", "True", Label("ü")]))
-payloads = st.recursive(
-    leaves,
+canonical_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), ints, st.text(max_size=6)),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(keys, inner, max_size=4),
-        st.dictionaries(keys, inner, max_size=4).map(OrderedDict)),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4)),
     max_leaves=24)
 
 
+def containers(x):
+    """Every list and dict in x, x included."""
+    if type(x) is list:
+        return [x] + [c for v in x for c in containers(v)]
+    if type(x) is dict:
+        return [x] + [c for v in x.values() for c in containers(v)]
+    return []
+
+
 @settings(max_examples=300, deadline=None)
-@given(payloads)
-@example({1: "a", "1": [1, 2, 3]})
-@example({"1": [1, 2, 3], 1: "a", True: None, "True": 0})
+@given(canonical_payloads)
 @example(["ascii", "dé", "日本", -1, -(1 << 129), 1 << 129, 0, None, True])
+@example({"1": [1, 2, 3], "True": {"alpha": 5, "beta": 7}, "": False})
 def test_encode_is_canonical_and_its_wire_size(x):
+    # A canonical payload comes back as an equal copy in new containers,
+    # sized as wire_size(x).
     struct, size = encode(x)
-    assert json.dumps(struct) == json.dumps(reference_canonical(x))
-    assert json.dumps(canonical(x)) == json.dumps(struct)
-    assert size == wire_size(canonical(x))
+    assert json.dumps(struct) == json.dumps(x)
+    assert json.dumps(canonical(x)) == json.dumps(x)
+    assert size == wire_size(x)
+    assert not {id(c) for c in containers(struct)} & {
+        id(c) for c in containers(x)}
+
+
+NON_CANONICAL = {
+    "tuple": (1, 2), "empty-tuple": (), "Cyphertext": Cyphertext(3, 4),
+    "FeasTable": FeasTable([Axis("x", (0, 1))], [0, 1]),
+    "IntEnum": Colour.BLUE, "str-subclass": Label("é"), "int-key": {1: "a"},
+    "bool-key": {True: None}, "str-subclass-key": {Label("ü"): 0},
+    "float": 2.5, "OrderedDict": OrderedDict(a=1),
+}
+
+
+@st.composite
+def holding(draw, bad):
+    """A canonical payload with `bad` nested at a random depth and place."""
+    x = bad
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            items = draw(st.lists(canonical_payloads, max_size=3))
+            items.insert(draw(st.integers(0, len(items))), x)
+            x = items
+        else:
+            d = draw(st.dictionaries(st.text(max_size=3), canonical_payloads,
+                                     max_size=3))
+            d[draw(st.text(max_size=3))] = x
+            x = d
+    return x
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL.values(),
+                         ids=NON_CANONICAL.keys())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_encode_rejects_a_payload_holding_a_non_canonical_value(bad, data):
+    x = data.draw(holding(bad))
+    with pytest.raises(TypeError):
+        encode(x)
+    with pytest.raises(TypeError):
+        canonical(x)
 
 
 def test_wire_size_ints_are_length_prefixed():
