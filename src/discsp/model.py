@@ -68,6 +68,12 @@ class Constraint:
     @classmethod
     def from_forbidden(cls, scope, domains, forbidden, visibility=(), name=""):
         forbidden = {tuple(t) for t in forbidden}
+        for t in forbidden:
+            if len(t) != len(scope):
+                raise ModelError(f"forbidden tuple {t} does not match scope {tuple(scope)}")
+            for x, dom, v in zip(scope, domains, t):
+                if v not in dom:
+                    raise ModelError(f"forbidden value {v!r} outside the domain of {x}")
         return cls.from_predicate(
             scope, domains, lambda *v: v not in forbidden, visibility, name
         )
@@ -106,6 +112,8 @@ class Problem:
 
     def validate(self):
         agents = set(self.agents)
+        if len(agents) != len(self.agents):
+            raise ModelError("duplicate agent names")
         variables = set(self.variables)
         if len(variables) != len(self.variables):
             raise ModelError("duplicate variable names")

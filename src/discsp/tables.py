@@ -9,8 +9,11 @@ Axes are labelled either by a real variable name (str) or by a codename
 (int); each axis carries the ordered tuple of values it ranges over, which
 for coded axes are value-codes in an arbitrary (permuted) order.  Layout is
 row-major over the scope list: the last axis varies fastest.  Every
-structural operation reads its input through one flat index map built from
-per-axis strides and value remaps (`_index_map`), then gathers or reduces.
+structural operation reads its input through one gather kernel (`_gather`),
+then combines or reduces.  The kernel copies the trailing axes in blocks --
+contiguous runs of the source as slices, broadcast axes as repeats -- and
+builds a flat index map from per-axis strides and value remaps
+(`_index_map`) only over the axes in front of them, one index per block.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ def _index_map(src_scope: list[Axis], out_scope: list[Axis],
     position p on output axis k is position remap[p] on each listed source
     axis.  An output axis that reads none repeats the source along it (join
     broadcasting an operand); diagonal_merge has one output axis read two.
+    No source axis is read by more than one output axis.
     Without `feeds`, each output axis reads the source axis of its label,
     matched by value.  The map is built by expanding per-axis offsets, so
     no cell position is ever decoded.
@@ -149,8 +153,48 @@ def _feeds_by_label(src_scope: list[Axis], out_scope: list[Axis]) -> list:
     return feeds
 
 
+# Fewest cells per block worth a slice copy: on blocks of two, one index per
+# cell is as fast.
+_MIN_BLOCK = 3
+
+
 def _gather(t: FeasTable, out_scope: list[Axis], feeds=None) -> list:
-    return list(map(t.entries.__getitem__, _index_map(t.scope, out_scope, feeds)))
+    """Entries of `t` laid out over `out_scope`, row-major (see `_index_map`).
+
+    The output's trailing axes are peeled off in blocks, back to front:
+    broadcast axes (reading no source axis) repeat each entry R times;
+    before them, a run of axes reading the source's trailing axes in order,
+    unpermuted, is a contiguous block of B source cells, copied as one
+    slice.  The index map then covers only the remaining prefix: one block
+    start per B * R output cells.  Runs of fewer than `_MIN_BLOCK` cells
+    are read one index per cell instead.  A source axis that a diagonal
+    feed reads is missing from the output, so no run passes it.
+    """
+    if feeds is None:
+        feeds = _feeds_by_label(t.scope, out_scope)
+    k, r = len(out_scope), 1
+    while k and not feeds[k - 1]:
+        k -= 1
+        r *= len(out_scope[k].values)
+    m, j, b = k, len(t.scope), 1  # out_scope[m:k] reads source axes j..
+    while m and len(feeds[m - 1]) == 1:
+        src, remap = feeds[m - 1][0]
+        n = len(t.scope[src].values)
+        if src != j - 1 or list(remap) != list(range(n)):
+            break
+        m, j, b = m - 1, j - 1, b * n
+    entries = t.entries
+    if b < _MIN_BLOCK:
+        out = list(map(entries.__getitem__, _index_map(t.scope, out_scope[:k], feeds)))
+    else:
+        out = []
+        extend = out.extend
+        for i in _index_map(t.scope, out_scope[:m], feeds):
+            extend(entries[i:i + b])
+    if r == 1:
+        return out
+    return list(itertools.chain.from_iterable(
+        map(itertools.repeat, out, itertools.repeat(r))))
 
 
 def join(t1: FeasTable, t2: FeasTable, combine=None) -> FeasTable:
@@ -300,8 +344,8 @@ def add_along_axis(t: FeasTable, label, amounts: dict, sign=1) -> FeasTable:
     entry in that value's slice is shifted by sign * amount.
     """
     axis = t.scope[t.axis(label)]
-    shift = [sign * amounts[v] for v in axis.values]
-    shifts = map(shift.__getitem__, _index_map([axis], t.scope))
+    shift = FeasTable([axis], [sign * amounts[v] for v in axis.values])
+    shifts = _gather(shift, t.scope)
     return FeasTable(list(t.scope), list(map(operator.add, t.entries, shifts)))
 
 

@@ -75,6 +75,18 @@ def test_visibility_invariant(fig1):
         p.check_visibility()
 
 
+def test_duplicate_agent_names_rejected():
+    with pytest.raises(ModelError, match="duplicate agent"):
+        Problem(("a1", "a1"), ("x1",), {"x1": "a1"}, {"x1": RGB})
+
+
+@pytest.mark.parametrize("forbidden", [[("R", "PURPLE")], [("R",)]],
+                         ids=["value-outside-domain", "short-tuple"])
+def test_forbidden_tuple_must_fit_the_scope(forbidden):
+    with pytest.raises(ModelError):
+        Constraint.from_forbidden(("x1", "x2"), (RGB, RGB), forbidden)
+
+
 def test_constraint_graph_edges(fig1):
     assert ("x1", "x2") in fig1.edges()
     assert ("x2", "x5") not in fig1.edges()

@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from discsp import tables
 from discsp.tables import (Axis, CodenameClash, FeasTable, TableError,
+                           _feeds_by_label, _gather, _index_map,
                            add_along_axis, align_to, diagonal_merge, join,
                            project, project_min, relabel_axis,
                            reorder_axis_values, resolve_codename,
@@ -289,3 +291,93 @@ def test_callbacks_run_once_per_output_cell_in_row_major_order(pair, data):
     rest = list(assignments(out)) if out.labels() != ["__unit__"] else [{}]
     assert seen == [[m.get({**cell, label: v}) for v in values] for cell in rest]
     assert out.entries == list(range(1, len(rest) + 1))
+
+
+# -- the blocked gather kernel --------------------------------------------------
+#
+# `_gather` copies trailing blocks as slices and repeats; it must equal the
+# per-cell reference, one `_index_map` index per output cell, on any feeds.
+
+def per_cell_gather(t, out_scope, feeds=None):
+    return list(map(t.entries.__getitem__, _index_map(t.scope, out_scope, feeds)))
+
+
+def counting(scope, out_scope, feeds=None):
+    """A table whose entries are their own indices, and its gather case."""
+    t = table(scope, range(math.prod(len(vals) for _, vals in scope)))
+    return t, [Axis(lbl, vals) for lbl, vals in out_scope], feeds
+
+
+A2, A3, A4 = (0, 1), (0, 1, 2), (0, 1, 2, 3)
+
+
+@st.composite
+def gather_cases(draw):
+    """A table, an output scope that permutes, drops, reorders and
+    broadcasts its axes, and the feeds to read it with (None: by label);
+    sometimes one output axis also reads a dropped source axis, as a
+    diagonal merge does."""
+    t = tables_over(draw, draw(domains()))
+    out = list(t.scope)
+    if draw(st.booleans()):
+        out = draw(st.permutations(out))
+    out = [Axis(a.label, draw(st.permutations(a.values))) if draw(st.booleans())
+           else a for a in out[draw(st.integers(0, len(out))):]]
+    for i in range(draw(st.integers(0, 2))):
+        out.insert(draw(st.integers(0, len(out))),
+                   Axis(f"z{i}", tuple(range(draw(st.integers(1, 4))))))
+    labels = {a.label for a in out}
+    dropped = [j for j, a in enumerate(t.scope) if a.label not in labels]
+    if not (dropped and out and draw(st.booleans())):
+        return t, out, None
+    feeds = [list(pairs) for pairs in _feeds_by_label(t.scope, out)]
+    k = draw(st.integers(0, len(out) - 1))
+    j = draw(st.sampled_from(dropped))
+    size = len(t.scope[j].values)
+    feeds[k].append((j, draw(st.lists(st.integers(0, size - 1),
+                                      min_size=len(out[k].values),
+                                      max_size=len(out[k].values)))))
+    return t, out, feeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(gather_cases())
+@example(counting([("a", A3), ("b", A3)], [("a", A3), ("b", A3)])
+         ).via("whole-table copy")
+@example(counting([("a", A2), ("b", A2), ("c", A4)],
+                  [("b", A2), ("a", A2), ("c", A4)])).via("slice blocks")
+@example(counting([("a", A3), ("b", A2)], [("a", A3), ("b", A2), ("z", A4)])
+         ).via("trailing repeat")
+@example(counting([("a", A2), ("b", A4)], [("a", A2), ("z", A3), ("b", A4)])
+         ).via("middle broadcast")
+@example(counting([("a", A3), ("b", A2), ("c", A2)],
+                  [("b", A2), ("a", A3), ("c", A2)])
+         ).via("fallback below the block threshold")
+@example(counting([("a", A4), ("b", A4), ("c", A4)], [("a", A4), ("b", A4)],
+                  [[(0, A4), (2, (3, 0, 2, 1))], [(1, A4)]])
+         ).via("prefix reads a trailing axis")
+@example(counting([("a", A2), ("b", A2), ("c", A4)], [("a", A2), ("c", A4)],
+                  [[(0, A2), (1, (1, 0))], [(2, A4)]])
+         ).via("diagonal before a run")
+def test_gather_equals_the_per_cell_reference(case):
+    t, out, feeds = case
+    assert _gather(t, out, feeds) == per_cell_gather(t, out, feeds)
+
+
+def test_gather_builds_no_index_per_output_cell(monkeypatch):
+    lengths = []
+
+    def recording(*args):
+        idx = _index_map(*args)
+        lengths.append(len(idx))
+        return idx
+
+    monkeypatch.setattr(tables, "_index_map", recording)
+    t = table([(f"x{i}", RGB) for i in range(8)], range(3 ** 8))
+    out, _ = project_min(t, "x0")
+    assert out.entries == list(range(3 ** 7))
+    suffix = table([(f"x{i}", RGB) for i in (5, 6, 7)], range(27))
+    joined = join(t, suffix)
+    assert joined.entries == [i + i % 27 for i in range(3 ** 8)]
+    # Each block start covers at least a 27-cell block of the output.
+    assert lengths and all(n * 27 <= 3 ** 8 for n in lengths)
