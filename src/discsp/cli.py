@@ -30,6 +30,20 @@ def _positive_secs(text: str) -> float:
     return secs
 
 
+def _key_bits(text: str) -> int:
+    bits = int(text)
+    if bits < 5:  # the smallest safe-prime group, p = 23
+        raise argparse.ArgumentTypeError(f"must be at least 5, got {text}")
+    return bits
+
+
+def _non_negative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discsp",
@@ -46,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--solvers", type=_csv_strs,
                        default=("dpop", "pdpop_plus"),
                        help=f"comma-separated; known: {sorted(SOLVERS)}")
-    bench.add_argument("--key-bits", type=int, default=512)
-    bench.add_argument("--b-bits", type=int, default=128)
-    bench.add_argument("--incr-min", type=int, default=10)
+    bench.add_argument("--key-bits", type=_key_bits, default=512)
+    bench.add_argument("--b-bits", type=_non_negative, default=128)
+    bench.add_argument("--incr-min", type=_non_negative, default=10)
     bench.add_argument("--timeout-secs", type=_positive_secs, default=600.0)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out", default="bench",
@@ -59,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", help="path to a problem file")
     solve.add_argument("--solver", choices=sorted(SOLVERS), default="dpop")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--key-bits", type=int, default=512)
-    solve.add_argument("--b-bits", type=int, default=128)
-    solve.add_argument("--incr-min", type=int, default=10)
+    solve.add_argument("--key-bits", type=_key_bits, default=512)
+    solve.add_argument("--b-bits", type=_non_negative, default=128)
+    solve.add_argument("--incr-min", type=_non_negative, default=10)
     solve.add_argument("--timeout-secs", type=_positive_secs, default=None)
 
     gen = sub.add_parser("gen", help="generate a benchmark instance file")

@@ -9,22 +9,24 @@ Encoding: false is the group identity 1, true is a fixed element z != 1 of
 large prime order, so an OR-product of k trues decodes to z**k.  Anything
 that is neither 1 nor a small power of z signals a protocol bug and raises.
 
-Exponentiations to the generator g and to the compound key y use cached
-fixed-base tables of W-bit windows (W = 8 up to 128-bit moduli, 6 above);
-encryption and re-randomization raise y and g in one walk over the digits of
-their shared exponent.  Up to 128 bits a walk multiplies its row entries
-together and reduces mod p once at the end; above, it reduces every row.
-``rerandomize_entries`` re-randomizes a whole vector of (alpha, beta) pairs
-in one call, the batched form of ``rerandomize_fresh`` and
-``encrypt_element``: it makes every cyphertext a solver sends, in the
-canonical wire form ``{"alpha", "beta"}`` (P2 runs its encryptions, ANDs
-and ORs as algebra over tables of pairs).  ``partial_decrypt`` and
-``strip_share``, whose base varies, use plain ``pow``.
+A cyphertext is the canonical dict it travels as, ``{"alpha": a, "beta":
+b}``, here and in every solver.  ``rerandomize_entries`` re-randomizes a
+vector of them in one call and makes every cyphertext a solver sends:
+``{"alpha": e, "beta": 1}`` comes out as a fresh encryption of element e,
+and ``{"alpha": 1, "beta": 1}`` as P2's AND with false.  ``encrypt`` and
+``rerandomize`` are its one-entry forms.
+
+Exponentiations to g and to the compound key y use cached fixed-base tables
+of W-bit windows (W = 8 up to 128-bit moduli, 6 above), and raise y and g in
+one walk over the digits of their shared exponent.  Up to 128 bits a walk
+reduces mod p once at the end; above, it reduces every row.
+``partial_decrypt`` and ``strip_share``, whose base varies, use plain ``pow``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -212,8 +214,8 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
     return acc
 
 
-def _pair_walk(rows, e: int, p: int, acc_y: int = 1,
-               acc_g: int = 1) -> tuple[int, int]:
+def _pair_walk(rows, e: int, p: int, acc_y: int,
+               acc_g: int) -> tuple[int, int]:
     """(acc_y * y**e mod p, acc_g * g**e mod p) in one walk over the digits
     of 0 <= e < 2**bitlen(p), given the rows of _pair_table(y, g, p)."""
     mask = len(rows[0][0]) - 1
@@ -231,14 +233,6 @@ def _pair_walk(rows, e: int, p: int, acc_y: int = 1,
         acc_g = acc_g * row_g[d] % p
         e >>= w
     return acc_y, acc_g
-
-
-def fixed_base_pow_pair(y: int, g: int, e: int, p: int) -> tuple[int, int]:
-    """(pow(y, e, p), pow(g, e, p)) in one walk over the digits of e, with
-    two accumulators and the fallback of fixed_base_pow."""
-    if e < 0 or e.bit_length() > p.bit_length():
-        return pow(y, e, p), pow(g, e, p)
-    return _pair_walk(_pair_table(y, g, p), e, p)
 
 
 # ------------------------------------------------------------------- keys
@@ -285,104 +279,70 @@ def split_public_shares(params: GroupParams, share: KeyPairShare, count: int,
 
 # ------------------------------------------------------------- encryption
 
-@dataclass(frozen=True)
-class Cyphertext:
-    alpha: int
-    beta: int
-
-
 def encode_bool(params: GroupParams, m: bool) -> int:
     return params.z if m else 1
 
 
-def encrypt_element(params: GroupParams, key: CompoundPublicKey, element: int,
-                    r: int) -> Cyphertext:
-    if not 1 <= r <= params.p - 2:
-        raise CryptoError("randomness outside [1, p-2]")
-    y_r, g_r = fixed_base_pow_pair(key.y, params.g, r, params.p)
-    return Cyphertext(alpha=element * y_r % params.p, beta=g_r)
+def rerandomize_entries(params: GroupParams, key: CompoundPublicKey,
+                        cyphertexts, rng: random.Random) -> list[dict]:
+    """Re-randomize a vector of cyphertexts into new ones, drawing one
+    rng.randrange(1, p - 1) per entry in entry order.
 
-
-def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
-            rng: random.Random) -> Cyphertext:
-    r = rng.randrange(1, params.p - 1)
-    return encrypt_element(params, key, encode_bool(params, m), r)
-
-
-def rerandomize(params: GroupParams, key: CompoundPublicKey, c: Cyphertext,
-                r: int) -> Cyphertext:
-    """Multiply in a fresh encryption of 1; r == 0 leaves c unchanged."""
-    y_r, g_r = fixed_base_pow_pair(key.y, params.g, r, params.p)
-    return Cyphertext(alpha=c.alpha * y_r % params.p, beta=c.beta * g_r % params.p)
-
-
-def rerandomize_fresh(params: GroupParams, key: CompoundPublicKey,
-                      c: Cyphertext, rng: random.Random) -> Cyphertext:
-    return rerandomize(params, key, c, rng.randrange(1, params.p - 1))
-
-
-def rerandomize_entries(params: GroupParams, key: CompoundPublicKey, pairs,
-                        rng: random.Random) -> list[dict]:
-    """Re-randomize a vector of (alpha, beta) pairs into canonical cyphertext
-    dicts, drawing one rng.randrange(1, p - 1) per entry in entry order.
-
-    Each entry is rerandomize_fresh of Cyphertext(alpha, beta), and an
-    (element, 1) pair comes out as encrypt_element(element, r): a fresh
-    encryption, since 1 * g**r == g**r.  The pair table is looked up once
-    for the whole vector."""
+    Each entry comes out as rerandomize(c, r), so {"alpha": e, "beta": 1}
+    comes out as a fresh encryption of element e (1 * g**r == g**r), and
+    {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
+    once for the whole vector."""
     p = params.p
     rows = _pair_table(key.y, params.g, p)
     randrange = rng.randrange
     out = []
-    for alpha, beta in pairs:
-        alpha, beta = _pair_walk(rows, randrange(1, p - 1), p, alpha, beta)
+    for c in cyphertexts:
+        alpha, beta = _pair_walk(rows, randrange(1, p - 1), p,
+                                 c["alpha"], c["beta"])
         out.append({"alpha": alpha, "beta": beta})
     return out
 
 
-def or_cipher(params: GroupParams, c1: Cyphertext, c2: Cyphertext) -> Cyphertext:
+def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
+            rng: random.Random) -> dict:
+    return rerandomize_entries(
+        params, key, [{"alpha": encode_bool(params, m), "beta": 1}], rng)[0]
+
+
+def rerandomize(params: GroupParams, key: CompoundPublicKey, c: dict,
+                r: int) -> dict:
+    """Multiply in an encryption of 1 with randomness 0 <= r < 2**bitlen(p);
+    r == 0 leaves c unchanged."""
+    alpha, beta = _pair_walk(_pair_table(key.y, params.g, params.p), r,
+                             params.p, c["alpha"], c["beta"])
+    return {"alpha": alpha, "beta": beta}
+
+
+def or_cipher(params: GroupParams, c1: dict, c2: dict) -> dict:
     """Component-wise product: decrypts true iff either input is true."""
-    return Cyphertext(alpha=c1.alpha * c2.alpha % params.p,
-                      beta=c1.beta * c2.beta % params.p)
+    return {"alpha": c1["alpha"] * c2["alpha"] % params.p,
+            "beta": c1["beta"] * c2["beta"] % params.p}
 
 
-def and_cleartext(params: GroupParams, key: CompoundPublicKey, c: Cyphertext,
-                  b: bool, rng: random.Random) -> Cyphertext:
-    """AND with a cleartext boolean: false yields a fresh encryption of
-    false, true re-randomizes c."""
-    if not b:
-        return encrypt(params, key, False, rng)
-    return rerandomize_fresh(params, key, c, rng)
-
-
-def partial_decrypt(params: GroupParams, c: Cyphertext, share: KeyPairShare) -> int:
+def partial_decrypt(params: GroupParams, c: dict, share: KeyPairShare) -> int:
     """This share's decryption contribution beta**x_i mod p."""
-    return pow(c.beta, share.private, params.p)
+    return pow(c["beta"], share.private, params.p)
 
 
-def recover_element(params: GroupParams, c: Cyphertext, decryption_shares) -> int:
-    denom = 1
-    for s in decryption_shares:
-        denom = denom * s % params.p
-    return c.alpha * pow(denom, -1, params.p) % params.p
+def recover_element(params: GroupParams, c: dict, decryption_shares) -> int:
+    denom = math.prod(decryption_shares)
+    return c["alpha"] * pow(denom, -1, params.p) % params.p
 
 
-def combine_decrypt(params: GroupParams, c: Cyphertext, decryption_shares) -> bool:
-    """False iff the recovered element is 1; true for a small power of z;
-    anything else raises MalformedCyphertext."""
-    return params.decode(recover_element(params, c, decryption_shares)) > 0
-
-
-def strip_share(params: GroupParams, c: Cyphertext, share: KeyPairShare) -> Cyphertext:
+def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
     """Fold one partial decryption into alpha, leaving beta untouched.
 
     After all shares are stripped, alpha holds the plaintext element.  Since
     beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x):
     one exponentiation and no modular inverse."""
-    return Cyphertext(
-        alpha=c.alpha * pow(c.beta, params.p - 1 - share.private, params.p) % params.p,
-        beta=c.beta,
-    )
+    p, beta = params.p, c["beta"]
+    return {"alpha": c["alpha"] * pow(beta, p - 1 - share.private, p) % p,
+            "beta": beta}
 
 
 # Small-integer encoding used by the rerooting vectors: value v in {-1, 0, 1}

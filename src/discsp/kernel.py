@@ -107,63 +107,6 @@ def circular_order(views: dict[str, PseudoTreeView]) -> list[str]:
     return order
 
 
-def tree_from_parents(problem: Problem, parents: dict,
-                      children_order: dict | None = None) -> dict[str, PseudoTreeView]:
-    """Build views from an explicit tree (fixture helper).
-
-    `parents` maps each variable to its parent (None for the root); children
-    lists follow `children_order` when given, else sorted order.  Non-tree
-    constraint edges must connect ancestors to descendants (DFS property).
-    """
-    roots = [x for x, p in parents.items() if p is None]
-    if len(roots) != 1:
-        raise KernelError(f"need exactly one root, got {roots}")
-    children: dict[str, list] = {x: [] for x in parents}
-    for x, p in parents.items():
-        if p is not None:
-            children[p].append(x)
-    if children_order:
-        for x, order in children_order.items():
-            if sorted(order) != sorted(children[x]):
-                raise KernelError(f"children order for {x} does not match tree")
-            children[x] = list(order)
-    else:
-        for x in children:
-            children[x].sort()
-
-    def ancestors(x):
-        out = []
-        while parents[x] is not None:
-            x = parents[x]
-            out.append(x)
-        return out
-
-    pseudo_parents: dict[str, list] = {x: [] for x in parents}
-    pseudo_children: dict[str, list] = {x: [] for x in parents}
-    for a, b in sorted(problem.edges()):
-        if parents.get(a) == b or parents.get(b) == a:
-            continue
-        if b in ancestors(a):
-            lo, hi = a, b
-        elif a in ancestors(b):
-            lo, hi = b, a
-        else:
-            raise KernelError(f"edge {a}-{b} is not ancestor-descendant")
-        pseudo_parents[lo].append(hi)
-        pseudo_children[hi].append(lo)
-    views = {}
-    for x in parents:
-        views[x] = PseudoTreeView(
-            variable=x, parent=parents[x],
-            pseudo_parents=tuple(sorted(pseudo_parents[x])),
-            children=tuple(children[x]),
-            pseudo_children=tuple(sorted(pseudo_children[x])),
-            is_root=parents[x] is None,
-        )
-        views[x].validate(problem)
-    return views
-
-
 # --------------------------------------------------------- kernel processes
 
 class KernelProcess(Process):

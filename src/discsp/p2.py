@@ -8,8 +8,8 @@ its own cleartext local table.  Feasibility values travel as canonical
 ``{"alpha", "beta"}`` cyphertexts under the compound key, labels as
 codenames; only the root learns a value, found by dichotomic collaborative
 decryption.  Fresh encryption, AND with a cleartext boolean and the OR
-projection are algebra over tables of (alpha, beta) pairs, and each table
-is re-randomized in one ``crypto.rerandomize_entries`` call.  Rerooting,
+projection are algebra over tables of cyphertext dicts, and each table is
+re-randomized in one ``crypto.rerandomize_entries`` call.  Rerooting,
 grounding and early termination are inherited from the P^3/2 machinery.
 """
 
@@ -26,6 +26,10 @@ from .tables import FeasTable, join, map_entries, project
 
 class P2Error(RuntimeError):
     pass
+
+
+# AND with false: re-randomizes to a fresh encryption of false.
+_FALSE = {"alpha": 1, "beta": 1}
 
 
 def boolean_local_join(problem: Problem, view: PseudoTreeView,
@@ -96,8 +100,8 @@ class P2Process(P32Process):
     linear-order pipeline."""
 
     def _rerandomized(self, t: FeasTable):
-        """Turn a table of (alpha, beta) pairs into canonical cyphertexts:
-        one draw and two exponentiations per cell, in row-major order."""
+        """Re-randomize every cell of a cyphertext table: one draw and two
+        exponentiations per cell, in row-major order."""
         entries = crypto.rerandomize_entries(self.params, self.compound,
                                              t.entries, self.crypto_rng)
         yield from self.charge_exps(2 * len(entries))
@@ -106,21 +110,22 @@ class P2Process(P32Process):
     def _encrypt_table(self, t: FeasTable):
         self.sim.stat("p2_enc", t.size())
         return (yield from self._rerandomized(map_entries(
-            t, lambda b: (crypto.encode_bool(self.params, b), 1))))
+            t, lambda b: {"alpha": crypto.encode_bool(self.params, b),
+                          "beta": 1})))
 
     def encrypted_join(self, enc: FeasTable, plain: FeasTable) -> FeasTable:
-        """AND with a cleartext table, as pairs: true keeps a cyphertext,
-        false gives (1, 1), which re-randomizes to an encryption of false."""
+        """AND with a cleartext table: true keeps the cyphertext, false
+        gives _FALSE; the caller re-randomizes the result."""
         def combine(c, b):
             if type(c) is not dict or type(b) is dict:
                 raise P2Error("encrypted join needs cyphertext AND cleartext")
-            return (c["alpha"], c["beta"]) if b else (1, 1)
+            return c if b else _FALSE
 
         return join(enc, plain, combine=combine)
 
     def encrypted_project(self, enc: FeasTable) -> FeasTable:
         """OR out this variable: per remaining cell, the product of the
-        cyphertexts along its axis, as a pair."""
+        cyphertexts along its axis."""
         p = self.params.p
 
         def reduce_or(cells):
@@ -128,7 +133,7 @@ class P2Process(P32Process):
             for c in cells:
                 alpha = alpha * c["alpha"] % p
                 beta = beta * c["beta"] % p
-            return alpha, beta
+            return {"alpha": alpha, "beta": beta}
 
         return project(enc, self.var, reduce_or)
 
@@ -177,10 +182,9 @@ class P2Process(P32Process):
         else:
             enc = yield from self._encrypt_table(plain)
         domain = enc.scope[0].values
-        entries = [crypto.Cyphertext(e["alpha"], e["beta"]) for e in enc.entries]
         self._dichotomy_count = 0
         value = yield from feasible_value(
-            domain, entries, self._counted_decrypt,
+            domain, enc.entries, self._counted_decrypt,
             lambda a, b: crypto.or_cipher(self.params, a, b))
         self.sim.note("p2_decrypt_counts", self._dichotomy_count)
         return value is not None, value

@@ -41,7 +41,7 @@ class P32Process(PdpopProcess):
         self.params = crypto.group_for_bits(sim.config.key_bits)
         self.key_share: crypto.KeyPairShare | None = None
         self.compound: crypto.CompoundPublicKey | None = None
-        self.vector: list[crypto.Cyphertext] = []
+        self.vector: list[dict] = []
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
         self.vector_home = False
@@ -49,7 +49,7 @@ class P32Process(PdpopProcess):
         self.decr_codenames: set[int] = set()
         self.crypto_rng = sim.rng(var, "crypto")
         self.ticket_rng = sim.rng(var, "ticket")
-        self.shuffled_snapshot: list[crypto.Cyphertext] = []
+        self.shuffled_snapshot: list[dict] = []
 
     # -- crypto helpers -------------------------------------------------------
 
@@ -97,7 +97,8 @@ class P32Process(PdpopProcess):
         rng.shuffle(self.perm)
         vect = crypto.rerandomize_entries(
             self.params, self.compound,
-            ((crypto.encode_small(self.params, v), 1) for v in entries),
+            ({"alpha": crypto.encode_small(self.params, v), "beta": 1}
+             for v in entries),
             self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", n_plus)
         yield from self.charge_exps(2 * n_plus)
@@ -106,8 +107,7 @@ class P32Process(PdpopProcess):
         })
 
     def _handle_vect(self, payload: dict):
-        """One ring hop of a root vector.  Entries stay canonical dicts from
-        hop to hop; they become Cyphertexts only when the vector is home."""
+        """One ring hop of a root vector of canonical cyphertext dicts."""
         vect = payload["vector"]
         vid, rnd = payload["id"], payload["round"]
         overwrite: set[int] = set()
@@ -121,16 +121,14 @@ class P32Process(PdpopProcess):
         if rnd == 3:
             vect = [vect[self.perm[j]] for j in range(len(vect))]
         if rnd == 4 and vid == self.my_vect_id:
-            self.vector = [crypto.Cyphertext(e["alpha"], e["beta"])
-                           for e in vect]
+            self.vector = list(vect)
             self.vector_home = True
             return
         # Overwritten entries become fresh encryptions of -1.
-        minus_one = (crypto.encode_small(self.params, -1), 1)
+        minus_one = {"alpha": crypto.encode_small(self.params, -1), "beta": 1}
         out = crypto.rerandomize_entries(
             self.params, self.compound,
-            (minus_one if j in overwrite else (e["alpha"], e["beta"])
-             for j, e in enumerate(vect)),
+            (minus_one if j in overwrite else e for j, e in enumerate(vect)),
             self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", len(out))
         yield from self.charge_exps(2 * len(out))
@@ -145,7 +143,7 @@ class P32Process(PdpopProcess):
 
     # -- collaborative decryption ------------------------------------------------
 
-    def ring_decrypt_element(self, c: crypto.Cyphertext) -> int:
+    def ring_decrypt_element(self, c: dict) -> int:
         """Send a decryption ticket around the epoch-0 ring; every other
         variable strips its share, and we finish with our own."""
         codename = self.ticket_rng.getrandbits(128)
@@ -153,20 +151,19 @@ class P32Process(PdpopProcess):
             codename += 1
         self.decr_codenames.add(codename)
         yield from self.route_to_previous(0, "DECR", {
-            "codename": codename, "alpha": c.alpha, "beta": c.beta})
+            "codename": codename, "alpha": c["alpha"], "beta": c["beta"]})
         m = yield from self.get(
             lambda m: m.type == "DECR" and m.payload["codename"] == codename)
-        partial = crypto.Cyphertext(m.payload["alpha"], m.payload["beta"])
-        final = crypto.strip_share(self.params, partial, self.key_share)
+        final = crypto.strip_share(self.params, m.payload, self.key_share)
         self.sim.stat("decrypt_partials")
         yield from self.charge_exps(1)
-        return final.alpha
+        return final["alpha"]
 
-    def ring_decrypt_small(self, c: crypto.Cyphertext) -> int:
+    def ring_decrypt_small(self, c: dict) -> int:
         element = yield from self.ring_decrypt_element(c)
         return crypto.decode_small(self.params, element)
 
-    def ring_decrypt_bool(self, c: crypto.Cyphertext) -> bool:
+    def ring_decrypt_bool(self, c: dict) -> bool:
         element = yield from self.ring_decrypt_element(c)
         return self.params.decode(element) > 0
 
@@ -182,15 +179,12 @@ class P32Process(PdpopProcess):
         if msg.type == "DECR":
             if msg.payload["codename"] in self.decr_codenames:
                 return False  # our ticket coming home: let the waiter match it
-            partial = crypto.strip_share(
-                self.params,
-                crypto.Cyphertext(msg.payload["alpha"], msg.payload["beta"]),
-                self.key_share)
+            partial = crypto.strip_share(self.params, msg.payload,
+                                         self.key_share)
             self.sim.stat("decrypt_partials")
             yield from self.charge_exps(1)
             yield from self.route_to_previous(0, "DECR", {
-                "codename": msg.payload["codename"],
-                "alpha": partial.alpha, "beta": partial.beta}, log=False)
+                "codename": msg.payload["codename"], **partial}, log=False)
             return True
         if msg.type == "ABORT":
             view = self.views[msg.payload["epoch"]]

@@ -52,13 +52,17 @@ class Msg:
 # ------------------------------------------------------- canonical encoding
 
 def encode(obj):
-    """Return ``(copy, wire_size(copy))`` of a canonical payload in one walk.
+    """Return ``(copy, size)`` of a canonical payload in one walk.
+
+    The size is the length of the canonical byte encoding: strings are utf-8
+    with a 4-byte length prefix, integers big-endian with a 4-byte length
+    prefix, containers prefix their item count.
 
     A payload must already be canonical: dicts with ``str`` keys, lists,
     ints, strs, bools and None, matched on their exact type.  Anything else
-    (tuples, floats, subclasses, objects such as tables or cyphertexts)
-    raises TypeError.  The copy has new containers, so the transcript keeps
-    a snapshot that later changes to the sent payload do not reach.
+    (tuples, floats, subclasses, objects such as tables) raises TypeError.
+    The copy has new containers, so the transcript keeps a snapshot that
+    later changes to the sent payload do not reach.
     """
     t = type(obj)
     if t is int:
@@ -110,21 +114,10 @@ def canonical(obj):
 
 
 def wire_size(struct) -> int:
-    """Length of the canonical byte encoding: strings are utf-8 with a
-    4-byte length prefix, integers big-endian with a 4-byte length prefix,
-    containers prefix their item count."""
-    t = type(struct)
-    if t is str:  # every delivery sizes its type string here
+    """Length of the canonical byte encoding, by ``encode``'s rules."""
+    if type(struct) is str:  # every delivery sizes its type string here
         return 4 + (len(struct) if struct.isascii() else len(struct.encode("utf-8")))
-    if t is int:
-        return 5 + ((struct.bit_length() + 7) // 8 or 1)
-    if t is bool or struct is None:
-        return 1
-    if t is list:
-        return 4 + sum(wire_size(v) for v in struct)
-    if t is dict:
-        return 4 + sum(wire_size(k) + wire_size(v) for k, v in struct.items())
-    raise TypeError(f"not canonical: {struct!r}")
+    return encode(struct)[1]
 
 
 # A delivery is sized as {"type": msg.type, "payload": msg.payload}: the

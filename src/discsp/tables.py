@@ -349,17 +349,6 @@ def add_along_axis(t: FeasTable, label, amounts: dict, sign=1) -> FeasTable:
     return FeasTable(list(t.scope), list(map(operator.add, t.entries, shifts)))
 
 
-def tables_equal(t1: FeasTable, t2: FeasTable) -> bool:
-    """Equality up to axis order (value orders must agree per label)."""
-    if set(t1.labels()) != set(t2.labels()):
-        return False
-    try:
-        aligned = align_to(t2, t1)
-    except TableError:
-        return False
-    return aligned.entries == t1.entries
-
-
 def align_to(t: FeasTable, ref: FeasTable) -> FeasTable:
     """Reorder t's axes (and value orders) to match ref's scope."""
     if set(t.labels()) != set(ref.labels()):

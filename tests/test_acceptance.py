@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from conftest import run_gen, solve_dpop
+from conftest import run_gen, solve_dpop, tables_equal
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.experiments import (ExperimentConfig, run_experiment, summarize
@@ -19,7 +19,7 @@ from discsp.oracle import brute_force
 from discsp.p2 import feasible_value, shadow_linear_tables
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
-from discsp.tables import Axis, FeasTable, tables_equal
+from discsp.tables import Axis, FeasTable
 
 RGB = ("R", "B", "G")
 
@@ -184,9 +184,11 @@ def test_criterion_5_crypto_suite():
         key = crypto.combine_public(params, [share.public])
 
         def dec(c, shares=(share,)):
-            return crypto.combine_decrypt(
-                params, c, [crypto.partial_decrypt(params, c, s)
-                            for s in shares])
+            decs = [crypto.partial_decrypt(params, c, s) for s in shares]
+            return params.decode(crypto.recover_element(params, c, decs)) > 0
+
+        def kernel(c):
+            return crypto.rerandomize_entries(params, key, [c], rng)[0]
 
         for a in (False, True):
             for b in (False, True):
@@ -195,13 +197,14 @@ def test_criterion_5_crypto_suite():
                                         crypto.encrypt(params, key, b, rng))
                 if dec(c_or) is not (a or b):
                     failures.append((params.bit_length, "or", a, b))
-                c_and = crypto.and_cleartext(
-                    params, key, crypto.encrypt(params, key, a, rng), b, rng)
+                # P2's AND: the kernel on c for true, on (1, 1) for false.
+                c_and = crypto.encrypt(params, key, a, rng)
+                c_and = kernel(c_and if b else {"alpha": 1, "beta": 1})
                 if dec(c_and) is not (a and b):
                     failures.append((params.bit_length, "and", a, b))
         # rerandomization invariance
         c = crypto.encrypt(params, key, True, rng)
-        c2 = crypto.rerandomize_fresh(params, key, c, rng)
+        c2 = kernel(c)
         if dec(c2) is not True or c2 == c:
             failures.append((params.bit_length, "rerandomize"))
         # compound keys, 1..5 shares
@@ -210,17 +213,16 @@ def test_criterion_5_crypto_suite():
             ckey = crypto.combine_public(params, [s.public for s in shares])
             for bit in (False, True):
                 c = crypto.encrypt(params, ckey, bit, rng)
-                decs = [crypto.partial_decrypt(params, c, s) for s in shares]
-                if crypto.combine_decrypt(params, c, decs) is not bit:
+                if dec(c, shares) is not bit:
                     failures.append((params.bit_length, "compound", k, bit))
     # 512-bit timing
     share = crypto.generate_share(crypto.GROUP_512, rng)
     key = crypto.combine_public(crypto.GROUP_512, [share.public])
     t0 = time.perf_counter()
     c = crypto.encrypt(crypto.GROUP_512, key, True, rng)
-    out = crypto.combine_decrypt(
+    out = crypto.GROUP_512.decode(crypto.recover_element(
         crypto.GROUP_512, c,
-        [crypto.partial_decrypt(crypto.GROUP_512, c, share)])
+        [crypto.partial_decrypt(crypto.GROUP_512, c, share)])) > 0
     ms = (time.perf_counter() - t0) * 1000
     if out is not True or ms >= 50:
         failures.append(("timing", ms))

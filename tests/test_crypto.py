@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discsp import crypto
-from discsp.crypto import (KeyPairShare,
-                           MalformedCyphertext, and_cleartext, combine_decrypt,
-                           encrypt, encrypt_element, fixed_base_pow,
-                           fixed_base_pow_pair,
-                           generate_group,
-                           or_cipher, partial_decrypt, rerandomize,
-                           rerandomize_entries, rerandomize_fresh,
+from discsp.crypto import (CompoundPublicKey, KeyPairShare,
+                           MalformedCyphertext, encrypt, fixed_base_pow,
+                           generate_group, or_cipher, partial_decrypt,
+                           recover_element, rerandomize, rerandomize_entries,
                            split_public_shares, strip_share)
 from discsp.generators import gen_graph_coloring
 from discsp.runtime import RunConfig
@@ -23,11 +20,25 @@ TOY64 = crypto.TOY64_GROUP
 G512 = crypto.GROUP_512
 GROUPS = pytest.mark.parametrize("params", [TOY, TOY64, G512],
                                  ids=["p23", "toy64", "g512"])
+# False encrypted with randomness 0: the input of P2's AND with false.
+ONE = {"alpha": 1, "beta": 1}
 
 
 def keypair(params, rng):
     share = crypto.generate_share(params, rng)
     return share, crypto.combine_public(params, [share.public])
+
+
+def decrypts(params, c, shares) -> bool:
+    """False iff the recovered element is 1; true for a small power of z;
+    anything else raises MalformedCyphertext."""
+    decs = [partial_decrypt(params, c, s) for s in shares]
+    return params.decode(recover_element(params, c, decs)) > 0
+
+
+def fresh(params, key, c, rng):
+    """c re-randomized by the vector kernel, one draw from rng."""
+    return rerandomize_entries(params, key, [c], rng)[0]
 
 
 def test_textbook_values_p23():
@@ -36,12 +47,13 @@ def test_textbook_values_p23():
     share = KeyPairShare(private=6, public=pow(5, 6, 23))
     assert share.public == 8
     key = crypto.combine_public(TOY, [share.public])
-    c = encrypt_element(TOY, key, 1, r=3)
-    assert (c.alpha, c.beta) == (6, 10)
+    c = rerandomize(TOY, key, ONE, r=3)
+    assert c == {"alpha": 6, "beta": 10}
     # decryption share beta^x = 10^6 mod 23 = 6; alpha / 6 = 1 -> false
     s = partial_decrypt(TOY, c, share)
     assert s == 6
-    assert combine_decrypt(TOY, c, [s]) is False
+    assert recover_element(TOY, c, [s]) == 1
+    assert decrypts(TOY, c, [share]) is False
 
 
 @pytest.mark.parametrize("params", [TOY, TOY64], ids=["p23", "toy64"])
@@ -51,8 +63,7 @@ def test_roundtrip_100_randomness(params, bit):
     share, key = keypair(params, rng)
     for _ in range(100):
         c = encrypt(params, key, bit, rng)
-        assert combine_decrypt(TOY if params is TOY else params, c,
-                               [partial_decrypt(params, c, share)]) is bit
+        assert decrypts(params, c, [share]) is bit
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,46 +81,46 @@ def test_rerandomize_chain_preserves_plaintext():
     share, key = keypair(TOY64, rng)
     c = encrypt(TOY64, key, True, rng)
     for _ in range(10):
-        c = rerandomize_fresh(TOY64, key, c, rng)
-    assert combine_decrypt(TOY64, c, [partial_decrypt(TOY64, c, share)]) is True
+        c = fresh(TOY64, key, c, rng)
+    assert decrypts(TOY64, c, [share]) is True
 
 
 def test_rerandomize_changes_representation():
     rng = random.Random(3)
     share, key = keypair(TOY64, rng)
     c = encrypt(TOY64, key, False, rng)
-    c2 = rerandomize_fresh(TOY64, key, c, rng)
-    assert c2.alpha != c.alpha and c2.beta != c.beta
+    c2 = fresh(TOY64, key, c, rng)
+    assert c2["alpha"] != c["alpha"] and c2["beta"] != c["beta"]
+    assert decrypts(TOY64, c2, [share]) is False
 
 
 @GROUPS
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
-    """The vector kernel yields, from an equal-seeded rng, the canonical
-    forms of rerandomize_fresh for each cyphertext and encrypt_element for
-    each (element, 1) pair, drawing one randomness per entry in order.  The
-    element exponent 0 gives the (1, 1) pair of P2's AND with false."""
+    """The vector kernel multiplies each entry by (y**r, g**r) for one
+    r = randrange(1, p - 1) per entry, drawn in entry order: plain pow from
+    an equal-seeded rng gives the same dicts.  Entries are encryptions and
+    fresh {"alpha": z**k, "beta": 1} inputs; k = 0 is P2's AND with false."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     _share, key = keypair(params, rng)
     seed = data.draw(st.integers(0, 2 ** 32))
     old_rng = random.Random(seed)
-    pairs, expected = [], []
-    for fresh, k in data.draw(st.lists(st.tuples(st.booleans(),
-                                                 st.integers(0, 3)),
-                                       max_size=10)):
-        if fresh:
-            element = pow(params.z, k, params.p)
-            pairs.append((element, 1))
-            expected.append(encrypt_element(
-                params, key, element, old_rng.randrange(1, params.p - 1)))
+    p = params.p
+    entries, expected = [], []
+    for is_fresh, k in data.draw(st.lists(st.tuples(st.booleans(),
+                                                    st.integers(0, 3)),
+                                          max_size=10)):
+        if is_fresh:
+            c = {"alpha": pow(params.z, k, p), "beta": 1}
         else:
             c = encrypt(params, key, bool(k % 2), rng)
-            pairs.append((c.alpha, c.beta))
-            expected.append(rerandomize_fresh(params, key, c, old_rng))
+        entries.append(c)
+        r = old_rng.randrange(1, p - 1)
+        expected.append({"alpha": c["alpha"] * pow(key.y, r, p) % p,
+                         "beta": c["beta"] * pow(params.g, r, p) % p})
     new_rng = random.Random(seed)
-    assert rerandomize_entries(params, key, iter(pairs), new_rng) == [
-        {"alpha": c.alpha, "beta": c.beta} for c in expected]
+    assert rerandomize_entries(params, key, iter(entries), new_rng) == expected
     assert new_rng.getstate() == old_rng.getstate()
 
 
@@ -117,17 +128,16 @@ def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
 def test_homomorphism_truth_tables(params):
     rng = random.Random(11)
     share, key = keypair(params, rng)
-
-    def dec(c):
-        return combine_decrypt(params, c, [partial_decrypt(params, c, share)])
-
     for a in (False, True):
         for b in (False, True):
             c = or_cipher(params, encrypt(params, key, a, rng),
                           encrypt(params, key, b, rng))
-            assert dec(c) is (a or b)
-            c = and_cleartext(params, key, encrypt(params, key, a, rng), b, rng)
-            assert dec(c) is (a and b)
+            assert decrypts(params, c, [share]) is (a or b)
+            # P2's AND with a cleartext bit: true keeps the cyphertext,
+            # false takes ONE; the kernel re-randomizes either.
+            c = encrypt(params, key, a, rng)
+            c = fresh(params, key, c if b else ONE, rng)
+            assert decrypts(params, c, [share]) is (a and b)
 
 
 def test_or_of_two_trues_decodes_z_squared():
@@ -135,9 +145,9 @@ def test_or_of_two_trues_decodes_z_squared():
     share, key = keypair(TOY64, rng)
     c = or_cipher(TOY64, encrypt(TOY64, key, True, rng),
                   encrypt(TOY64, key, True, rng))
-    element = crypto.recover_element(TOY64, c, [partial_decrypt(TOY64, c, share)])
+    element = recover_element(TOY64, c, [partial_decrypt(TOY64, c, share)])
     assert element == pow(TOY64.z, 2, TOY64.p)
-    assert combine_decrypt(TOY64, c, [partial_decrypt(TOY64, c, share)]) is True
+    assert decrypts(TOY64, c, [share]) is True
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -148,8 +158,7 @@ def test_compound_key_roundtrip(k):
     assert key.share_count == k
     for bit in (False, True):
         c = encrypt(TOY64, key, bit, rng)
-        decs = [partial_decrypt(TOY64, c, s) for s in shares]
-        assert combine_decrypt(TOY64, c, decs) is bit
+        assert decrypts(TOY64, c, shares) is bit
 
 
 def test_missing_share_surfaces_error():
@@ -159,9 +168,8 @@ def test_missing_share_surfaces_error():
     failures = 0
     for i in range(20):
         c = encrypt(TOY64, key, bool(i % 2), rng)
-        decs = [partial_decrypt(TOY64, c, s) for s in shares[:2]]  # one missing
         try:
-            combine_decrypt(TOY64, c, decs)
+            decrypts(TOY64, c, shares[:2])  # one missing
         except MalformedCyphertext:
             failures += 1
     assert failures == 20
@@ -175,7 +183,7 @@ def test_strip_share_matches_partial_decrypt():
     stripped = c
     for s in shares:
         stripped = strip_share(TOY64, stripped, s)
-    assert TOY64.decode(stripped.alpha) == 1
+    assert TOY64.decode(stripped["alpha"]) == 1
 
 
 def test_split_public_shares_product():
@@ -194,11 +202,9 @@ def test_small_value_encoding_roundtrip():
     rng = random.Random(31)
     share, key = keypair(TOY64, rng)
     for v in (-1, 0, 1):
-        [e] = rerandomize_entries(
-            TOY64, key, [(crypto.encode_small(TOY64, v), 1)], rng)
-        c = crypto.Cyphertext(e["alpha"], e["beta"])
-        element = crypto.recover_element(
-            TOY64, c, [partial_decrypt(TOY64, c, share)])
+        c = fresh(TOY64, key, {"alpha": crypto.encode_small(TOY64, v),
+                               "beta": 1}, rng)
+        element = recover_element(TOY64, c, [partial_decrypt(TOY64, c, share)])
         assert crypto.decode_small(TOY64, element) == v
 
 
@@ -207,7 +213,7 @@ def test_512bit_single_encrypt_decrypt_under_50ms():
     share, key = keypair(G512, rng)
     t0 = time.perf_counter()
     c = encrypt(G512, key, True, rng)
-    out = combine_decrypt(G512, c, [partial_decrypt(G512, c, share)])
+    out = decrypts(G512, c, [share])
     elapsed = time.perf_counter() - t0
     assert out is True
     assert elapsed < 0.050, f"encrypt+decrypt took {elapsed * 1000:.1f} ms"
@@ -224,15 +230,6 @@ def test_group_constants_validate():
         params.validate()
 
 
-def test_randomness_range_checked():
-    rng = random.Random(13)
-    share, key = keypair(TOY, rng)
-    with pytest.raises(crypto.CryptoError):
-        encrypt_element(TOY, key, 1, r=0)
-    with pytest.raises(crypto.CryptoError):
-        encrypt_element(TOY, key, 1, r=TOY.p - 1)
-
-
 # ------------------------------------------------- fixed-base exponentiation
 
 def in_range_exponents(p):
@@ -245,6 +242,12 @@ def out_of_range_exponents(p):
     return st.one_of(st.integers(max_value=-1),
                      st.integers(min_value=1 << p.bit_length(),
                                  max_value=1 << (3 * p.bit_length())))
+
+
+def pair_pow(params, y, e):
+    """(y**e, g**e) mod p as one pair walk: rerandomize on ONE under key y."""
+    c = rerandomize(params, CompoundPublicKey(y, 1), ONE, e)
+    return c["alpha"], c["beta"]
 
 
 def bases(params):
@@ -277,10 +280,9 @@ def test_fixed_base_pow_out_of_range_falls_back_to_pow(params, data):
 @given(data=st.data())
 def test_fixed_base_pow_pair_matches_pow(params, data):
     y = data.draw(bases(params))
-    e = data.draw(st.one_of(in_range_exponents(params.p),
-                            out_of_range_exponents(params.p)))
-    assert fixed_base_pow_pair(y, params.g, e, params.p) == (
-        pow(y, e, params.p), pow(params.g, e, params.p))
+    e = data.draw(in_range_exponents(params.p))
+    assert pair_pow(params, y, e) == (pow(y, e, params.p),
+                                      pow(params.g, e, params.p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,10 +294,13 @@ def test_fixed_base_walks_match_pow_around_the_narrow_cut(bits, data):
                               max_value=(1 << bits) - 1)) | 1
     y, g = (data.draw(st.integers(min_value=2, max_value=p - 1))
             for _ in range(2))
-    e = data.draw(st.one_of(in_range_exponents(p), st.integers(
-        min_value=1 << bits, max_value=1 << (3 * bits))))
-    assert fixed_base_pow(y, e, p) == pow(y, e, p)
-    assert fixed_base_pow_pair(y, g, e, p) == (pow(y, e, p), pow(g, e, p))
+    e = data.draw(in_range_exponents(p))
+    wide = data.draw(st.integers(min_value=1 << bits,
+                                 max_value=1 << (3 * bits)))
+    for exp in (e, wide):
+        assert fixed_base_pow(y, exp, p) == pow(y, exp, p)
+    assert pair_pow(crypto.make_group(p, g), y, e) == (pow(y, e, p),
+                                                       pow(g, e, p))
 
 
 def test_fixed_base_tables_stay_bounded():
@@ -304,7 +309,7 @@ def test_fixed_base_tables_stay_bounded():
         for _ in range(6):
             y = pow(params.g, rng.randrange(1, params.p - 1), params.p)
             e = rng.randrange(params.p)
-            fixed_base_pow_pair(y, params.g, e, params.p)
+            pair_pow(params, y, e)
             fixed_base_pow(y, e, params.p)
     for cache in (crypto._fixed_base_table, crypto._pair_table):
         info = cache.cache_info()
@@ -325,7 +330,7 @@ def test_pair_tables_share_the_single_base_rows():
     p, g = TOY64.p, TOY64.g
     rng = random.Random(5)
     y = pow(g, rng.randrange(1, p - 1), p)
-    fixed_base_pow_pair(y, g, rng.randrange(p), p)
+    pair_pow(TOY64, y, rng.randrange(p))
     for _ in range(crypto._fixed_base_table.cache_info().maxsize):
         fixed_base_pow(pow(g, rng.randrange(1, p - 1), p), rng.randrange(p), p)
     pair = crypto._pair_table(y, g, p)
@@ -342,8 +347,8 @@ def test_strip_share_divides_out_partial_decrypt(params, seed):
     share, key = keypair(params, rng)
     c = encrypt(params, key, bool(seed % 2), rng)
     inverse = pow(partial_decrypt(params, c, share), -1, params.p)
-    assert strip_share(params, c, share) == crypto.Cyphertext(
-        alpha=c.alpha * inverse % params.p, beta=c.beta)
+    assert strip_share(params, c, share) == {
+        "alpha": c["alpha"] * inverse % params.p, "beta": c["beta"]}
 
 
 # SHA-256 of Transcript.to_jsonl() for one small encrypted run per solver,

@@ -1,12 +1,12 @@
 import itertools
 
-from conftest import build_dfs_tree, elect_root, solve_dpop
+from conftest import build_dfs_tree, elect_root, solve_dpop, tables_equal
 from discsp import dpop
 from discsp.generators import gen_graph_coloring
 from discsp.model import Constraint, Problem, evaluate
 from discsp.oracle import brute_force, subtree_min_table
 from discsp.solvers import run_solver
-from discsp.tables import Axis, FeasTable, tables_equal
+from discsp.tables import Axis, FeasTable
 
 RGB = ("R", "B", "G")
 

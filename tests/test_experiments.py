@@ -182,6 +182,38 @@ def test_cli_rejects_a_non_positive_timeout(tmp_path, capsys, command, secs):
     assert f"--timeout-secs: must be positive, got {secs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--key-bits", "3", "must be at least 5, got 3"),
+    ("--key-bits", "-512", "must be at least 5, got -512"),
+    ("--b-bits", "-3", "must be non-negative, got -3"),
+    ("--incr-min", "-1", "must be non-negative, got -1"),
+])
+def test_cli_rejects_an_unusable_solver_config(tmp_path, capsys, command, flag,
+                                               value, message):
+    # Each would otherwise end the run in a traceback: a group too small for
+    # a safe prime, a negative shift count or an empty randrange.
+    out = tmp_path / "instance.discsp"
+    assert main(["gen", "--size", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = [str(out)] if command == "solve" else ["--out", str(tmp_path / "b")]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_keeps_zero_obfuscation_and_dense_ids(tmp_path, capsys):
+    out = tmp_path / "instance.discsp"
+    assert main(["gen", "--size", "4", "--out", str(out)]) == 0
+    for solver in ("pdpop_plus", "p32"):
+        assert main(["solve", str(out), "--solver", solver, "--key-bits", "5",
+                     "--b-bits", "0", "--incr-min", "0"]) == 0
+    assert capsys.readouterr().out.count("feasible: True") == 2
+
+
 def test_cli_bench_writes_csvs(tmp_path, capsys):
     prefix = str(tmp_path / "bench")
     code = main(["bench", "--family", "coloring", "--sizes", "3",

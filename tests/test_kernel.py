@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _run_phases, assign_unique_ids, build_dfs_tree, elect_root
+from conftest import (_run_phases, assign_unique_ids, build_dfs_tree,
+                      elect_root, tree_from_parents)
 from discsp.generators import (figure2_tree_hints, gen_graph_coloring,
                                gen_party_game)
 from discsp.kernel import (IdAssignment, KernelError, circular_order,
-                           route_hop, to_previous_hop, tree_from_parents)
+                           route_hop, to_previous_hop)
 from discsp.model import Constraint, Problem
 from discsp.runtime import derive_rng
 

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from conftest import build_dfs_tree, elect_root, infeasible_triangle, run_gen
+from conftest import (build_dfs_tree, elect_root, infeasible_triangle,
+                      run_gen, tables_equal)
 from discsp import crypto, p2
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -13,7 +14,7 @@ from discsp.oracle import brute_force
 from discsp.p2 import boolean_local_join, feasible_value, shadow_linear_tables
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
-from discsp.tables import Axis, FeasTable, tables_equal
+from discsp.tables import Axis, FeasTable
 
 RGB = ("R", "B", "G")
 CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2, debug=True)
@@ -160,7 +161,6 @@ def test_encrypted_join_rejects_two_cyphertexts(fig1):
     share = crypto.generate_share(proc.params, rng)
     proc.compound = crypto.combine_public(proc.params, [share.public])
     c = crypto.encrypt(proc.params, proc.compound, True, rng)
-    c = {"alpha": c.alpha, "beta": c.beta}
     enc = FeasTable([Axis("x1", RGB)], [c, c, c])
     with pytest.raises(p2.P2Error):
         proc.encrypted_join(enc, enc)

@@ -3,13 +3,13 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import tables_equal
 from discsp import tables
 from discsp.tables import (Axis, CodenameClash, FeasTable, TableError,
                            _feeds_by_label, _gather, _index_map,
                            add_along_axis, align_to, diagonal_merge, join,
                            project, project_min, relabel_axis,
-                           reorder_axis_values, resolve_codename,
-                           tables_equal, zero_table)
+                           reorder_axis_values, resolve_codename, zero_table)
 
 RGB = ("R", "B", "G")
 
