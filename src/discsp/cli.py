@@ -15,8 +15,15 @@ from .runtime import RunConfig, SimTimeout
 from .solvers import SOLVERS, run_solver
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return n
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(_size(tok) for tok in text.split(",") if tok.strip())
 
 
 def _csv_strs(text: str) -> tuple[str, ...]:
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark experiment grid")
     bench.add_argument("--family", choices=sorted(FAMILIES), default="coloring")
-    bench.add_argument("--sizes", type=_csv_ints, default=(3, 4, 5),
+    bench.add_argument("--sizes", type=_sizes, default=(3, 4, 5),
                        help="comma-separated instance sizes")
     bench.add_argument("--instances", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a benchmark instance file")
     gen.add_argument("--family", choices=sorted(FAMILIES), default="coloring")
-    gen.add_argument("--size", type=int, default=5)
+    gen.add_argument("--size", type=_size, default=5)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     return parser

@@ -86,14 +86,14 @@ class DpopProcess(KernelProcess):
             dm = yield from self.get(
                 lambda msg: msg.type == "DECISION" and msg.sender == view.parent)
             decided = assignment_from_pairs(dm.payload["assignment"])
-            my_value = best.lookup(decided)
+            my_value = best.get(decided)
             feasible = None
             min_count = None
         else:
             final, best = project_min(m, x)
             yield from self.charge(m.size())
             min_count = final.entries[0]
-            my_value = best.choices[0]
+            my_value = best.entries[0]
             feasible = min_count == 0
         decided[x] = my_value
 

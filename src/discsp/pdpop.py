@@ -2,10 +2,12 @@
 
 Variable names and domain values crossing back-edges are replaced by large
 random codenames generated by the back-edge root and resolved only when the
-propagation reaches it again.  Feasibility values are obfuscated two ways:
-a single random number added to the positive entries of each local join
+propagation reaches it again; coding an axis and resolving it are each one
+`resolve_codename` gather.  Feasibility values are obfuscated two ways: a
+single random number added to the positive entries of each local join
 (never subtracted, preserving the zero pattern), and per-value obfuscation
-keys added at the leaf of each back-edge and subtracted at its root.
+keys added at the leaf of each back-edge and subtracted at its root, each
+key joined as a one-axis table.
 
 The "plus" variant sends a distinct codename package to every
 (pseudo-)child, improving topology privacy at the cost of wider separators;
@@ -22,8 +24,7 @@ from .kernel import KernelProcess, PseudoTreeView
 from .model import Constraint
 from .runtime import Sim
 from .solvers import register_solver
-from .tables import (Axis, FeasTable, add_along_axis, join, map_entries,
-                     project_min, relabel_axis, reorder_axis_values,
+from .tables import (Axis, FeasTable, join, map_entries, project_min,
                      resolve_codename)
 
 CODE_BITS = 128
@@ -51,9 +52,6 @@ class CodenamePackage:
     def code_of(self, value, domain) -> int:
         return self.domain_codes[list(domain).index(value)]
 
-    def value_of(self, code, domain):
-        return list(domain)[self.domain_codes.index(code)]
-
     def code_to_value(self, domain) -> dict:
         return {c: v for c, v in zip(self.domain_codes, domain)}
 
@@ -80,12 +78,6 @@ def obfuscate_infeasible(t: FeasTable, r: int) -> FeasTable:
     if r < 0:
         raise PdpopError("obfuscation amount must be non-negative")
     return map_entries(t, lambda e: e + r if e > 0 else e)
-
-
-def apply_key(t: FeasTable, label, amounts: dict, direction: str) -> FeasTable:
-    """Add ("add") or subtract ("subtract") a per-value key along one axis."""
-    sign = {"add": 1, "subtract": -1}[direction]
-    return add_along_axis(t, label, amounts, sign)
 
 
 class PdpopProcess(KernelProcess):
@@ -158,10 +150,9 @@ class PdpopProcess(KernelProcess):
             if y not in t.labels():
                 continue
             pkg = self.recv_packages[(epoch, y)]
-            coded = tuple(pkg.code_of(v, problem.domains[y])
-                          for v in t.scope[t.axis(y)].values)
-            t = relabel_axis(t, y, pkg.var_code, coded)
-            t = reorder_axis_values(t, pkg.var_code, pkg.coded_axis_values())
+            t = resolve_codename(t, y, pkg.var_code,
+                                 dict(zip(problem.domains[y], pkg.domain_codes)),
+                                 pkg.coded_axis_values())
         return t
 
     def coded_local_join(self, view: PseudoTreeView, epoch: int) -> FeasTable:
@@ -206,7 +197,7 @@ class PdpopProcess(KernelProcess):
         domain = self.sim.problem.domains[x]
         for z in view.pseudo_children:
             key = self.sent_keys[(epoch, z)]
-            m = apply_key(m, x, dict(zip(domain, key)), "subtract")
+            m = join(m, FeasTable([Axis(x, domain)], [-k for k in key]))
         if view.is_root:
             if m.labels() != [x]:
                 raise PdpopError(
@@ -214,26 +205,21 @@ class PdpopProcess(KernelProcess):
             final, best = project_min(m, x)
             yield from self.charge(m.size())
             min_count = final.entries[0]
-            return (min_count == 0, min_count, best.choices[0], None, seps)
+            return (min_count == 0, min_count, best.entries[0], None, seps)
         out, best = project_min(m, x)
         yield from self.charge(m.size())
         for y in view.pseudo_parents:
             pkg = self.recv_packages[(epoch, y)]
             key = self.recv_keys[(epoch, y)]
-            dom_y = self.sim.problem.domains[y]
-            amounts = {pkg.code_of(v, dom_y): key[i]
-                       for i, v in enumerate(dom_y)}
-            if pkg.var_code not in out.labels():
-                # The back-edge constraint joined deeper in the subtree (its
-                # scope reaches below this variable), so the coded axis is
-                # absent here.  Broadcast the table along it so the key can
-                # ride to the back-edge root, which de-obfuscates every
-                # pseudo-child unconditionally.
-                flat = FeasTable(
-                    [Axis(pkg.var_code, pkg.coded_axis_values())],
-                    [0] * len(pkg.domain_codes))
-                out = join(out, flat)
-            out = apply_key(out, pkg.var_code, amounts, "add")
+            # The key axis lists the coded values in the package's permuted
+            # order; listed unpermuted, it would expose sigma.  If the
+            # back-edge constraint joined deeper in the subtree, the coded
+            # axis is absent and the join broadcasts the table along it, so
+            # the key still rides up to the back-edge root, which subtracts
+            # every pseudo-child's key unconditionally.
+            out = join(out, FeasTable(
+                [Axis(pkg.var_code, pkg.coded_axis_values())],
+                [key[j] for j in pkg.sigma]))
         payload = table_to_payload(out)
         payload["epoch"] = epoch
         self.sim.log_logical("FEAS", sep=len(out.scope))
@@ -254,7 +240,7 @@ class PdpopProcess(KernelProcess):
                 lambda m: m.type == "DECISION" and m.sender == view.parent
                 and m.payload["epoch"] == epoch)
             decided = assignment_from_pairs(dm.payload["assignment"])
-            my_value = best.lookup(decided)
+            my_value = best.get(decided)
         own_codes = {pkg.var_code: pkg
                      for (ep, _z), pkg in self.sent_packages.items()
                      if ep == epoch}

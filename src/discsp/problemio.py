@@ -121,6 +121,8 @@ def loads(text: str) -> Problem:
         if len(toks) != 6 + arity or toks[4 + arity] != "forbidden":
             raise ModelError(f"malformed constraint header {toks}")
         count = _int(toks[5 + arity])
+        if count < 0:
+            raise ModelError(f"constraint {name} has a negative forbidden count")
         unknown = [x for x in scope if x not in domains]
         if unknown:
             raise ModelError(f"constraint {name} scope names undeclared "

@@ -3,7 +3,7 @@
 A FeasTable maps every assignment of its scope to an entry.  Entries are
 non-negative ints for violation-count propagation, bools for the cleartext
 boolean pipeline, and cyphertexts for the encrypted pipeline; the structural
-operations (join, project, relabel, diagonal merge) are entry-agnostic.
+operations (join, project, resolve_codename) are entry-agnostic.
 
 Axes are labelled either by a real variable name (str) or by a codename
 (int); each axis carries the ordered tuple of values it ranges over, which
@@ -70,9 +70,6 @@ class FeasTable:
                 return i
         raise TableError(f"label {label!r} not in scope {self.labels()}")
 
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(a.values) for a in self.scope)
-
     def index_of(self, positions) -> int:
         idx = 0
         for a, p in zip(self.scope, positions):
@@ -88,15 +85,6 @@ class FeasTable:
             except (KeyError, ValueError):
                 raise TableError(f"no value for axis {a.label!r}") from None
         return self.entries[self.index_of(pos)]
-
-    def iter_cells(self):
-        """Yield (positions tuple, entry)."""
-        ranges = [range(len(a.values)) for a in self.scope]
-        for i, pos in enumerate(itertools.product(*ranges)):
-            yield pos, self.entries[i]
-
-    def copy(self) -> "FeasTable":
-        return FeasTable(list(self.scope), list(self.entries))
 
     def canonical(self):
         """JSON-able structure used for wire encoding and audits."""
@@ -117,7 +105,8 @@ def _index_map(src_scope: list[Axis], out_scope: list[Axis],
     `feeds[k]` lists the (source axis, remap) pairs output axis k reads:
     position p on output axis k is position remap[p] on each listed source
     axis.  An output axis that reads none repeats the source along it (join
-    broadcasting an operand); diagonal_merge has one output axis read two.
+    broadcasting an operand); resolve_codename merging onto an existing
+    axis has one output axis read two.
     No source axis is read by more than one output axis.
     Without `feeds`, each output axis reads the source axis of its label,
     matched by value.  The map is built by expanding per-axis offsets, so
@@ -167,7 +156,7 @@ def _gather(t: FeasTable, out_scope: list[Axis], feeds=None) -> list:
     unpermuted, is a contiguous block of B source cells, copied as one
     slice.  The index map then covers only the remaining prefix: one block
     start per B * R output cells.  Runs of fewer than `_MIN_BLOCK` cells
-    are read one index per cell instead.  A source axis that a diagonal
+    are read one index per cell instead.  A source axis that a merging
     feed reads is missing from the output, so no run passes it.
     """
     if feeds is None:
@@ -233,25 +222,9 @@ def project(t: FeasTable, label, reduce_fn) -> FeasTable:
     return FeasTable(scope, [reduce_fn(list(col)) for col in columns])
 
 
-@dataclass
-class BestResponse:
-    """Argmin record: for each assignment of the post-projection scope, a
-    minimizing value of the projected variable."""
-
-    variable: str
-    scope: list[Axis]
-    choices: list  # values of `variable`, row-major over `scope`
-
-    def lookup(self, assignment: dict):
-        dummy = FeasTable(list(self.scope), list(self.choices))
-        try:
-            return dummy.get(assignment)
-        except TableError as e:
-            raise TableError(f"decision lookup miss for {self.variable}: {e}") from e
-
-
-def project_min(t: FeasTable, label) -> tuple[FeasTable, BestResponse]:
-    """Minimize out `label`, recording a minimizing value per remaining cell.
+def project_min(t: FeasTable, label) -> tuple[FeasTable, FeasTable]:
+    """Minimize out `label`: the table of minima, and over the same scope
+    the table of minimizing values of `label` (the best response).
 
     Ties break toward the lowest domain index.
     """
@@ -262,95 +235,41 @@ def project_min(t: FeasTable, label) -> tuple[FeasTable, BestResponse]:
         c = min(col)  # the first minimal entry; index() finds its position
         mins.append(c)
         choices.append(values[col.index(c)])
-    return FeasTable(scope, mins), BestResponse(str(label), list(scope), choices)
+    return FeasTable(scope, mins), FeasTable(list(scope), choices)
 
 
-def relabel_axis(t: FeasTable, old_label, new_label, new_values) -> FeasTable:
-    """Rename an axis and substitute its value tokens positionally.
+def resolve_codename(t: FeasTable, label, new_label, mapping,
+                     order) -> FeasTable:
+    """Rewrite axis `label` as axis `new_label`, in one gather.
 
-    new_values[i] replaces the value at position i; used to swap a real
-    variable/domain for its codename/value-codes (in permuted order the
-    caller chose) and back.
+    Value v becomes `mapping[v]`, and the new values are listed in `order`:
+    this codes a real variable's axis (in the permuted order the caller
+    chose) and resolves a coded one back.  If `new_label` already labels
+    another axis, that axis stays as it is and the rewritten one merges into
+    it: only the cells where both carry the same value are kept.
     """
-    k = t.axis(old_label)
-    new_values = tuple(new_values)
-    if len(new_values) != len(t.scope[k].values):
-        raise TableError("relabel value count mismatch")
-    scope = list(t.scope)
-    scope[k] = Axis(new_label, new_values)
-    return FeasTable(scope, list(t.entries))
-
-
-def reorder_axis_values(t: FeasTable, label, new_order) -> FeasTable:
-    """Permute the listed order of one axis's values (entries follow)."""
-    scope = list(t.scope)
-    scope[t.axis(label)] = Axis(label, new_order)
-    return FeasTable(scope, _gather(t, scope))
-
-
-def diagonal_merge(t: FeasTable, label_a, label_b) -> FeasTable:
-    """Collapse two axes known to denote the same variable.
-
-    Keeps axis `label_a`; selects entries where both axes carry the same
-    value.  Both axes must range over the same value set.
-    """
-    ka, kb = t.axis(label_a), t.axis(label_b)
-    if ka == kb:
-        raise TableError(f"diagonal merge of axis {label_a!r} with itself")
-    a, b = t.scope[ka], t.scope[kb]
-    if set(a.values) != set(b.values):
-        raise TableError("diagonal merge on mismatched value sets")
-    out_scope = [ax for j, ax in enumerate(t.scope) if j != kb]
-    feeds = [[(j, range(len(ax.values)))]
-             for j, ax in enumerate(t.scope) if j != kb]
-    feeds[ka if ka < kb else ka - 1].append(
-        (kb, [b.values.index(v) for v in a.values]))
-    return FeasTable(out_scope, _gather(t, out_scope, feeds))
-
-
-def resolve_codename(t: FeasTable, code_label, variable, code_to_value,
-                     domain) -> FeasTable:
-    """Turn a coded axis back into its real variable.
-
-    `code_to_value` maps each value-code to the real domain value.  The axis
-    is relabelled, decoded, and reordered to the real domain order; if the
-    table already has an axis for `variable`, the two are diagonal-merged.
-    """
-    k = t.axis(code_label)
-    decoded = tuple(code_to_value[c] for c in t.scope[k].values)
-    if set(decoded) != set(domain):
-        raise TableError(f"codename {code_label} does not decode onto {variable}'s domain")
-    tmp_label = (variable, "__resolving__")
-    out = relabel_axis(t, code_label, tmp_label, decoded)
-    out = reorder_axis_values(out, tmp_label, tuple(domain))
-    if variable in [a.label for a in out.scope]:
-        out = relabel_axis(out, tmp_label, (variable, "__dup__"),
-                           out.scope[out.axis(tmp_label)].values)
-        out = diagonal_merge(out, variable, (variable, "__dup__"))
+    if new_label == label:
+        raise TableError(f"axis {label!r} recoded onto its own label")
+    k = t.axis(label)
+    src = t.scope[k].values
+    where = {mapping[v]: p for p, v in enumerate(src)}  # new value -> position
+    merge = new_label in t.labels()
+    if merge:
+        j = t.axis(new_label)
+        order = t.scope[j].values
+    if len(where) != len(src) or where.keys() != set(order):
+        raise TableError(f"axis {label!r} does not map onto the values {order}")
+    out_scope = list(t.scope)
+    feeds = [[(i, range(len(a.values)))] for i, a in enumerate(t.scope)]
+    remap = [where[w] for w in order]
+    if merge:
+        feeds[j].append((k, remap))
+        del feeds[k], out_scope[k]
     else:
-        out = relabel_axis(out, tmp_label, variable,
-                           out.scope[out.axis(tmp_label)].values)
-    return out
+        feeds[k] = [(k, remap)]
+        out_scope[k] = Axis(new_label, order)
+    return FeasTable(out_scope, _gather(t, out_scope, feeds))
 
 
 def map_entries(t: FeasTable, fn) -> FeasTable:
     return FeasTable(list(t.scope), [fn(e) for e in t.entries])
-
-
-def add_along_axis(t: FeasTable, label, amounts: dict, sign=1) -> FeasTable:
-    """Add (or subtract) a per-value amount along one axis.
-
-    `amounts` maps each of the axis's listed values to an integer; every
-    entry in that value's slice is shifted by sign * amount.
-    """
-    axis = t.scope[t.axis(label)]
-    shift = FeasTable([axis], [sign * amounts[v] for v in axis.values])
-    shifts = _gather(shift, t.scope)
-    return FeasTable(list(t.scope), list(map(operator.add, t.entries, shifts)))
-
-
-def align_to(t: FeasTable, ref: FeasTable) -> FeasTable:
-    """Reorder t's axes (and value orders) to match ref's scope."""
-    if set(t.labels()) != set(ref.labels()):
-        raise TableError(f"cannot align scope {t.labels()} to {ref.labels()}")
-    return FeasTable(list(ref.scope), _gather(t, ref.scope))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from discsp.dpop import DpopProcess
@@ -5,7 +7,7 @@ from discsp.generators import figure1_instance, figure2_tree_hints
 from discsp.kernel import KernelError, KernelProcess, PseudoTreeView
 from discsp.model import Constraint, Problem
 from discsp.runtime import RunConfig, Sim
-from discsp.tables import FeasTable, TableError, align_to
+from discsp.tables import FeasTable, TableError, _gather
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,19 @@ def infeasible_triangle():
         for a, b in (("u", "v"), ("v", "w"), ("u", "w")))
     return Problem(tuple(owner.values()), ("u", "v", "w"), owner,
                    {x: dom for x in owner}, cons)
+
+
+def align_to(t: FeasTable, ref: FeasTable) -> FeasTable:
+    """Reorder t's axes (and value orders) to match ref's scope."""
+    if set(t.labels()) != set(ref.labels()):
+        raise TableError(f"cannot align scope {t.labels()} to {ref.labels()}")
+    return FeasTable(list(ref.scope), _gather(t, ref.scope))
+
+
+def iter_cells(t: FeasTable):
+    """Yield (positions tuple, entry) for every cell of t, row-major."""
+    ranges = [range(len(a.values)) for a in t.scope]
+    yield from zip(itertools.product(*ranges), t.entries)
 
 
 def tables_equal(t1: FeasTable, t2: FeasTable) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 
-from conftest import build_dfs_tree, elect_root, solve_dpop, tables_equal
+from conftest import (build_dfs_tree, elect_root, iter_cells, solve_dpop,
+                      tables_equal)
 from discsp import dpop
 from discsp.generators import gen_graph_coloring
 from discsp.model import Constraint, Problem, evaluate
@@ -121,7 +122,7 @@ def test_feas_semantics_against_subtree_oracle():
 
         for (sender, _recv), t in feas_tables_from_transcript(transcript).items():
             free = subtree(sender)
-            for pos, entry in t.iter_cells():
+            for pos, entry in iter_cells(t):
                 fixed = {a.label: a.values[j]
                          for a, j in zip(t.scope, pos)}
                 assert entry == subtree_min_table(p, fixed, free)

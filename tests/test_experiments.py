@@ -205,6 +205,22 @@ def test_cli_rejects_an_unusable_solver_config(tmp_path, capsys, command, flag,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, flag, bad", [
+    (["gen", "--size", "0"], "--size", "0"),
+    (["gen", "--size", "-2"], "--size", "-2"),
+    (["bench", "--sizes", "0"], "--sizes", "0"),
+    (["bench", "--sizes", "3,0"], "--sizes", "0"),
+])
+def test_cli_rejects_a_size_below_one(tmp_path, capsys, args, flag, bad):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must be at least 1, got {bad}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_keeps_zero_obfuscation_and_dense_ids(tmp_path, capsys):
     out = tmp_path / "instance.discsp"
     assert main(["gen", "--size", "4", "--out", str(out)]) == 0

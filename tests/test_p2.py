@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from conftest import (build_dfs_tree, elect_root, infeasible_triangle,
-                      run_gen, tables_equal)
+                      iter_cells, run_gen, tables_equal)
 from discsp import crypto, p2
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -72,7 +72,7 @@ def test_shadow_equals_boolean_dp_per_step():
             covered = [c for c in p.constraints
                        if set(c.scope) & set(suffix)
                        and set(c.scope) <= set(suffix) | set(map(str, t.labels()))]
-            for pos, entry in t.iter_cells():
+            for pos, entry in iter_cells(t):
                 fixed = {a.label: a.values[j] for a, j in zip(t.scope, pos)}
                 exists = False
                 for values in itertools.product(

@@ -6,11 +6,10 @@ from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring, gen_party_game
 from discsp.model import evaluate
 from discsp.oracle import brute_force
-from discsp.pdpop import (apply_key, make_codename_package,
-                          obfuscate_infeasible)
+from discsp.pdpop import make_codename_package, obfuscate_infeasible
 from discsp.runtime import RunConfig, derive_rng
 from discsp.solvers import run_solver
-from discsp.tables import Axis, FeasTable
+from discsp.tables import Axis, FeasTable, join
 
 RGB = ("R", "B", "G")
 
@@ -26,7 +25,7 @@ def test_codename_package_shapes():
     assert len(set(pkg.domain_codes)) == 3
     assert sorted(pkg.sigma) == [0, 1, 2]
     assert set(pkg.coded_axis_values()) == set(pkg.domain_codes)
-    assert pkg.value_of(pkg.code_of("B", RGB), RGB) == "B"
+    assert pkg.code_to_value(RGB)[pkg.code_of("B", RGB)] == "B"
 
 
 def test_obfuscate_infeasible_preserves_zero_pattern():
@@ -42,26 +41,20 @@ def test_obfuscate_all_zero_unchanged():
 
 
 def test_apply_keys_figure4c_columns():
-    # Reference table rows x4, columns coded x2; the key is indexed by the
-    # coded variable's values.
+    # Reference table rows x4, columns coded x2; the key is a one-axis
+    # table over the coded variable's values, listed in another order.
     cols = ("alpha", "beta", "gamma")
     t = table([("x4", RGB), (928372, cols)],
               [0, 0, 0,
                0, 0, 1,
                0, 1, 0])
-    key = {"alpha": 620961, "beta": 983655, "gamma": 534687}
-    out = apply_key(t, 928372, key, "add")
+    key = {"gamma": 534687, "alpha": 620961, "beta": 983655}
+    out = join(t, table([(928372, tuple(key))], key.values()))
     assert out.entries == [620961, 983655, 534687,
                            620961, 983655, 534688,
                            620961, 983656, 534687]
-    back = apply_key(out, 928372, key, "subtract")
+    back = join(out, table([(928372, tuple(key))], [-k for k in key.values()]))
     assert back.entries == t.entries
-
-
-def test_apply_key_missing_label():
-    t = table([("x", RGB)], [0, 0, 0])
-    with pytest.raises(Exception):
-        apply_key(t, "nope", {"R": 1, "B": 1, "G": 1}, "add")
 
 
 # -- protocol ---------------------------------------------------------------------

@@ -3,13 +3,11 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import tables_equal
+from conftest import align_to, iter_cells, tables_equal
 from discsp import tables
 from discsp.tables import (Axis, CodenameClash, FeasTable, TableError,
-                           _feeds_by_label, _gather, _index_map,
-                           add_along_axis, align_to, diagonal_merge, join,
-                           project, project_min, relabel_axis,
-                           reorder_axis_values, resolve_codename, zero_table)
+                           _feeds_by_label, _gather, _index_map, join,
+                           project, project_min, resolve_codename, zero_table)
 
 RGB = ("R", "B", "G")
 
@@ -57,15 +55,16 @@ def test_project_min_records_lowest_index_tie():
     assert out.labels() == ["y"]
     assert out.entries == [0, 0]
     # u-column ties (R and B both 0) break toward the lowest domain index
-    assert best.choices == ["R", "G"]
-    assert best.lookup({"y": "u"}) == "R"
+    assert best.labels() == ["y"]
+    assert best.entries == ["R", "G"]
+    assert best.get({"y": "u", "x": "G"}) == "R"
 
 
 def test_project_full_reduction_scalar():
     t = table([("x", RGB)], [4, 2, 7])
     out, best = project_min(t, "x")
     assert out.labels() == ["__unit__"]
-    assert out.entries == [2] and best.choices == ["B"]
+    assert out.entries == [2] and best.entries == ["B"]
 
 
 def test_project_generic_reduce():
@@ -74,22 +73,22 @@ def test_project_generic_reduce():
     assert out.entries == [True, False]
 
 
-def test_add_along_axis_roundtrip():
+def test_key_join_roundtrip():
     t = table([("x", RGB), ("y", ("u", "v"))], list(range(6)))
-    key = {"R": 100, "B": 200, "G": 300}
-    up = add_along_axis(t, "x", key, 1)
+    up = join(t, table([("x", ("G", "R", "B"))], [300, 100, 200]))
+    assert up.scope == t.scope
     assert up.entries == [100, 101, 202, 203, 304, 305]
-    down = add_along_axis(up, "x", key, -1)
+    down = join(up, table([("x", RGB)], [-100, -200, -300]))
     assert down.entries == t.entries
 
 
 def test_relabel_and_reorder():
     t = table([("x", RGB)], [1, 2, 3])
-    coded = relabel_axis(t, "x", 999, (11, 22, 33))
+    coded = resolve_codename(t, "x", 999, {"R": 11, "B": 22, "G": 33},
+                             (22, 33, 11))
     assert coded.labels() == [999]
-    assert coded.scope[0].values == (11, 22, 33)
-    shuffled = reorder_axis_values(coded, 999, (22, 33, 11))
-    assert shuffled.entries == [2, 3, 1]
+    assert coded.scope[0].values == (22, 33, 11)
+    assert coded.entries == [2, 3, 1]
 
 
 def test_resolve_codename_reorders_and_decodes():
@@ -110,15 +109,19 @@ def test_resolve_codename_diagonal_merge():
 
 
 def test_diagonal_merge_mismatched_values():
-    t = table([("x", RGB), ("y", ("u", "v"))], [0] * 6)
-    with pytest.raises(TableError):
-        diagonal_merge(t, "x", "y")
+    t = table([("x", RGB), (999, (5, 6, 7))], [0] * 9)
+    # A value outside the target values, and two codes onto one value; both
+    # when merging onto axis x and when making a new axis z.
+    for mapping in ({5: "R", 6: "B", 7: "Y"}, {5: "R", 6: "B", 7: "R"}):
+        for new_label in ("x", "z"):
+            with pytest.raises(TableError):
+                resolve_codename(t, 999, new_label, mapping, RGB)
 
 
 def test_diagonal_merge_of_an_axis_with_itself():
     t = table([("x", RGB), ("y", ("u", "v"))], list(range(6)))
     with pytest.raises(TableError):
-        diagonal_merge(t, "x", "x")
+        resolve_codename(t, "x", "x", {v: v for v in RGB}, RGB)
 
 
 def test_align_and_equality():
@@ -180,7 +183,7 @@ def table_and_label(draw):
 
 def assignments(t):
     """{label: value} for every cell of t, row-major."""
-    for pos, _ in t.iter_cells():
+    for pos, _ in iter_cells(t):
         yield {a.label: a.values[p] for a, p in zip(t.scope, pos)}
 
 
@@ -207,23 +210,30 @@ def test_project_min_of_join_is_brute_force_min(pair, data):
     out, best = project_min(m, label)
     rest = [lbl for lbl in m.labels() if lbl != label]
     assert out.labels() == (rest or ["__unit__"])
+    assert best.scope == out.scope
     cells = list(assignments(out)) if rest else [{}]
     for i, cell in enumerate(cells):
         costs = [m.get({**cell, label: v}) for v in values]
         assert out.entries[i] == min(costs)
         # ties go to the lowest index on the axis's listed order
-        assert best.choices[i] == values[costs.index(min(costs))]
+        assert best.entries[i] == values[costs.index(min(costs))]
 
 
 @PROPS
 @given(table_and_label(), st.data())
 def test_resolve_codename_inverts_relabel_and_reorder(tl, data):
+    # Coding an axis under any permutation, then resolving it, returns t.
     t, label = tl
     values = t.scope[t.axis(label)].values
     codes = data.draw(st.permutations(range(100, 100 + len(values))))
     code_of = dict(zip(values, codes))
-    coded = relabel_axis(t, label, 999, [code_of[v] for v in values])
-    coded = reorder_axis_values(coded, 999, data.draw(st.permutations(codes)))
+    coded = resolve_codename(t, label, 999, code_of,
+                             data.draw(st.permutations(codes)))
+    assert coded.labels() == [999 if lbl == label else lbl
+                              for lbl in t.labels()]
+    for cell in assignments(t):
+        coded_cell = {**cell, 999: code_of[cell[label]]}
+        assert coded.get(coded_cell) == t.get(cell)
     back = resolve_codename(coded, 999, label,
                             {c: v for v, c in code_of.items()}, values)
     assert back.scope == t.scope
@@ -233,43 +243,77 @@ def test_resolve_codename_inverts_relabel_and_reorder(tl, data):
 @PROPS
 @given(table_and_label(), st.data())
 def test_diagonal_merge_selects_the_diagonal(tl, data):
+    # Resolving a codename onto an axis already in the table matches the
+    # per-cell reference: the cells where both axes carry the same value.
     t, label = tl
-    dup = Axis("dup", data.draw(st.permutations(t.scope[t.axis(label)].values)))
+    values = t.scope[t.axis(label)].values
+    code_of = {v: f"code-{v}" for v in values}
+    dup = Axis("dup", data.draw(st.permutations(list(code_of.values()))))
     k = data.draw(st.integers(0, len(t.scope)))
     scope = t.scope[:k] + [dup] + t.scope[k:]
     n = math.prod(len(a.values) for a in scope)
     wide = FeasTable(scope, data.draw(
         st.lists(st.integers(0, 9), min_size=n, max_size=n)))
-    merged = diagonal_merge(wide, label, "dup")
+    merged = resolve_codename(wide, "dup", label,
+                              {c: v for v, c in code_of.items()},
+                              data.draw(st.permutations(values)))
     assert merged.scope == t.scope
     for cell in assignments(merged):
-        assert merged.get(cell) == wide.get({**cell, "dup": cell[label]})
+        assert merged.get(cell) == wide.get({**cell, "dup": code_of[cell[label]]})
 
 
 @PROPS
 @given(table_and_label(), st.data())
 def test_reorder_there_and_back_is_identity(tl, data):
+    # Relisting an axis's values (under a stand-in label, same values) and
+    # then restoring them returns t.
     t, label = tl
     values = t.scope[t.axis(label)].values
-    shuffled = reorder_axis_values(t, label, data.draw(st.permutations(values)))
+    same = {v: v for v in values}
+    shuffled = resolve_codename(t, label, "tmp", same,
+                                data.draw(st.permutations(values)))
     for cell in assignments(t):
-        assert shuffled.get(cell) == t.get(cell)
-    back = reorder_axis_values(shuffled, label, values)
+        assert shuffled.get({**cell, "tmp": cell[label]}) == t.get(cell)
+    back = resolve_codename(shuffled, "tmp", label, same, values)
     assert back.scope == t.scope
     assert back.entries == t.entries
 
 
 @PROPS
 @given(table_and_label(), st.data())
-def test_add_along_axis_minus_undoes_plus(tl, data):
+def test_key_join_then_its_negation_restores_entries(tl, data):
     t, label = tl
-    values = t.scope[t.axis(label)].values
-    amounts = dict(zip(values, data.draw(st.lists(
-        st.integers(-1000, 1000), min_size=len(values), max_size=len(values)))))
-    up = add_along_axis(t, label, amounts, 1)
+    values = data.draw(st.permutations(t.scope[t.axis(label)].values))
+    amounts = data.draw(st.lists(st.integers(-1000, 1000),
+                                 min_size=len(values), max_size=len(values)))
+    key = FeasTable([Axis(label, values)], amounts)
+    up = join(t, key)
+    assert up.scope == t.scope
     for cell in assignments(t):
-        assert up.get(cell) == t.get(cell) + amounts[cell[label]]
-    assert add_along_axis(up, label, amounts, -1).entries == t.entries
+        assert up.get(cell) == t.get(cell) + key.get(cell)
+    minus = FeasTable([Axis(label, values)], [-a for a in amounts])
+    assert join(up, minus).entries == t.entries
+
+
+@PROPS
+@given(table_pair(), st.data())
+def test_broadcast_key_join_equals_zero_broadcast_plus_key(pair, data):
+    # A key over an axis the table lacks: the join broadcasts the table
+    # along it, as joining a zero table over that axis first would.
+    t, other = pair
+    absent = [a for a in other.scope if a.label not in t.labels()]
+    if not absent:
+        return
+    axis = data.draw(st.sampled_from(absent))
+    key = FeasTable([axis], data.draw(st.lists(
+        st.integers(-1000, 1000), min_size=len(axis.values),
+        max_size=len(axis.values))))
+    zero = zero_table(axis.label, axis.values)
+    out = join(t, key)
+    assert out.scope == t.scope + [axis]
+    assert out.entries == join(join(t, zero), key).entries
+    for cell in assignments(out):
+        assert out.get(cell) == t.get(cell) + key.get(cell)
 
 
 @PROPS
