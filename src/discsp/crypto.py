@@ -195,11 +195,8 @@ def _pair_table(y: int, g: int, p: int) -> tuple:
 
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
-    """pow(base, e, p) via a cached table for the base: one lookup and one
-    multiplication per W-bit digit of e.  Negative exponents and exponents
-    wider than p fall back to pow."""
-    if e < 0 or e.bit_length() > p.bit_length():
-        return pow(base, e, p)
+    """pow(base, e, p) for 0 <= e < 2**bitlen(p) via a cached table for the
+    base: one lookup and one multiplication per W-bit digit of e."""
     rows = _fixed_base_table(base, p)
     mask = len(rows[0]) - 1
     w, acc = mask.bit_length(), 1

@@ -70,8 +70,7 @@ class DpopProcess(KernelProcess):
         yield from self.charge(m.size())
         seps: dict[str, list] = {}
         for c in view.children:
-            msg = yield from self.get(
-                lambda msg, c=c: msg.type == "FEAS" and msg.sender == c)
+            msg = yield from self.get("FEAS", sender=c)
             t = table_from_payload(msg.payload)
             seps[c] = t.labels()
             m = join(m, t)
@@ -83,8 +82,7 @@ class DpopProcess(KernelProcess):
             yield from self.charge(m.size())
             self.sim.log_logical("FEAS", sep=len(m_out.scope))
             yield from self.send(view.parent, "FEAS", table_to_payload(m_out))
-            dm = yield from self.get(
-                lambda msg: msg.type == "DECISION" and msg.sender == view.parent)
+            dm = yield from self.get("DECISION", sender=view.parent)
             decided = assignment_from_pairs(dm.payload["assignment"])
             my_value = best.get(decided)
             feasible = None

@@ -143,7 +143,7 @@ class KernelProcess(Process):
             "epoch": epoch, "inner_type": inner_type, "inner": inner_payload,
         })
 
-    def intercept(self, msg: Msg, arrivals: list):
+    def intercept(self, msg: Msg):
         if msg.type in ("PREV", "LAST"):
             epoch = msg.payload["epoch"]
             view = self.views.get(epoch)
@@ -152,14 +152,15 @@ class KernelProcess(Process):
                     f"{self.var}: routed envelope for unknown epoch {epoch}")
             decision = route_hop(view, msg.type, msg.sender)
             if decision[0] == "deliver":
-                arrivals.append(Msg(msg.payload["inner_type"],
-                                    dict(msg.payload["inner"]), sender=None))
-            else:
-                _, kind, dst = decision
-                # The same envelope with the encoding it was delivered with.
-                yield ("send", dst, Msg(kind, msg.payload, sender=self.var,
-                                        wire=msg.wire))
-            return True
+                inner = Msg(msg.payload["inner_type"], dict(msg.payload["inner"]))
+                if inner.type in self.INTERCEPTS:
+                    return (yield from self.intercept(inner))
+                return inner
+            _, kind, dst = decision
+            # The same envelope with the encoding it was delivered with.
+            yield ("send", dst, Msg(kind, msg.payload, sender=self.var,
+                                    wire=msg.wire))
+            return None
         if msg.type == "TOKEN" and msg.payload.get("kind") == "visit":
             if msg.payload["epoch"] == self.dfs_epoch and self._dfs_visited:
                 if self.dfs_epoch in self.views:
@@ -172,8 +173,8 @@ class KernelProcess(Process):
                 yield from self.send(msg.sender, "TOKEN", {
                     "kind": "bounce", "epoch": self.dfs_epoch,
                 })
-                return True
-        return False
+                return None
+        return msg
 
     # -- root election ---------------------------------------------------------
 
@@ -192,12 +193,8 @@ class KernelProcess(Process):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in neighbors:
                 yield ("send", u, msg)
-
-            def this_round(m, r=r):
-                return m.type == "SCORE" and m.payload["round"] == r
-
             for _ in neighbors:
-                m = yield from self.get(this_round)
+                m = yield from self.get("SCORE", round=r)
                 best = max(best, m.payload["score"])
             yield from self.charge(1)
         return best == my_score
@@ -225,9 +222,7 @@ class KernelProcess(Process):
         if is_root:
             self._dfs_visited = True
         else:
-            m = yield from self.get(
-                lambda m: m.type == "TOKEN" and m.payload.get("kind") == "visit"
-                and m.payload["epoch"] == epoch)
+            m = yield from self.get("TOKEN", kind="visit", epoch=epoch)
             self._dfs_visited = True
             self._dfs_parent = m.sender
         for u in self._probe_order(epoch):
@@ -235,10 +230,9 @@ class KernelProcess(Process):
                     or u in self._dfs_pp or u in self._dfs_pc):
                 continue
             yield from self.send(u, "TOKEN", {"kind": "visit", "epoch": epoch})
-            m = yield from self.get(
-                lambda m, u=u: m.type == "TOKEN" and m.sender == u
-                and m.payload.get("kind") in ("return", "bounce")
-                and m.payload["epoch"] == epoch)
+            # Once visited, the intercept bounces every visit of this epoch,
+            # so u's return or bounce is the only TOKEN this wait can see.
+            m = yield from self.get("TOKEN", sender=u, epoch=epoch)
             if m.payload["kind"] == "bounce":
                 self._dfs_pp.add(u)
             else:
@@ -275,27 +269,21 @@ class KernelProcess(Process):
         if view.is_root:
             counter = 0
         else:
-            m = yield from self.get(
-                lambda m: m.type == "IDS" and m.payload.get("kind") == "assign"
-                and m.sender == view.parent)
+            m = yield from self.get("IDS", sender=view.parent, kind="assign")
             counter = m.payload["counter"]
         my_id = counter
         counter += 1 + rng.randint(0, 2 * incr_min)
         next_bound = counter - 1
         for c in view.children:
             yield from self.send(c, "IDS", {"kind": "assign", "counter": counter})
-            m = yield from self.get(
-                lambda m, c=c: m.type == "IDS" and m.payload.get("kind") == "return"
-                and m.sender == c)
+            m = yield from self.get("IDS", sender=c, kind="return")
             counter = m.payload["counter"]
         if view.is_root:
             total = counter
         else:
             yield from self.send(view.parent, "IDS",
                                  {"kind": "return", "counter": counter})
-            m = yield from self.get(
-                lambda m: m.type == "IDS" and m.payload.get("kind") == "total"
-                and m.sender == view.parent)
+            m = yield from self.get("IDS", sender=view.parent, kind="total")
             total = m.payload["total"]
         for c in view.children:
             yield from self.send(c, "IDS", {"kind": "total", "total": total})

@@ -151,9 +151,7 @@ class P2Process(P32Process):
         plain = self.apply_ancestor_codes(plain, view, epoch)
 
         if not view.is_root:
-            m = yield from self.get(
-                lambda m: m.type in ("START", "FEAS")
-                and m.payload.get("epoch") == epoch)
+            m = yield from self.get("START", "FEAS", epoch=epoch)
             if m.type == "START":
                 out = yield from self._encrypt_table(project_or(plain, x))
             else:
@@ -172,8 +170,7 @@ class P2Process(P32Process):
         # Root: trigger the chain, collect the final table, decrypt a value.
         if view.children:
             yield from self.route_to_previous(epoch, "START", {"epoch": epoch})
-            m = yield from self.get(
-                lambda m: m.type == "FEAS" and m.payload.get("epoch") == epoch)
+            m = yield from self.get("FEAS", epoch=epoch)
             enc = table_from_payload(m.payload)
             enc = self.resolve_own_codes(enc, epoch)
             if enc.labels() != [x]:

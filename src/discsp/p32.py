@@ -44,7 +44,6 @@ class P32Process(PdpopProcess):
         self.vector: list[dict] = []
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
-        self.vector_home = False
         self.is_temp_root = False
         self.decr_codenames: set[int] = set()
         self.crypto_rng = sim.rng(var, "crypto")
@@ -69,7 +68,7 @@ class P32Process(PdpopProcess):
             yield from self.route_to_previous(0, "SHARE", {"share": share})
         collected = []
         for _ in range(n_plus):
-            m = yield from self.get(lambda m: m.type == "SHARE")
+            m = yield from self.get("SHARE")
             share = m.payload["share"]
             collected.append(share)
             if share not in mine:
@@ -107,7 +106,8 @@ class P32Process(PdpopProcess):
         })
 
     def _handle_vect(self, payload: dict):
-        """One ring hop of a root vector of canonical cyphertext dicts."""
+        """One ring hop of a root vector of canonical cyphertext dicts; our
+        own vector coming home is handed back as a local, unsent HOME."""
         vect = payload["vector"]
         vid, rnd = payload["id"], payload["round"]
         overwrite: set[int] = set()
@@ -121,9 +121,7 @@ class P32Process(PdpopProcess):
         if rnd == 3:
             vect = [vect[self.perm[j]] for j in range(len(vect))]
         if rnd == 4 and vid == self.my_vect_id:
-            self.vector = list(vect)
-            self.vector_home = True
-            return
+            return Msg("HOME", {"vector": vect})
         # Overwritten entries become fresh encryptions of -1.
         minus_one = {"alpha": crypto.encode_small(self.params, -1), "beta": 1}
         out = crypto.rerandomize_entries(
@@ -138,7 +136,8 @@ class P32Process(PdpopProcess):
 
     def shuffle_vectors(self):
         yield from self.start_shuffle()
-        yield from self.get(until=lambda: self.vector_home)
+        m = yield from self.get("HOME")
+        self.vector = list(m.payload["vector"])
         self.shuffled_snapshot = list(self.vector)
 
     # -- collaborative decryption ------------------------------------------------
@@ -152,8 +151,7 @@ class P32Process(PdpopProcess):
         self.decr_codenames.add(codename)
         yield from self.route_to_previous(0, "DECR", {
             "codename": codename, "alpha": c["alpha"], "beta": c["beta"]})
-        m = yield from self.get(
-            lambda m: m.type == "DECR" and m.payload["codename"] == codename)
+        m = yield from self.get("DECR", codename=codename)
         final = crypto.strip_share(self.params, m.payload, self.key_share)
         self.sim.stat("decrypt_partials")
         yield from self.charge_exps(1)
@@ -169,30 +167,26 @@ class P32Process(PdpopProcess):
 
     # -- standing services ----------------------------------------------------------
 
-    def intercept(self, msg: Msg, arrivals: list):
-        handled = yield from super().intercept(msg, arrivals)
-        if handled:
-            return True
+    def intercept(self, msg: Msg):
         if msg.type == "VECT":
-            yield from self._handle_vect(msg.payload)
-            return True
+            return (yield from self._handle_vect(msg.payload))
         if msg.type == "DECR":
             if msg.payload["codename"] in self.decr_codenames:
-                return False  # our ticket coming home: let the waiter match it
+                return msg  # our ticket coming home: let the waiter match it
             partial = crypto.strip_share(self.params, msg.payload,
                                          self.key_share)
             self.sim.stat("decrypt_partials")
             yield from self.charge_exps(1)
             yield from self.route_to_previous(0, "DECR", {
                 "codename": msg.payload["codename"], **partial}, log=False)
-            return True
+            return None
         if msg.type == "ABORT":
             view = self.views[msg.payload["epoch"]]
             for c in view.children:
                 yield from self.send(c, "ABORT", dict(msg.payload))
             self.aborted = True
-            return True
-        return False
+            return None
+        return (yield from super().intercept(msg))
 
     # -- per-iteration propagation (overridden by P2) ---------------------------------
 

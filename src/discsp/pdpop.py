@@ -115,9 +115,7 @@ class PdpopProcess(KernelProcess):
                 "codes": list(pkg.domain_codes), "sigma": list(pkg.sigma),
             })
         for y in view.ancestors_here():
-            m = yield from self.get(
-                lambda m, y=y: m.type == "CODES" and m.sender == y
-                and m.payload["epoch"] == epoch)
+            m = yield from self.get("CODES", sender=y, epoch=epoch)
             self.recv_packages[(epoch, y)] = CodenamePackage(
                 var_code=m.payload["var_code"],
                 domain_codes=tuple(m.payload["codes"]),
@@ -134,9 +132,7 @@ class PdpopProcess(KernelProcess):
             self.sim.log_logical("KEY")
             yield from self.send(z, "KEY", {"epoch": epoch, "key": list(key)})
         for y in view.pseudo_parents:
-            m = yield from self.get(
-                lambda m, y=y: m.type == "KEY" and m.sender == y
-                and m.payload["epoch"] == epoch)
+            m = yield from self.get("KEY", sender=y, epoch=epoch)
             self.recv_keys[(epoch, y)] = tuple(m.payload["key"])
 
     # -- coded feasibility propagation ----------------------------------------
@@ -186,9 +182,7 @@ class PdpopProcess(KernelProcess):
             m = obfuscate_infeasible(m, r)
         seps: dict[str, list] = {}
         for c in view.children:
-            msg = yield from self.get(
-                lambda msg, c=c: msg.type == "FEAS" and msg.sender == c
-                and msg.payload["epoch"] == epoch)
+            msg = yield from self.get("FEAS", sender=c, epoch=epoch)
             t = table_from_payload(msg.payload)
             seps[c] = t.labels()
             t = self.resolve_own_codes(t, epoch)
@@ -236,9 +230,8 @@ class PdpopProcess(KernelProcess):
         if view.is_root:
             my_value = root_value
         else:
-            dm = yield from self.get(
-                lambda m: m.type == "DECISION" and m.sender == view.parent
-                and m.payload["epoch"] == epoch)
+            dm = yield from self.get("DECISION", sender=view.parent,
+                                     epoch=epoch)
             decided = assignment_from_pairs(dm.payload["assignment"])
             my_value = best.get(decided)
         own_codes = {pkg.var_code: pkg

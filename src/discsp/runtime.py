@@ -5,14 +5,15 @@ effects: ``("send", dst, Msg)``, ``("recv",)`` and ``("compute", units)``.
 The scheduler delivers messages in global send order, which preserves FIFO
 per channel and makes every run a pure function of the seed.  Deliveries
 happen only between process steps, when every live process is blocked on
-``recv``, so each delivery resumes its receiver directly.  Payloads must be
-canonical (dicts with str keys, lists, ints, strs, bools and None); anything
-else raises TypeError at its first delivery.  Every delivered message is
-appended to the transcript with a copy of its payload and its wire size,
-both taken in one pass over the payload (a forwarded ring hop reuses the
-pass of the hop before); simulated time is tracked per variable with the
-usual dependency-max rule (a receiver's clock is at least the sender's
-clock at send time).
+``recv``, so each delivery resumes its receiver directly.  A protocol waits
+with ``Process.get``, whose terms (types, sender, payload fields) are data
+that a deadlock report names.  Payloads must be canonical (dicts with str
+keys, lists, ints, strs, bools and None); anything else raises TypeError at
+its first delivery.  Every delivered message is appended to the transcript
+with a copy of its payload and its wire size, both taken in one pass over
+the payload (a forwarded ring hop reuses the pass of the hop before);
+simulated time is tracked per variable with the usual dependency-max rule
+(a receiver's clock is at least the sender's clock at send time).
 """
 
 from __future__ import annotations
@@ -208,11 +209,12 @@ class Stop(Exception):
 class Process:
     """Base class for per-variable protocol state machines.
 
-    Subclasses implement main(); helper generators use ``yield from`` and the
-    effect vocabulary send/recv/compute.  Messages that arrive while main is
-    blocked are funneled through intercept handlers (routing, ring services)
-    when their type is in INTERCEPTS; unconsumed messages are stashed until a
-    later wait matches them.
+    Subclasses implement main(); helper generators use ``yield from`` with
+    send, charge and get.  Every wait is one ``get(*types, sender=, **fields)``
+    call, whose terms stay on the process as ``waiting`` for a deadlock
+    report.  An arrival whose type is in INTERCEPTS goes through intercept()
+    (routing, ring services), which consumes it or hands back what is left
+    of it; what the wait does not match is stashed for a later wait.
     """
 
     # Message types intercept() may consume; no other type is offered to it.
@@ -222,6 +224,7 @@ class Process:
         self.var = var
         self.sim = sim
         self.stash: list[Msg] = []
+        self.waiting: "tuple | None" = None  # (types, sender, fields) of get
         self.done = False
         self.result: dict = {}
         self.aborted = False
@@ -235,49 +238,46 @@ class Process:
         if units:
             yield ("compute", units)
 
-    def get(self, match=None, until=None):
-        """Wait for a message satisfying `match`, servicing intercepts.
+    def get(self, *types, sender=None, **fields):
+        """Wait for the first message whose type is in `types`, sent by
+        `sender` when one is given, whose payload holds every item of
+        `fields`; a stashed match wins over new arrivals.
 
-        `until` is an optional zero-arg predicate checked after every
-        handled message; when it turns true, returns None.  An abort flag
-        set by an intercept bails out of the wait entirely.
+        An arrival whose type is in INTERCEPTS goes through intercept()
+        first, and the wait matches what it hands back.  An abort flag set by
+        an intercept bails out of the wait entirely.
         """
         stash = self.stash
+        if stash:
+            for i, m in enumerate(stash):
+                if (m.type in types and (sender is None or m.sender == sender)
+                        and fields.items() <= m.payload.items()):
+                    return stash.pop(i)
+        self.waiting = (types, sender, fields)
         intercepts = self.INTERCEPTS
         while True:
-            if self.aborted:
-                raise Stop()
-            if until is not None and until():
-                return None
-            if match is not None and stash:
-                for i, m in enumerate(stash):
-                    if match(m):
-                        return stash.pop(i)
-            arrivals = [(yield ("recv",))]
-            # An intercept may append to arrivals while it is walked.
-            for i, m in enumerate(arrivals):
-                if m.type in intercepts:
-                    handled = yield from self.intercept(m, arrivals)
-                    if self.aborted:
-                        raise Stop()
-                    if handled:
-                        continue
-                if match is not None and match(m):
-                    # Drain remaining unwrapped arrivals into the stash first.
-                    stash.extend(arrivals[i + 1:])
-                    return m
-                stash.append(m)
+            m = yield ("recv",)
+            if m.type in intercepts:
+                m = yield from self.intercept(m)
+                if self.aborted:
+                    raise Stop()
+                if m is None:
+                    continue
+            if (m.type in types and (sender is None or m.sender == sender)
+                    and fields.items() <= m.payload.items()):
+                return m
+            stash.append(m)
 
-    def intercept(self, msg: Msg, arrivals: list) -> bool:
-        """Handle service traffic; return True when consumed.
+    def intercept(self, msg: Msg) -> "Msg | None":
+        """Handle service traffic: return None when `msg` is consumed, else
+        the message left for the waits to match (`msg` itself, or the payload
+        a routed envelope delivers).
 
         Subclasses extend this and list the types they handle in INTERCEPTS.
-        Appending to `arrivals` re-injects an unwrapped payload as a fresh
-        arrival.
         """
         if False:
             yield  # pragma: no cover - makes this a generator
-        return False
+        return msg
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -291,13 +291,12 @@ class Process:
         except Stop:
             self.result = self.stopped_result()
         self.done = True
-        # Keep servicing ring traffic until global quiescence.
+        # Keep servicing ring traffic until global quiescence; what no
+        # intercept consumes is dropped.
         while True:
-            arrivals = [(yield ("recv",))]
-            for m in arrivals:
-                if m.type in self.INTERCEPTS:
-                    yield from self.intercept(m, arrivals)
-                # Unmatched post-completion traffic is dropped.
+            m = yield ("recv",)
+            if m.type in self.INTERCEPTS:
+                yield from self.intercept(m)
 
     def stopped_result(self) -> dict:
         return {"aborted": True}
@@ -347,13 +346,11 @@ class Sim:
             if self._deadline is not None and time.monotonic() > self._deadline:
                 raise SimTimeout(f"simulation exceeded {timeout_secs}s")
             deliver(*queue.popleft())
-        blocked = [v for v, p in self.processes.items() if not p.done]
+        blocked = {v: {"waits": p.waiting, "stashed": [m.type for m in p.stash]}
+                   for v, p in self.processes.items() if not p.done}
         if blocked:
-            detail = {v: [m.type for m in self.processes[v].stash] for v in blocked}
             raise DeadlockError(
-                f"no deliverable messages; blocked processes: {blocked}; "
-                f"stashed message types: {detail}"
-            )
+                f"no deliverable messages; blocked processes: {blocked}")
         self.metrics.simulated_time = max(self.clocks.values(), default=0)
         return {v: p.result for v, p in self.processes.items()}
 

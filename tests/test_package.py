@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone (``dependencies = []``)."""
+"""The package runs on the standard library alone (``dependencies = []``),
+and every protocol wait is declarative data."""
 
 import ast
 import pathlib
@@ -34,3 +35,41 @@ def test_package_imports_only_the_standard_library():
     found = {path.name: foreign_imports(path.read_text(encoding="utf-8"))
              for path in sources}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def opaque_waits(source: str) -> list[int]:
+    """Lines of ``self.get(...)`` waits that pass a lambda, an ``until=`` hook
+    or a positional argument other than a message-type string literal.
+    (``get`` on any other object is a dict or table lookup, not a wait.)"""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"):
+            continue
+        values = node.args + [k.value for k in node.keywords]
+        if (any(k.arg == "until" for k in node.keywords)
+                or any(isinstance(v, ast.Lambda) for v in values)
+                or not all(isinstance(a, ast.Constant) and type(a.value) is str
+                           for a in node.args)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_wait_guard_flags_lambdas_hooks_and_computed_types():
+    source = ("def main(self):\n"
+              "    yield from self.get('A', 'B', sender=u, epoch=e)\n"
+              "    yield from self.get(lambda m: m.type == 'A')\n"
+              "    yield from self.get(until=lambda: self.home)\n"
+              "    yield from self.get('A', key=lambda m: m)\n"
+              "    yield from self.get(msg_type)\n"
+              "    yield from self.get(*types)\n"
+              "    payload.get(kind, 0)\n")
+    assert opaque_waits(source) == [3, 4, 5, 6, 7]
+
+
+def test_package_waits_are_declarative():
+    found = {path.name: opaque_waits(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import infeasible_triangle
 from discsp.generators import figure1_instance, gen_graph_coloring
 from discsp.model import Constraint, Problem
-from discsp.runtime import (DeadlockError, Process, RunConfig, SimError, Sim,
-                            canonical, encode, wire_size)
+from discsp.runtime import (DeadlockError, Msg, Process, RunConfig, SimError,
+                            Sim, canonical, encode, wire_size)
 from discsp.solvers import SOLVERS, run_solver
 from discsp.tables import Axis, FeasTable
 
@@ -28,9 +28,9 @@ class PingProcess(Process):
     def main(self):
         if self.var == "x1":
             yield from self.send("x2", "PING", {"n": 1})
-            m = yield from self.get(lambda m: m.type == "PONG")
+            m = yield from self.get("PONG")
             return {"got": m.payload["n"]}
-        m = yield from self.get(lambda m: m.type == "PING")
+        m = yield from self.get("PING")
         yield from self.charge(5)
         yield from self.send("x1", "PONG", {"n": m.payload["n"] + 1})
         return {}
@@ -38,7 +38,7 @@ class PingProcess(Process):
 
 class StuckProcess(Process):
     def main(self):
-        yield from self.get(lambda m: m.type == "NEVER")
+        yield from self.get("NEVER", kind="late")
 
 
 def test_ping_pong_and_transcript():
@@ -61,8 +61,73 @@ def test_deadlock_detection():
     sim = Sim(p, seed=0, config=RunConfig())
     for x in p.variables:
         sim.add_process(StuckProcess(x, sim))
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError) as err:
         sim.run()
+    # The report names each blocked variable's wait and its stash.
+    wait = "{'waits': (('NEVER',), None, {'kind': 'late'}), 'stashed': []}"
+    assert str(err.value) == ("no deliverable messages; blocked processes: "
+                              f"{{'x1': {wait}, 'x2': {wait}}}")
+
+
+def test_get_matches_types_sender_and_fields_first_stashed_first():
+    got = []
+
+    class Waiter(Process):
+        def main(self):
+            if self.var == "x1":
+                for msg_type, k in (("A", 1), ("B", 2), ("A", 2)):
+                    yield from self.send("x2", msg_type, {"k": k, "pad": 0})
+                yield from self.send("x2", "END", {})
+                return {}
+            yield from self.send("x2", "A", {"k": 1})  # delivered last
+            yield from self.get("END")  # stashes x1's A1, B2 and A2
+            waits = ((("A",), {"sender": "x2"}), (("A", "B"), {"k": 2}),
+                     (("A",), {}), (("B", "A"), {"k": 2, "pad": 0}))
+            for types, terms in waits:
+                m = yield from self.get(*types, **terms)
+                got.append((m.type, m.sender, m.payload["k"]))
+            return {"stash": list(self.stash)}
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(Waiter(x, sim))
+    results = sim.run()
+    assert got == [("A", "x2", 1), ("B", "x1", 2), ("A", "x1", 1),
+                   ("A", "x1", 2)]
+    assert results["x2"]["stash"] == []
+
+
+def test_get_matches_what_an_intercept_hands_back():
+    class Unwrapping(Process):
+        INTERCEPTS = frozenset({"WRAP", "NOISE"})
+
+        def intercept(self, msg):
+            if msg.type == "NOISE":
+                return None  # consumed: never stashed, never matched
+            yield from self.charge(1)
+            return Msg(msg.payload["inner_type"], msg.payload["inner"])
+
+        def main(self):
+            if self.var == "x1":
+                yield from self.send("x2", "NOISE", {"k": 5})
+                yield from self.send("x2", "WRAP", {"inner_type": "A",
+                                                    "inner": {"k": 4}})
+                yield from self.send("x2", "WRAP", {"inner_type": "A",
+                                                    "inner": {"k": 5}})
+                return {}
+            m = yield from self.get("A", "NOISE", k=5)
+            return {"got": (m.type, m.sender, m.payload),
+                    "stash": [s.payload for s in self.stash]}
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(Unwrapping(x, sim))
+    results = sim.run()
+    assert results["x2"] == {"got": ("A", None, {"k": 5}),
+                             "stash": [{"k": 4}]}
+    assert sim.clocks["x2"] == 2  # both WRAPs went through the intercept
 
 
 @pytest.mark.parametrize("timeout_secs", [0, -1])
@@ -153,12 +218,11 @@ def test_simulated_time_parallel_branches_max_rule():
                 yield from self.send("j", "DONE", {})
             elif self.var == "j":
                 for u in cost:
-                    yield from self.get(
-                        lambda m, u=u: m.type == "DONE" and m.sender == u)
+                    yield from self.get("DONE", sender=u)
                 yield from self.charge(2)
                 yield from self.send("out", "DONE", {})
             else:
-                yield from self.get(lambda m: m.type == "DONE")
+                yield from self.get("DONE")
             return {}
 
     sim = Sim(p, seed=0, config=RunConfig())
