@@ -22,12 +22,15 @@ def _size(text: str) -> int:
     return n
 
 
-def _sizes(text: str) -> tuple[int, ...]:
-    return tuple(_size(tok) for tok in text.split(",") if tok.strip())
-
-
 def _csv_strs(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    items = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not items:
+        raise argparse.ArgumentTypeError(f"must name at least one, got {text!r}")
+    return items
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(_size(tok) for tok in _csv_strs(text))
 
 
 def _positive_secs(text: str) -> float:
@@ -62,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--family", choices=sorted(FAMILIES), default="coloring")
     bench.add_argument("--sizes", type=_sizes, default=(3, 4, 5),
                        help="comma-separated instance sizes")
-    bench.add_argument("--instances", type=int, default=5)
+    bench.add_argument("--instances", type=_size, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--solvers", type=_csv_strs,
                        default=("dpop", "pdpop_plus"),
@@ -71,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--b-bits", type=_non_negative, default=128)
     bench.add_argument("--incr-min", type=_non_negative, default=10)
     bench.add_argument("--timeout-secs", type=_positive_secs, default=600.0)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=_size, default=1)
     bench.add_argument("--out", default="bench",
                        help="output prefix: writes <out>_runs.csv and "
                             "<out>_summary.csv")

@@ -67,6 +67,11 @@ def is_probable_prime(n: int, rounds: int = 64, rng=None) -> bool:
     return True
 
 
+# Products of up to this many trues are decodable; beyond that the element
+# is treated as malformed.
+TRUE_POWER_BOUND = 1 << 16
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Safe-prime group: p = 2q + 1 with q prime, g a generator of Z_p^*,
@@ -76,9 +81,6 @@ class GroupParams:
     g: int
     z: int
     bit_length: int
-    # Products of up to this many trues are decodable; beyond that the
-    # element is treated as malformed.
-    true_power_bound: int = 1 << 16
     _z_powers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -106,7 +108,7 @@ class GroupParams:
             return self._z_powers[element]
         acc = max(self._z_powers.values())
         cur = pow(self.z, acc, self.p)
-        while acc < self.true_power_bound:
+        while acc < TRUE_POWER_BOUND:
             acc += 1
             cur = cur * self.z % self.p
             self._z_powers[cur] = acc

@@ -67,21 +67,21 @@ class DpopProcess(KernelProcess):
         x = self.var
         problem = self.sim.problem
         m = local_join(problem, view)
-        yield from self.charge(m.size())
+        self.charge(m.size())
         seps: dict[str, list] = {}
         for c in view.children:
             msg = yield from self.get("FEAS", sender=c)
             t = table_from_payload(msg.payload)
             seps[c] = t.labels()
             m = join(m, t)
-            yield from self.charge(m.size())
+            self.charge(m.size())
 
         decided: dict = {}
         if not view.is_root:
             m_out, best = project_min(m, x)
-            yield from self.charge(m.size())
+            self.charge(m.size())
             self.sim.log_logical("FEAS", sep=len(m_out.scope))
-            yield from self.send(view.parent, "FEAS", table_to_payload(m_out))
+            self.send(view.parent, "FEAS", table_to_payload(m_out))
             dm = yield from self.get("DECISION", sender=view.parent)
             decided = assignment_from_pairs(dm.payload["assignment"])
             my_value = best.get(decided)
@@ -89,7 +89,7 @@ class DpopProcess(KernelProcess):
             min_count = None
         else:
             final, best = project_min(m, x)
-            yield from self.charge(m.size())
+            self.charge(m.size())
             min_count = final.entries[0]
             my_value = best.entries[0]
             feasible = min_count == 0
@@ -98,8 +98,8 @@ class DpopProcess(KernelProcess):
         for c in view.children:
             payload = {v: decided[v] for v in seps[c]}
             self.sim.log_logical("DECISION")
-            yield from self.send(c, "DECISION",
-                                 {"assignment": assignment_to_pairs(payload)})
+            self.send(c, "DECISION",
+                      {"assignment": assignment_to_pairs(payload)})
         out = {"value": my_value}
         if feasible is not None:
             out.update({"feasible": feasible, "min_violations": min_count,

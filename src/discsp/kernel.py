@@ -139,7 +139,7 @@ class KernelProcess(Process):
         kind, dst = to_previous_hop(view)
         if log:
             self.sim.log_logical(inner_type, sep)
-        yield from self.send(dst, kind, {
+        self.send(dst, kind, {
             "epoch": epoch, "inner_type": inner_type, "inner": inner_payload,
         })
 
@@ -154,12 +154,12 @@ class KernelProcess(Process):
             if decision[0] == "deliver":
                 inner = Msg(msg.payload["inner_type"], dict(msg.payload["inner"]))
                 if inner.type in self.INTERCEPTS:
-                    return (yield from self.intercept(inner))
+                    return self.intercept(inner)
                 return inner
             _, kind, dst = decision
             # The same envelope with the encoding it was delivered with.
-            yield ("send", dst, Msg(kind, msg.payload, sender=self.var,
-                                    wire=msg.wire))
+            self.sim.post(self.var, dst, Msg(kind, msg.payload,
+                                             sender=self.var, wire=msg.wire))
             return None
         if msg.type == "TOKEN" and msg.payload.get("kind") == "visit":
             if msg.payload["epoch"] == self.dfs_epoch and self._dfs_visited:
@@ -170,7 +170,7 @@ class KernelProcess(Process):
                         f"{self.var}: probe after DFS completion (epoch "
                         f"{self.dfs_epoch})")
                 self._dfs_pc.add(msg.sender)
-                yield from self.send(msg.sender, "TOKEN", {
+                self.send(msg.sender, "TOKEN", {
                     "kind": "bounce", "epoch": self.dfs_epoch,
                 })
                 return None
@@ -192,11 +192,11 @@ class KernelProcess(Process):
         for r in range(1, rounds + 1):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in neighbors:
-                yield ("send", u, msg)
+                self.sim.post(self.var, u, msg)
             for _ in neighbors:
                 m = yield from self.get("SCORE", round=r)
                 best = max(best, m.payload["score"])
-            yield from self.charge(1)
+            self.charge(1)
         return best == my_score
 
     # -- DFS construction -------------------------------------------------------
@@ -229,7 +229,7 @@ class KernelProcess(Process):
             if (u == self._dfs_parent or u in self._dfs_children
                     or u in self._dfs_pp or u in self._dfs_pc):
                 continue
-            yield from self.send(u, "TOKEN", {"kind": "visit", "epoch": epoch})
+            self.send(u, "TOKEN", {"kind": "visit", "epoch": epoch})
             # Once visited, the intercept bounces every visit of this epoch,
             # so u's return or bounce is the only TOKEN this wait can see.
             m = yield from self.get("TOKEN", sender=u, epoch=epoch)
@@ -238,8 +238,8 @@ class KernelProcess(Process):
             else:
                 self._dfs_children.append(u)
         if not is_root:
-            yield from self.send(self._dfs_parent, "TOKEN",
-                                 {"kind": "return", "epoch": epoch})
+            self.send(self._dfs_parent, "TOKEN",
+                      {"kind": "return", "epoch": epoch})
         self.views[epoch] = PseudoTreeView(
             variable=self.var, parent=self._dfs_parent,
             pseudo_parents=tuple(sorted(self._dfs_pp)),
@@ -275,18 +275,17 @@ class KernelProcess(Process):
         counter += 1 + rng.randint(0, 2 * incr_min)
         next_bound = counter - 1
         for c in view.children:
-            yield from self.send(c, "IDS", {"kind": "assign", "counter": counter})
+            self.send(c, "IDS", {"kind": "assign", "counter": counter})
             m = yield from self.get("IDS", sender=c, kind="return")
             counter = m.payload["counter"]
         if view.is_root:
             total = counter
         else:
-            yield from self.send(view.parent, "IDS",
-                                 {"kind": "return", "counter": counter})
+            self.send(view.parent, "IDS", {"kind": "return", "counter": counter})
             m = yield from self.get("IDS", sender=view.parent, kind="total")
             total = m.payload["total"]
         for c in view.children:
-            yield from self.send(c, "IDS", {"kind": "total", "total": total})
+            self.send(c, "IDS", {"kind": "total", "total": total})
         self.ids = IdAssignment(id=my_id, next_bound=next_bound,
                                 total_bound=total, incr_min=incr_min)
         self.ids.validate()

@@ -104,14 +104,14 @@ class P2Process(P32Process):
         exponentiations per cell, in row-major order."""
         entries = crypto.rerandomize_entries(self.params, self.compound,
                                              t.entries, self.crypto_rng)
-        yield from self.charge_exps(2 * len(entries))
+        self.charge_exps(2 * len(entries))
         return FeasTable(t.scope, entries)
 
     def _encrypt_table(self, t: FeasTable):
         self.sim.stat("p2_enc", t.size())
-        return (yield from self._rerandomized(map_entries(
+        return self._rerandomized(map_entries(
             t, lambda b: {"alpha": crypto.encode_bool(self.params, b),
-                          "beta": 1})))
+                          "beta": 1}))
 
     def encrypted_join(self, enc: FeasTable, plain: FeasTable) -> FeasTable:
         """AND with a cleartext table: true keeps the cyphertext, false
@@ -139,45 +139,41 @@ class P2Process(P32Process):
 
     def _counted_decrypt(self, c):
         self._dichotomy_count += 1
-        result = yield from self.ring_decrypt_bool(c)
-        return result
+        return (yield from self.ring_decrypt_bool(c))
 
     def iteration_propagate(self, view: PseudoTreeView, epoch: int):
         yield from self.exchange_codenames(view, epoch)
         x = self.var
         problem = self.sim.problem
         plain = boolean_local_join(problem, view, tuple(self.local_constraints))
-        yield from self.charge(plain.size())
+        self.charge(plain.size())
         plain = self.apply_ancestor_codes(plain, view, epoch)
 
         if not view.is_root:
             m = yield from self.get("START", "FEAS", epoch=epoch)
             if m.type == "START":
-                out = yield from self._encrypt_table(project_or(plain, x))
+                out = self._encrypt_table(project_or(plain, x))
             else:
                 enc = table_from_payload(m.payload)
                 enc = self.resolve_own_codes(enc, epoch)
-                enc = yield from self._rerandomized(
-                    self.encrypted_join(enc, plain))
-                out = yield from self._rerandomized(
-                    self.encrypted_project(enc))
+                enc = self._rerandomized(self.encrypted_join(enc, plain))
+                out = self._rerandomized(self.encrypted_project(enc))
             payload = table_to_payload(out)
             payload["epoch"] = epoch
-            yield from self.route_to_previous(epoch, "FEAS", payload,
-                                              sep=len(out.scope))
+            self.route_to_previous(epoch, "FEAS", payload, sep=len(out.scope))
             return None, None
 
         # Root: trigger the chain, collect the final table, decrypt a value.
         if view.children:
-            yield from self.route_to_previous(epoch, "START", {"epoch": epoch})
+            self.route_to_previous(epoch, "START", {"epoch": epoch})
             m = yield from self.get("FEAS", epoch=epoch)
             enc = table_from_payload(m.payload)
             enc = self.resolve_own_codes(enc, epoch)
             if enc.labels() != [x]:
                 raise P2Error(f"root table has unresolved labels {enc.labels()}")
-            enc = yield from self._rerandomized(self.encrypted_join(enc, plain))
+            enc = self._rerandomized(self.encrypted_join(enc, plain))
         else:
-            enc = yield from self._encrypt_table(plain)
+            enc = self._encrypt_table(plain)
         domain = enc.scope[0].values
         self._dichotomy_count = 0
         value = yield from feasible_value(

@@ -53,7 +53,7 @@ class P32Process(PdpopProcess):
     # -- crypto helpers -------------------------------------------------------
 
     def charge_exps(self, n: int):
-        yield from self.charge(n * CRYPTO_COST_UNITS)
+        self.charge(n * CRYPTO_COST_UNITS)
 
     # -- phase 1: shares ------------------------------------------------------
 
@@ -65,15 +65,14 @@ class P32Process(PdpopProcess):
             self.params, self.key_share, share_count, self.crypto_rng)
         mine = set(publics)
         for share in publics:
-            yield from self.route_to_previous(0, "SHARE", {"share": share})
+            self.route_to_previous(0, "SHARE", {"share": share})
         collected = []
         for _ in range(n_plus):
             m = yield from self.get("SHARE")
             share = m.payload["share"]
             collected.append(share)
             if share not in mine:
-                yield from self.route_to_previous(0, "SHARE", {"share": share},
-                                                  log=False)
+                self.route_to_previous(0, "SHARE", {"share": share}, log=False)
         self.compound = crypto.combine_public(self.params, sorted(collected))
         return self.compound
 
@@ -100,8 +99,8 @@ class P32Process(PdpopProcess):
              for v in entries),
             self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", n_plus)
-        yield from self.charge_exps(2 * n_plus)
-        yield from self.route_to_previous(0, "VECT", {
+        self.charge_exps(2 * n_plus)
+        self.route_to_previous(0, "VECT", {
             "id": self.my_vect_id, "round": 1, "vector": vect,
         })
 
@@ -129,13 +128,13 @@ class P32Process(PdpopProcess):
             (minus_one if j in overwrite else e for j, e in enumerate(vect)),
             self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", len(out))
-        yield from self.charge_exps(2 * len(out))
-        yield from self.route_to_previous(0, "VECT", {
+        self.charge_exps(2 * len(out))
+        self.route_to_previous(0, "VECT", {
             "id": vid, "round": rnd, "vector": out,
         }, log=False)
 
     def shuffle_vectors(self):
-        yield from self.start_shuffle()
+        self.start_shuffle()
         m = yield from self.get("HOME")
         self.vector = list(m.payload["vector"])
         self.shuffled_snapshot = list(self.vector)
@@ -149,12 +148,12 @@ class P32Process(PdpopProcess):
         while codename in self.decr_codenames:
             codename += 1
         self.decr_codenames.add(codename)
-        yield from self.route_to_previous(0, "DECR", {
+        self.route_to_previous(0, "DECR", {
             "codename": codename, "alpha": c["alpha"], "beta": c["beta"]})
         m = yield from self.get("DECR", codename=codename)
         final = crypto.strip_share(self.params, m.payload, self.key_share)
         self.sim.stat("decrypt_partials")
-        yield from self.charge_exps(1)
+        self.charge_exps(1)
         return final["alpha"]
 
     def ring_decrypt_small(self, c: dict) -> int:
@@ -169,24 +168,24 @@ class P32Process(PdpopProcess):
 
     def intercept(self, msg: Msg):
         if msg.type == "VECT":
-            return (yield from self._handle_vect(msg.payload))
+            return self._handle_vect(msg.payload)
         if msg.type == "DECR":
             if msg.payload["codename"] in self.decr_codenames:
                 return msg  # our ticket coming home: let the waiter match it
             partial = crypto.strip_share(self.params, msg.payload,
                                          self.key_share)
             self.sim.stat("decrypt_partials")
-            yield from self.charge_exps(1)
-            yield from self.route_to_previous(0, "DECR", {
+            self.charge_exps(1)
+            self.route_to_previous(0, "DECR", {
                 "codename": msg.payload["codename"], **partial}, log=False)
             return None
         if msg.type == "ABORT":
             view = self.views[msg.payload["epoch"]]
             for c in view.children:
-                yield from self.send(c, "ABORT", dict(msg.payload))
+                self.send(c, "ABORT", dict(msg.payload))
             self.aborted = True
             return None
-        return (yield from super().intercept(msg))
+        return super().intercept(msg)
 
     # -- per-iteration propagation (overridden by P2) ---------------------------------
 
@@ -243,7 +242,7 @@ class P32Process(PdpopProcess):
                         raise P32Error(
                             f"infeasibility surfaced at iteration {epoch}")
                     for c in view.children:
-                        yield from self.send(c, "ABORT", {"epoch": epoch})
+                        self.send(c, "ABORT", {"epoch": epoch})
                     feasible_out = False
                     break
                 feasible_out = True if epoch == 1 else feasible_out

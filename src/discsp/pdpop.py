@@ -110,7 +110,7 @@ class PdpopProcess(KernelProcess):
                 rng, len(domain))
             self.sent_packages[(epoch, z)] = pkg
             self.sim.log_logical("CODES")
-            yield from self.send(z, "CODES", {
+            self.send(z, "CODES", {
                 "epoch": epoch, "var_code": pkg.var_code,
                 "codes": list(pkg.domain_codes), "sigma": list(pkg.sigma),
             })
@@ -130,7 +130,7 @@ class PdpopProcess(KernelProcess):
             key = tuple(rng.randrange(0, 1 << b) if b else 0 for _ in domain)
             self.sent_keys[(epoch, z)] = key
             self.sim.log_logical("KEY")
-            yield from self.send(z, "KEY", {"epoch": epoch, "key": list(key)})
+            self.send(z, "KEY", {"epoch": epoch, "key": list(key)})
         for y in view.pseudo_parents:
             m = yield from self.get("KEY", sender=y, epoch=epoch)
             self.recv_keys[(epoch, y)] = tuple(m.payload["key"])
@@ -176,7 +176,7 @@ class PdpopProcess(KernelProcess):
         x = self.var
         b = self.sim.config.b_bits
         m = self.coded_local_join(view, epoch)
-        yield from self.charge(m.size())
+        self.charge(m.size())
         if b and any(e > 0 for e in m.entries):
             r = self.sim.rng(x, "obf", epoch).randrange(1, 1 << b)
             m = obfuscate_infeasible(m, r)
@@ -187,7 +187,7 @@ class PdpopProcess(KernelProcess):
             seps[c] = t.labels()
             t = self.resolve_own_codes(t, epoch)
             m = join(m, t)
-            yield from self.charge(m.size())
+            self.charge(m.size())
         domain = self.sim.problem.domains[x]
         for z in view.pseudo_children:
             key = self.sent_keys[(epoch, z)]
@@ -197,11 +197,11 @@ class PdpopProcess(KernelProcess):
                 raise PdpopError(
                     f"root table has unresolved labels {m.labels()}")
             final, best = project_min(m, x)
-            yield from self.charge(m.size())
+            self.charge(m.size())
             min_count = final.entries[0]
             return (min_count == 0, min_count, best.entries[0], None, seps)
         out, best = project_min(m, x)
-        yield from self.charge(m.size())
+        self.charge(m.size())
         for y in view.pseudo_parents:
             pkg = self.recv_packages[(epoch, y)]
             key = self.recv_keys[(epoch, y)]
@@ -217,7 +217,7 @@ class PdpopProcess(KernelProcess):
         payload = table_to_payload(out)
         payload["epoch"] = epoch
         self.sim.log_logical("FEAS", sep=len(out.scope))
-        yield from self.send(view.parent, "FEAS", payload)
+        self.send(view.parent, "FEAS", payload)
         return (None, None, None, best if record_best else None, seps)
 
     # -- coded decision propagation --------------------------------------------
@@ -248,7 +248,7 @@ class PdpopProcess(KernelProcess):
                     raise PdpopError(
                         f"{x}: no coded assignment for separator label {label}")
             self.sim.log_logical("DECISION")
-            yield from self.send(c, "DECISION", {
+            self.send(c, "DECISION", {
                 "epoch": epoch, "assignment": assignment_to_pairs(payload)})
         return my_value
 

@@ -1,15 +1,16 @@
 """Deterministic multi-agent simulation runtime.
 
-Each variable runs a protocol coroutine (a Python generator) that yields
-effects: ``("send", dst, Msg)``, ``("recv",)`` and ``("compute", units)``.
-The scheduler delivers messages in global send order, which preserves FIFO
-per channel and makes every run a pure function of the seed.  Deliveries
-happen only between process steps, when every live process is blocked on
-``recv``, so each delivery resumes its receiver directly.  A protocol waits
-with ``Process.get``, whose terms (types, sender, payload fields) are data
-that a deadlock report names.  Payloads must be canonical (dicts with str
-keys, lists, ints, strs, bools and None); anything else raises TypeError at
-its first delivery.  Every delivered message is appended to the transcript
+Each variable runs a protocol coroutine (a Python generator).  It sends and
+charges compute by plain calls, ``Process.send`` and ``Process.charge``, and
+suspends only to wait for a message: in ``Process.get``, or in the service
+loop of ``Process.run``.  The scheduler delivers messages in global send
+order, which preserves FIFO per channel and makes every run a pure function
+of the seed.  Deliveries happen only between process steps, when every live
+process is blocked in a wait, so each delivery resumes its receiver
+directly.  A wait's terms (types, sender, payload fields) are data that a
+deadlock report names.  Payloads must be canonical (dicts with str keys,
+lists, ints, strs, bools and None); anything else raises TypeError at its
+first delivery.  Every delivered message is appended to the transcript
 with a copy of its payload and its wire size, both taken in one pass over
 the payload (a forwarded ring hop reuses the pass of the hop before);
 simulated time is tracked per variable with the usual dependency-max rule
@@ -209,12 +210,13 @@ class Stop(Exception):
 class Process:
     """Base class for per-variable protocol state machines.
 
-    Subclasses implement main(); helper generators use ``yield from`` with
-    send, charge and get.  Every wait is one ``get(*types, sender=, **fields)``
-    call, whose terms stay on the process as ``waiting`` for a deadlock
-    report.  An arrival whose type is in INTERCEPTS goes through intercept()
-    (routing, ring services), which consumes it or hands back what is left
-    of it; what the wait does not match is stashed for a later wait.
+    Subclasses implement main() as a generator.  send() and charge() are
+    plain calls; a protocol suspends only in a wait, one
+    ``yield from self.get(*types, sender=, **fields)`` call, whose terms stay
+    on the process as ``waiting`` for a deadlock report.  An arrival whose
+    type is in INTERCEPTS goes through intercept() (routing, ring services),
+    which consumes it or hands back what is left of it; what the wait does
+    not match is stashed for a later wait.
     """
 
     # Message types intercept() may consume; no other type is offered to it.
@@ -229,14 +231,16 @@ class Process:
         self.result: dict = {}
         self.aborted = False
 
-    # -- effects -----------------------------------------------------------
+    # -- sending, computing and waiting -------------------------------------
 
     def send(self, dst: str, msg_type: str, payload: dict):
-        yield ("send", dst, Msg(msg_type, payload, sender=self.var))
+        self.sim.post(self.var, dst, Msg(msg_type, payload, sender=self.var))
 
     def charge(self, units: int):
+        """Advance this variable's simulated clock by `units`."""
         if units:
-            yield ("compute", units)
+            clocks = self.sim.clocks
+            clocks[self.var] = clocks.get(self.var, 0) + units
 
     def get(self, *types, sender=None, **fields):
         """Wait for the first message whose type is in `types`, sent by
@@ -256,9 +260,9 @@ class Process:
         self.waiting = (types, sender, fields)
         intercepts = self.INTERCEPTS
         while True:
-            m = yield ("recv",)
+            m = yield
             if m.type in intercepts:
-                m = yield from self.intercept(m)
+                m = self.intercept(m)
                 if self.aborted:
                     raise Stop()
                 if m is None:
@@ -275,8 +279,6 @@ class Process:
 
         Subclasses extend this and list the types they handle in INTERCEPTS.
         """
-        if False:
-            yield  # pragma: no cover - makes this a generator
         return msg
 
     # -- lifecycle ---------------------------------------------------------
@@ -294,9 +296,9 @@ class Process:
         # Keep servicing ring traffic until global quiescence; what no
         # intercept consumes is dropped.
         while True:
-            m = yield ("recv",)
+            m = yield
             if m.type in self.INTERCEPTS:
-                yield from self.intercept(m)
+                self.intercept(m)
 
     def stopped_result(self) -> dict:
         return {"aborted": True}
@@ -380,27 +382,21 @@ class Sim:
         self._step(dst, gen, msg)
 
     def _step(self, var: str, gen, value):
-        """Resume `var`'s generator with `value` and run its effects until it
-        blocks on its next recv (or ends)."""
-        send = gen.send
-        clocks = self.clocks
+        """Resume `var`'s generator with `value`; it runs until its next
+        wait (or ends)."""
         try:
-            effect = send(value)
-            while True:
-                kind = effect[0]
-                if kind == "recv":
-                    return
-                if kind == "send":
-                    _, dst, msg = effect
-                    self._check_channel(var, dst)
-                    self._queue.append((var, dst, msg, clocks.get(var, 0)))
-                elif kind == "compute":
-                    clocks[var] = clocks.get(var, 0) + effect[1]
-                else:
-                    raise SimError(f"unknown effect {effect!r}")
-                effect = send(None)
+            waited = gen.send(value)
         except StopIteration:
             del self._gens[var]
+            return
+        if waited is not None:
+            raise SimError(f"{var} yielded {waited!r}; a process suspends "
+                           f"only in a wait")
+
+    def post(self, src: str, dst: str, msg: Msg):
+        """Queue `msg` from `src` to `dst`, stamped with `src`'s clock."""
+        self._check_channel(src, dst)
+        self._queue.append((src, dst, msg, self.clocks.get(src, 0)))
 
     def _check_channel(self, src: str, dst: str):
         if dst == src:

@@ -210,6 +210,11 @@ def test_cli_rejects_an_unusable_solver_config(tmp_path, capsys, command, flag,
     (["gen", "--size", "-2"], "--size", "-2"),
     (["bench", "--sizes", "0"], "--sizes", "0"),
     (["bench", "--sizes", "3,0"], "--sizes", "0"),
+    # These used to write an empty grid, or run serially, and exit 0.
+    (["bench", "--instances", "0"], "--instances", "0"),
+    (["bench", "--instances", "-1"], "--instances", "-1"),
+    (["bench", "--workers", "0"], "--workers", "0"),
+    (["bench", "--workers", "-2"], "--workers", "-2"),
 ])
 def test_cli_rejects_a_size_below_one(tmp_path, capsys, args, flag, bad):
     with pytest.raises(SystemExit) as exit_info:
@@ -217,6 +222,20 @@ def test_cli_rejects_a_size_below_one(tmp_path, capsys, args, flag, bad):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert f"{flag}: must be at least 1, got {bad}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--solvers", ","), ("--solvers", " "), ("--sizes", ","),
+])
+def test_cli_bench_rejects_an_empty_list(tmp_path, capsys, flag, value):
+    # An empty grid used to be written with "oracle mismatches: 0", exit 0.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", flag, value, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must name at least one, got {value!r}" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone (``dependencies = []``),
-and every protocol wait is declarative data."""
+every protocol wait is declarative data, and a protocol suspends only in a
+wait."""
 
 import ast
 import pathlib
@@ -72,4 +73,58 @@ def test_the_wait_guard_flags_lambdas_hooks_and_computed_types():
 def test_package_waits_are_declarative():
     found = {path.name: opaque_waits(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# The two waits of the runtime, the only places a protocol suspends.
+WAITS = frozenset({("Process", "get"), ("Process", "run")})
+
+
+def stray_yields(source: str, waits=frozenset()) -> list[int]:
+    """Lines of ``yield`` expressions other than a bare ``yield`` in one of
+    the ``(class, method)`` pairs of `waits`.  (``yield from`` delegates to
+    a wait and is not itself one.)"""
+    lines = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, (child.name, None))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (owner[0], child.name))
+            else:
+                if isinstance(child, ast.Yield) and not (
+                        child.value is None and owner in waits):
+                    lines.append(child.lineno)
+                visit(child, owner)
+
+    visit(ast.parse(source), (None, None))
+    return sorted(lines)
+
+
+def test_the_suspension_guard_flags_effects_and_stray_yields():
+    source = ("class Process:\n"
+              "    def get(self):\n"
+              "        m = yield\n"
+              "    def run(self):\n"
+              "        yield ('recv',)\n"
+              "class Kernel(Process):\n"
+              "    def send(self, dst, msg):\n"
+              "        yield ('send', dst, msg)\n"
+              "    def intercept(self, msg):\n"
+              "        if False:\n"
+              "            yield\n"
+              "        return msg\n"
+              "    def main(self):\n"
+              "        m = yield from self.get('A')\n"
+              "        return (yield m)\n")
+    assert stray_yields(source, WAITS) == [5, 8, 11, 15]
+    assert stray_yields(source) == [3, 5, 8, 11, 15]
+
+
+def test_protocols_suspend_only_in_the_runtime_waits():
+    found = {name: stray_yields(
+                 (PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"),
+                 WAITS if name == "runtime" else frozenset())
+             for name in ("runtime", "kernel", "dpop", "pdpop", "p32", "p2")}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -27,12 +27,12 @@ def two_var_problem():
 class PingProcess(Process):
     def main(self):
         if self.var == "x1":
-            yield from self.send("x2", "PING", {"n": 1})
+            self.send("x2", "PING", {"n": 1})
             m = yield from self.get("PONG")
             return {"got": m.payload["n"]}
         m = yield from self.get("PING")
-        yield from self.charge(5)
-        yield from self.send("x1", "PONG", {"n": m.payload["n"] + 1})
+        self.charge(5)
+        self.send("x1", "PONG", {"n": m.payload["n"] + 1})
         return {}
 
 
@@ -76,10 +76,10 @@ def test_get_matches_types_sender_and_fields_first_stashed_first():
         def main(self):
             if self.var == "x1":
                 for msg_type, k in (("A", 1), ("B", 2), ("A", 2)):
-                    yield from self.send("x2", msg_type, {"k": k, "pad": 0})
-                yield from self.send("x2", "END", {})
+                    self.send("x2", msg_type, {"k": k, "pad": 0})
+                self.send("x2", "END", {})
                 return {}
-            yield from self.send("x2", "A", {"k": 1})  # delivered last
+            self.send("x2", "A", {"k": 1})  # delivered last
             yield from self.get("END")  # stashes x1's A1, B2 and A2
             waits = ((("A",), {"sender": "x2"}), (("A", "B"), {"k": 2}),
                      (("A",), {}), (("B", "A"), {"k": 2, "pad": 0}))
@@ -105,16 +105,14 @@ def test_get_matches_what_an_intercept_hands_back():
         def intercept(self, msg):
             if msg.type == "NOISE":
                 return None  # consumed: never stashed, never matched
-            yield from self.charge(1)
+            self.charge(1)
             return Msg(msg.payload["inner_type"], msg.payload["inner"])
 
         def main(self):
             if self.var == "x1":
-                yield from self.send("x2", "NOISE", {"k": 5})
-                yield from self.send("x2", "WRAP", {"inner_type": "A",
-                                                    "inner": {"k": 4}})
-                yield from self.send("x2", "WRAP", {"inner_type": "A",
-                                                    "inner": {"k": 5}})
+                self.send("x2", "NOISE", {"k": 5})
+                self.send("x2", "WRAP", {"inner_type": "A", "inner": {"k": 4}})
+                self.send("x2", "WRAP", {"inner_type": "A", "inner": {"k": 5}})
                 return {}
             m = yield from self.get("A", "NOISE", k=5)
             return {"got": (m.type, m.sender, m.payload),
@@ -146,8 +144,9 @@ def test_delivery_to_an_ended_process_raises():
     class EndsAtOnce(Process):
         def run(self):  # no service loop: the generator ends after its send
             if self.var == "x2":
-                yield from self.send("x1", "LATE", {})
+                self.send("x1", "LATE", {})
             self.done = True
+            yield from ()  # a generator that never waits
 
     p = two_var_problem()
     sim = Sim(p, seed=0, config=RunConfig())
@@ -172,7 +171,8 @@ def test_channel_violation_rejected():
     class Leaky(Process):
         def main(self):
             if self.var == "x1":
-                yield from self.send("x3", "OOPS", {})  # non-neighbor
+                self.send("x3", "OOPS", {})  # non-neighbor
+            yield from ()  # a generator that never waits
             return {}
 
     sim = Sim(p, seed=0, config=RunConfig())
@@ -186,7 +186,8 @@ def test_send_to_an_unknown_name_raises_sim_error():
     class Stray(Process):
         def main(self):
             if self.var == "x1":
-                yield from self.send("nope", "PING", {})
+                self.send("nope", "PING", {})
+            yield from ()  # a generator that never waits
             return {}
 
     p = two_var_problem()
@@ -195,6 +196,25 @@ def test_send_to_an_unknown_name_raises_sim_error():
         sim.add_process(Stray(x, sim))
     with pytest.raises(SimError, match="x1 sent to 'nope', which is not a problem"):
         sim.run()
+
+
+def test_a_process_that_yields_a_value_raises_sim_error():
+    # A process suspends only in a bare wait; an old-style send effect is
+    # neither run nor taken for a wait.
+    class OldStyle(Process):
+        def main(self):
+            if self.var == "x1":
+                yield ("send", "x2", Msg("PING", {}, sender="x1"))
+            return {}
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(OldStyle(x, sim))
+    with pytest.raises(SimError, match=r"^x1 yielded \('send', 'x2', Msg\("
+                                       r"type='PING'.*suspends only in a wait"):
+        sim.run()
+    assert len(sim.transcript) == 0
 
 
 def test_simulated_time_parallel_branches_max_rule():
@@ -214,13 +234,13 @@ def test_simulated_time_parallel_branches_max_rule():
     class Branching(Process):
         def main(self):
             if self.var in cost:
-                yield from self.charge(cost[self.var])
-                yield from self.send("j", "DONE", {})
+                self.charge(cost[self.var])
+                self.send("j", "DONE", {})
             elif self.var == "j":
                 for u in cost:
                     yield from self.get("DONE", sender=u)
-                yield from self.charge(2)
-                yield from self.send("out", "DONE", {})
+                self.charge(2)
+                self.send("out", "DONE", {})
             else:
                 yield from self.get("DONE")
             return {}
