@@ -16,11 +16,23 @@ vector of them in one call and makes every cyphertext a solver sends:
 and ``{"alpha": 1, "beta": 1}`` as P2's AND with false.  ``encrypt`` and
 ``rerandomize`` are its one-entry forms.
 
+Exponent width: private keys, key sub-shares and nonces are drawn below
+``GroupParams.exp_bound``, that is below 2**EXP_BITS (256) wherever p - 1 is
+wider, and across the full range [1, p - 1) in the 5- and 64-bit groups.
+Over a safe prime a 2k-bit exponent keeps k bits of security (van Oorschot
+and Wiener, *On Diffie-Hellman key agreement with short exponents*,
+EUROCRYPT '96), and ElGamal with short exponents stays semantically secure
+under DDH and the short-exponent discrete-log assumption (Koshiba and
+Kurosawa, *Short exponent Diffie-Hellman problems*, PKC 2004).  So 256 bits
+give 2**128 against Pollard's lambda, far above what the number field sieve
+needs against a 512-bit p.
+
 Exponentiations to g and to the compound key y use cached fixed-base tables
 of W-bit windows (W = 8 up to 128-bit moduli, 6 above), and raise y and g in
 one walk over the digits of their shared exponent.  Up to 128 bits a walk
-reduces mod p once at the end; above, it reduces every row.
-``partial_decrypt`` and ``strip_share``, whose base varies, use plain ``pow``.
+reduces mod p once at the end; above, it reduces every row and stops at the
+exponent's last nonzero digit.  ``partial_decrypt`` and ``strip_share``,
+whose base varies, use plain ``pow``.
 """
 
 from __future__ import annotations
@@ -71,6 +83,9 @@ def is_probable_prime(n: int, rounds: int = 64, rng=None) -> bool:
 # is treated as malformed.
 TRUE_POWER_BOUND = 1 << 16
 
+# Secret exponents are drawn below 2**EXP_BITS where p - 1 is wider.
+EXP_BITS = 256
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -86,6 +101,12 @@ class GroupParams:
     @property
     def q(self) -> int:
         return (self.p - 1) // 2
+
+    @property
+    def exp_bound(self) -> int:
+        """Exclusive upper bound of every secret exponent drawn in this
+        group: p - 1 up to EXP_BITS-bit groups, else 2**EXP_BITS."""
+        return min(self.p - 1, 1 << EXP_BITS)
 
     def validate(self):
         if not is_probable_prime(self.p) or not is_probable_prime(self.q):
@@ -152,10 +173,13 @@ GROUP_512 = make_group(
 _GROUPS_BY_BITS = {5: TOY_GROUP, 64: TOY64_GROUP, 512: GROUP_512}
 
 
-def group_for_bits(bits: int, rng: random.Random | None = None) -> GroupParams:
+@functools.cache
+def group_for_bits(bits: int) -> GroupParams:
+    """The published group of this width, else one searched for with the
+    width as seed: deterministic, so each width is searched once."""
     if bits in _GROUPS_BY_BITS:
         return _GROUPS_BY_BITS[bits]
-    return generate_group(bits, rng or random.Random(bits))
+    return generate_group(bits, random.Random(bits))
 
 
 # ------------------------------------------------- fixed-base exponentiation
@@ -174,9 +198,10 @@ def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Row i holds base**(d * 2**(W*i)) mod p for every digit d < 2**W
     (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3).  W is 8 up to
     128-bit moduli (8 rows of 256 at 64 bits) and 6 above (86 rows of 64, about
-    0.6 MB, at 512 bits), so an exponentiation takes 8 or 86 multiplications
-    where pow squares 63 or 511 times.  Bases and moduli are public group
-    values, so one bounded cache serves every simulated agent and run."""
+    0.6 MB, at 512 bits), so an exponentiation takes up to 8 or 86
+    multiplications where pow squares 63 or 511 times; a 256-bit exponent
+    stops after 43 rows.  Bases and moduli are public group values, so one
+    bounded cache serves every simulated agent and run."""
     _pair_table.cache_clear()  # no pair may keep an evicted table alive
     w = 8 if p.bit_length() <= _NARROW_BITS else 6
     rows = []
@@ -198,7 +223,8 @@ def _pair_table(y: int, g: int, p: int) -> tuple:
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
     """pow(base, e, p) for 0 <= e < 2**bitlen(p) via a cached table for the
-    base: one lookup and one multiplication per W-bit digit of e."""
+    base: one lookup and one multiplication per W-bit digit of e (above 128
+    bits, up to its last nonzero digit)."""
     rows = _fixed_base_table(base, p)
     mask = len(rows[0]) - 1
     w, acc = mask.bit_length(), 1
@@ -208,6 +234,8 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
             e >>= w
         return acc % p
     for row in rows:
+        if not e:
+            break
         acc = acc * row[e & mask] % p
         e >>= w
     return acc
@@ -227,6 +255,8 @@ def _pair_walk(rows, e: int, p: int, acc_y: int,
             e >>= w
         return acc_y % p, acc_g % p
     for row_y, row_g in rows:
+        if not e:
+            break
         d = e & mask
         acc_y = acc_y * row_y[d] % p
         acc_g = acc_g * row_g[d] % p
@@ -238,7 +268,7 @@ def _pair_walk(rows, e: int, p: int, acc_y: int,
 
 @dataclass(frozen=True)
 class KeyPairShare:
-    private: int  # x_i in [1, p-2]
+    private: int  # x_i in [1, exp_bound)
     public: int   # y_i = g**x_i mod p
 
 
@@ -249,7 +279,7 @@ class CompoundPublicKey:
 
 
 def generate_share(params: GroupParams, rng: random.Random) -> KeyPairShare:
-    x = rng.randrange(1, params.p - 1)
+    x = rng.randrange(1, params.exp_bound)
     return KeyPairShare(private=x, public=fixed_base_pow(params.g, x, params.p))
 
 
@@ -266,14 +296,15 @@ def split_public_shares(params: GroupParams, share: KeyPairShare, count: int,
                         rng: random.Random) -> list[int]:
     """Split one key pair's public part into `count` sub-shares whose product
     is g**private.  Lets an agent publish several shares while keeping a
-    single private exponent."""
+    single private exponent.  The first count - 1 are g**e for exponents
+    e < exp_bound; the last is the public part divided by their product."""
     if count < 1:
         raise CryptoError("count must be >= 1")
-    order = params.p - 1
-    exps = [rng.randrange(0, order) for _ in range(count - 1)]
-    last = (share.private - sum(exps)) % order
-    exps.append(last)
-    return [fixed_base_pow(params.g, e, params.p) for e in exps]
+    p = params.p
+    subs = [fixed_base_pow(params.g, rng.randrange(0, params.exp_bound), p)
+            for _ in range(count - 1)]
+    subs.append(share.public * pow(math.prod(subs), -1, p) % p)
+    return subs
 
 
 # ------------------------------------------------------------- encryption
@@ -285,18 +316,18 @@ def encode_bool(params: GroupParams, m: bool) -> int:
 def rerandomize_entries(params: GroupParams, key: CompoundPublicKey,
                         cyphertexts, rng: random.Random) -> list[dict]:
     """Re-randomize a vector of cyphertexts into new ones, drawing one
-    rng.randrange(1, p - 1) per entry in entry order.
+    rng.randrange(1, exp_bound) per entry in entry order.
 
     Each entry comes out as rerandomize(c, r), so {"alpha": e, "beta": 1}
     comes out as a fresh encryption of element e (1 * g**r == g**r), and
     {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
     once for the whole vector."""
-    p = params.p
+    p, bound = params.p, params.exp_bound
     rows = _pair_table(key.y, params.g, p)
     randrange = rng.randrange
     out = []
     for c in cyphertexts:
-        alpha, beta = _pair_walk(rows, randrange(1, p - 1), p,
+        alpha, beta = _pair_walk(rows, randrange(1, bound), p,
                                  c["alpha"], c["beta"])
         out.append({"alpha": alpha, "beta": beta})
     return out
@@ -336,12 +367,14 @@ def recover_element(params: GroupParams, c: dict, decryption_shares) -> int:
 def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
     """Fold one partial decryption into alpha, leaving beta untouched.
 
-    After all shares are stripped, alpha holds the plaintext element.  Since
-    beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x):
-    one exponentiation and no modular inverse."""
-    p, beta = params.p, c["beta"]
-    return {"alpha": c["alpha"] * pow(beta, p - 1 - share.private, p) % p,
-            "beta": beta}
+    After all shares are stripped, alpha holds the plaintext element.  A
+    short x (below exp_bound < p - 1) divides with pow(beta, -x, p): one
+    inverse and a short exponentiation.  A full-width x does not: since
+    beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x),
+    an exponentiation of the same width and no inverse."""
+    p, beta, x = params.p, c["beta"], share.private
+    e = -x if x < params.exp_bound < p - 1 else p - 1 - x
+    return {"alpha": c["alpha"] * pow(beta, e, p) % p, "beta": beta}
 
 
 # Small-integer encoding used by the rerooting vectors: value v in {-1, 0, 1}

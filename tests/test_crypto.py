@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discsp import crypto
-from discsp.crypto import (CompoundPublicKey, KeyPairShare,
+from discsp.crypto import (EXP_BITS, CompoundPublicKey, KeyPairShare,
                            MalformedCyphertext, encrypt, fixed_base_pow,
                            generate_group, or_cipher, partial_decrypt,
                            recover_element, rerandomize, rerandomize_entries,
@@ -56,12 +56,14 @@ def test_textbook_values_p23():
     assert decrypts(TOY, c, [share]) is False
 
 
-@pytest.mark.parametrize("params", [TOY, TOY64], ids=["p23", "toy64"])
+@pytest.mark.parametrize("params, draws", [
+    pytest.param(TOY, 100, id="p23"), pytest.param(TOY64, 100, id="toy64"),
+    pytest.param(G512, 20, id="g512")])
 @pytest.mark.parametrize("bit", [False, True])
-def test_roundtrip_100_randomness(params, bit):
+def test_roundtrip_100_randomness(params, draws, bit):
     rng = random.Random(7)
     share, key = keypair(params, rng)
-    for _ in range(100):
+    for _ in range(draws):
         c = encrypt(params, key, bit, rng)
         assert decrypts(params, c, [share]) is bit
 
@@ -99,7 +101,7 @@ def test_rerandomize_changes_representation():
 @given(data=st.data())
 def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
     """The vector kernel multiplies each entry by (y**r, g**r) for one
-    r = randrange(1, p - 1) per entry, drawn in entry order: plain pow from
+    r = randrange(1, exp_bound) per entry, drawn in entry order: plain pow from
     an equal-seeded rng gives the same dicts.  Entries are encryptions and
     fresh {"alpha": z**k, "beta": 1} inputs; k = 0 is P2's AND with false."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
@@ -116,7 +118,7 @@ def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
         else:
             c = encrypt(params, key, bool(k % 2), rng)
         entries.append(c)
-        r = old_rng.randrange(1, p - 1)
+        r = old_rng.randrange(1, params.exp_bound)
         expected.append({"alpha": c["alpha"] * pow(key.y, r, p) % p,
                          "beta": c["beta"] * pow(params.g, r, p) % p})
     new_rng = random.Random(seed)
@@ -175,37 +177,106 @@ def test_missing_share_surfaces_error():
     assert failures == 20
 
 
-def test_strip_share_matches_partial_decrypt():
+@GROUPS
+def test_strip_share_matches_partial_decrypt(params):
     rng = random.Random(12)
-    shares = [crypto.generate_share(TOY64, rng) for _ in range(3)]
-    key = crypto.combine_public(TOY64, [s.public for s in shares])
-    c = encrypt(TOY64, key, True, rng)
+    shares = [crypto.generate_share(params, rng) for _ in range(3)]
+    key = crypto.combine_public(params, [s.public for s in shares])
+    c = encrypt(params, key, True, rng)
     stripped = c
     for s in shares:
-        stripped = strip_share(TOY64, stripped, s)
-    assert TOY64.decode(stripped["alpha"]) == 1
+        stripped = strip_share(params, stripped, s)
+    assert params.decode(stripped["alpha"]) == 1
 
 
-def test_split_public_shares_product():
+@GROUPS
+def test_split_public_shares_product(params):
     rng = random.Random(21)
-    share = crypto.generate_share(TOY64, rng)
+    share = crypto.generate_share(params, rng)
     for count in (1, 3, 7):
-        subs = split_public_shares(TOY64, share, count, rng)
+        subs = split_public_shares(params, share, count, rng)
         assert len(subs) == count
         prod = 1
         for y in subs:
-            prod = prod * y % TOY64.p
+            prod = prod * y % params.p
         assert prod == share.public
 
 
-def test_small_value_encoding_roundtrip():
+@GROUPS
+def test_small_value_encoding_roundtrip(params):
     rng = random.Random(31)
-    share, key = keypair(TOY64, rng)
+    share, key = keypair(params, rng)
     for v in (-1, 0, 1):
-        c = fresh(TOY64, key, {"alpha": crypto.encode_small(TOY64, v),
-                               "beta": 1}, rng)
-        element = recover_element(TOY64, c, [partial_decrypt(TOY64, c, share)])
-        assert crypto.decode_small(TOY64, element) == v
+        c = fresh(params, key, {"alpha": crypto.encode_small(params, v),
+                                "beta": 1}, rng)
+        element = recover_element(params, c,
+                                  [partial_decrypt(params, c, share)])
+        assert crypto.decode_small(params, element) == v
+
+
+class DrawLog(random.Random):
+    """A Random that records the arguments and result of every randrange."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randrange(self, *args):
+        r = super().randrange(*args)
+        self.draws.append((args, r))
+        return r
+
+
+def secret_draws(params, seed):
+    """The randrange draws of a key share, a split into 4 sub-shares and a
+    3-entry vector re-randomization, in that order."""
+    rng = DrawLog(seed)
+    share, key = keypair(params, rng)
+    split_public_shares(params, share, 4, rng)
+    rerandomize_entries(params, key, [ONE] * 3, rng)
+    return rng
+
+
+def test_secret_exponents_are_short_at_512_bits():
+    bound = 1 << EXP_BITS
+    assert G512.exp_bound == bound < G512.p - 1
+    for seed in range(5):
+        draws = secret_draws(G512, seed).draws
+        assert [args for args, _r in draws] == (
+            [(1, bound)] + [(0, bound)] * 3 + [(1, bound)] * 3)
+        assert all(r < bound for _args, r in draws)
+        assert max(r for _args, r in draws).bit_length() > EXP_BITS - 8
+
+
+@pytest.mark.parametrize("params", [TOY, TOY64], ids=["p23", "toy64"])
+def test_small_groups_draw_across_the_whole_range(params):
+    """Up to 64 bits every draw is the randrange(1, p - 1) or
+    randrange(0, p - 1) it always was, so every 64-bit transcript holds."""
+    assert params.exp_bound == params.p - 1
+    for seed in range(5):
+        rng = secret_draws(params, seed)
+        assert len(rng.draws) == 7
+        replay = random.Random(seed)
+        for lo, (args, r) in zip([1, 0, 0, 0, 1, 1, 1], rng.draws):
+            assert args == (lo, params.p - 1)
+            assert replay.randrange(lo, params.p - 1) == r
+        assert rng.getstate() == replay.getstate()
+
+
+def test_fixed_base_walks_match_pow_at_every_exponent_width():
+    """The 512-bit walks stop at an exponent's last nonzero digit.  0, one
+    exponent of each bit length up to bitlen(p), and 2**bitlen(p) - 1 (above
+    p - 1, still inside the walks' contract) all give pow's value."""
+    p, g = G512.p, G512.g
+    rng = random.Random(19)
+    key = CompoundPublicKey(pow(g, rng.randrange(1, p - 1), p), 1)
+    exponents = [0, (1 << p.bit_length()) - 1] + [
+        rng.randrange(1 << (bits - 1), 1 << bits)
+        for bits in range(1, p.bit_length() + 1)]
+    for e in exponents:
+        assert fixed_base_pow(g, e, p) == pow(g, e, p)
+        assert rerandomize(G512, key, ONE, e) == {
+            "alpha": pow(key.y, e, p), "beta": pow(g, e, p)}
 
 
 def test_512bit_single_encrypt_decrypt_under_50ms():
@@ -223,6 +294,36 @@ def test_generate_group_validates():
     params = generate_group(32, random.Random(6))
     params.validate()
     assert params.p.bit_length() == 32
+
+
+def test_a_generated_group_is_searched_once_per_width(monkeypatch):
+    """Every process of a solve asks for the group of its key width; a
+    width without a published group is searched for once, not per process."""
+    searches, handed_out = [], []
+    generate, lookup = crypto.generate_group, crypto.group_for_bits
+
+    def counting_generate(bits, rng):
+        searches.append(bits)
+        return generate(bits, rng)
+
+    def recording_lookup(bits):
+        handed_out.append(lookup(bits))
+        return handed_out[-1]
+
+    monkeypatch.setattr(crypto, "generate_group", counting_generate)
+    monkeypatch.setattr(crypto, "group_for_bits", recording_lookup)
+    lookup.cache_clear()
+    try:
+        for solver in ("p2_plus", "p32"):
+            result = run_solver(solver, gen_graph_coloring(4, seed=1), seed=3,
+                                config=RunConfig(key_bits=40))
+            assert result.feasible is not None
+    finally:
+        lookup.cache_clear()
+    assert searches == [40]
+    assert len(handed_out) == 8
+    assert all(params == handed_out[0] for params in handed_out)
+    assert handed_out[0].p.bit_length() == 40
 
 
 def test_group_constants_validate():
@@ -322,10 +423,17 @@ def test_pair_tables_share_the_single_base_rows():
 
 @GROUPS
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2 ** 32))
-def test_strip_share_divides_out_partial_decrypt(params, seed):
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       full_width=st.booleans())
+def test_strip_share_divides_out_partial_decrypt(params, seed, full_width):
+    """For drawn private keys, short at 512 bits, and for keys drawn from
+    all of [1, p - 1)."""
     rng = random.Random(seed)
     share, key = keypair(params, rng)
+    if full_width:
+        x = rng.randrange(1, params.p - 1)
+        share = KeyPairShare(private=x, public=pow(params.g, x, params.p))
+        key = crypto.combine_public(params, [share.public])
     c = encrypt(params, key, bool(seed % 2), rng)
     inverse = pow(partial_decrypt(params, c, share), -1, params.p)
     assert strip_share(params, c, share) == {
@@ -354,11 +462,18 @@ def test_encrypted_run_transcript_is_pinned(solver):
 
 
 # The same run at the default 512-bit group, where the fixed-base tables are
-# widest: the pins above all run at 64 bits.
+# widest: the pins above all run at 64 bits.  Drawing secret exponents below
+# 2**EXP_BITS changed these digests from
+#   p32_plus 755105984be20098f1dcfba00a4f4edc91cfcbcf1930a435db13f2475c5a3c15
+#   p2_plus  6119823b34b8e26558469736c6d62266eb0188f75639b9747538b344f32bda21
+# and moved only cyphertext values: the message counts and simulated times
+# below are the ones those runs had.
 TRANSCRIPT_SHA256_512 = {
-    "p32_plus": "755105984be20098f1dcfba00a4f4edc91cfcbcf1930a435db13f2475c5a3c15",
-    "p2_plus": "6119823b34b8e26558469736c6d62266eb0188f75639b9747538b344f32bda21",
+    "p32_plus": "2a4c414ea1f5a1cc4d563674cbf43ee62cb5260b6e7aacbad0799347114b5fe7",
+    "p2_plus": "5f9190411f319099fc623860bce41a6e9eec25b0e2c89a722a693f4228734c34",
 }
+MESSAGES_AND_SIM_TIME_512 = {"p32_plus": (302, 390_114),
+                             "p2_plus": (344, 573_030)}
 
 
 @pytest.mark.parametrize("solver", sorted(TRANSCRIPT_SHA256_512))
@@ -367,3 +482,6 @@ def test_encrypted_run_transcript_is_pinned_at_512_bits(solver):
                         config=RunConfig(key_bits=512))
     digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
     assert digest.hexdigest() == TRANSCRIPT_SHA256_512[solver]
+    metrics = result.metrics
+    assert (metrics.message_count, metrics.simulated_time) == \
+        MESSAGES_AND_SIM_TIME_512[solver]
