@@ -54,6 +54,31 @@ def _non_negative(text: str) -> int:
     return n
 
 
+def _solvers(text: str) -> tuple[str, ...]:
+    names = _csv_strs(text)
+    unknown = [name for name in names if name not in SOLVERS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown solvers {unknown}; known: {sorted(SOLVERS)}")
+    return names
+
+
+def _add_run_options(parser: argparse.ArgumentParser, defaults: RunConfig):
+    """The RunConfig options, defaulting to the fields of `defaults`.
+    (Not a parent parser: its subparsers would share one set of defaults.)"""
+    parser.add_argument("--key-bits", type=_key_bits, default=defaults.key_bits)
+    parser.add_argument("--b-bits", type=_non_negative, default=defaults.b_bits)
+    parser.add_argument("--incr-min", type=_non_negative,
+                        default=defaults.incr_min)
+    parser.add_argument("--timeout-secs", type=_positive_secs,
+                        default=defaults.timeout_secs)
+
+
+def _run_config(args) -> RunConfig:
+    return RunConfig(key_bits=args.key_bits, b_bits=args.b_bits,
+                     incr_min=args.incr_min, timeout_secs=args.timeout_secs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discsp",
@@ -67,13 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated instance sizes")
     bench.add_argument("--instances", type=_size, default=5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--solvers", type=_csv_strs,
+    bench.add_argument("--solvers", type=_solvers,
                        default=("dpop", "pdpop_plus"),
                        help=f"comma-separated; known: {sorted(SOLVERS)}")
-    bench.add_argument("--key-bits", type=_key_bits, default=512)
-    bench.add_argument("--b-bits", type=_non_negative, default=128)
-    bench.add_argument("--incr-min", type=_non_negative, default=10)
-    bench.add_argument("--timeout-secs", type=_positive_secs, default=600.0)
+    _add_run_options(bench, ExperimentConfig().run)
     bench.add_argument("--workers", type=_size, default=1)
     bench.add_argument("--out", default="bench",
                        help="output prefix: writes <out>_runs.csv and "
@@ -83,10 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", help="path to a problem file")
     solve.add_argument("--solver", choices=sorted(SOLVERS), default="dpop")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--key-bits", type=_key_bits, default=512)
-    solve.add_argument("--b-bits", type=_non_negative, default=128)
-    solve.add_argument("--incr-min", type=_non_negative, default=10)
-    solve.add_argument("--timeout-secs", type=_positive_secs, default=None)
+    _add_run_options(solve, RunConfig())
 
     gen = sub.add_parser("gen", help="generate a benchmark instance file")
     gen.add_argument("--family", choices=sorted(FAMILIES), default="coloring")
@@ -97,15 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bench(args) -> int:
-    unknown = [s for s in args.solvers if s not in SOLVERS]
-    if unknown:
-        print(f"unknown solvers: {unknown}", file=sys.stderr)
-        return 2
     cfg = ExperimentConfig(
         family=args.family, sizes=args.sizes, instances=args.instances,
-        seed=args.seed, solvers=args.solvers, key_bits=args.key_bits,
-        b_bits=args.b_bits, incr_min=args.incr_min,
-        timeout_secs=args.timeout_secs, workers=args.workers)
+        seed=args.seed, solvers=args.solvers, run=_run_config(args),
+        workers=args.workers)
     rows = run_experiment(cfg)
     summary = summarize(rows)
     runs_path = f"{args.out}_runs.csv"
@@ -130,10 +144,11 @@ def cmd_solve(args) -> int:
     except (OSError, UnicodeError, ModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    cfg = RunConfig(key_bits=args.key_bits, b_bits=args.b_bits,
-                    incr_min=args.incr_min, timeout_secs=args.timeout_secs)
     try:
-        result = run_solver(args.solver, problem, args.seed, cfg)
+        result = run_solver(args.solver, problem, args.seed, _run_config(args))
+    except ModelError as err:  # not one connected constraint graph
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except SimTimeout as err:
         print(f"timeout: {err}", file=sys.stderr)
         return 1

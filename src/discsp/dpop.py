@@ -104,8 +104,6 @@ class DpopProcess(KernelProcess):
         if feasible is not None:
             out.update({"feasible": feasible, "min_violations": min_count,
                         "root": True})
-        if self.sim.config.debug:
-            out["view"] = view
         return out
 
 

@@ -12,7 +12,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .generators import FAMILIES
 from .model import evaluate
@@ -40,17 +40,10 @@ class ExperimentConfig:
     instances: int = 5
     seed: int = 0
     solvers: tuple[str, ...] = ("dpop", "pdpop_plus")
-    key_bits: int = 512
-    b_bits: int = 128
-    incr_min: int = 10
-    timeout_secs: float | None = 600.0
+    run: RunConfig = field(
+        default_factory=lambda: RunConfig(timeout_secs=600.0))
     oracle_cap: int = 10 ** 6
     workers: int = 1
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(key_bits=self.key_bits, b_bits=self.b_bits,
-                         incr_min=self.incr_min,
-                         timeout_secs=self.timeout_secs)
 
 
 def instance_seed(base: int, family: str, size: int, index: int) -> int:
@@ -68,7 +61,6 @@ def _run_one(task: dict) -> dict:
     family, size, index = task["family"], task["size"], task["index"]
     solver = task["solver"]
     seed = task["seed"]
-    cfg = RunConfig(**task["run_config"])
     problem = FAMILIES[family](size, seed)
     row = {
         "family": family, "size": size, "instance": index, "seed": seed,
@@ -79,7 +71,7 @@ def _run_one(task: dict) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        result = run_solver(solver, problem, seed, cfg)
+        result = run_solver(solver, problem, seed, task["run"])
     except (SimTimeout, MemoryError) as exc:
         # One instance too large for the host must not cost the whole grid
         # its rows (under --workers, pool.map would re-raise it).
@@ -119,7 +111,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 tasks.append({
                     "family": cfg.family, "size": size, "index": index,
                     "seed": seed, "solver": solver,
-                    "run_config": vars(cfg.run_config()),
+                    "run": cfg.run,
                     "oracle_cap": cfg.oracle_cap,
                 })
     if cfg.workers > 1:

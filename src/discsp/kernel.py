@@ -114,7 +114,7 @@ class KernelProcess(Process):
 
     INTERCEPTS = frozenset({"PREV", "LAST", "TOKEN"})
 
-    def __init__(self, var: str, sim: Sim, preset_views: dict | None = None):
+    def __init__(self, var: str, sim: Sim):
         super().__init__(var, sim)
         p = sim.problem
         self.neighbors = sorted(p.neighbor_vars(var))
@@ -126,7 +126,6 @@ class KernelProcess(Process):
         self._dfs_pp: set[str] = set()
         self._dfs_pc: set[str] = set()
         self.ids: IdAssignment | None = None
-        self.preset_views = preset_views
 
     # -- routing -------------------------------------------------------------
 
@@ -250,12 +249,8 @@ class KernelProcess(Process):
         return self.views[epoch]
 
     def first_tree(self):
-        """The epoch-0 pseudo-tree: the preset view when one was given, else
-        a root election over as many rounds as there are variables followed
-        by a DFS from the winner."""
-        if self.preset_views is not None:
-            self.views[0] = self.preset_views[self.var]
-            return self.views[0]
+        """The epoch-0 pseudo-tree: a root election over as many rounds as
+        there are variables, then a DFS from the winner."""
         is_root = yield from self.elect_root(len(self.sim.problem.variables))
         return (yield from self.build_tree(0, is_root))
 

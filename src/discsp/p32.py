@@ -255,12 +255,6 @@ class P32Process(PdpopProcess):
             out["value"] = my_value
         if root_iteration == 1:
             out.update({"feasible": feasible_out, "root": True})
-        if self.sim.config.debug:
-            out.update({
-                "ids": self.ids, "compound": self.compound,
-                "private": self.key_share, "perm": list(self.perm),
-                "shuffled_vector": list(self.shuffled_snapshot),
-            })
         return out
 
 

@@ -84,9 +84,8 @@ class PdpopProcess(KernelProcess):
     """P-DPOP(+) state machine; also the propagation engine reused by the
     rerooted solvers."""
 
-    def __init__(self, var: str, sim: Sim, variant: str = "plus",
-                 preset_views=None):
-        super().__init__(var, sim, preset_views)
+    def __init__(self, var: str, sim: Sim, variant: str = "plus"):
+        super().__init__(var, sim)
         if variant not in ("plus", "minus"):
             raise PdpopError(f"unknown variant {variant!r}")
         self.variant = variant
@@ -265,11 +264,6 @@ class PdpopProcess(KernelProcess):
         if view.is_root:
             out.update({"feasible": feasible, "min_violations": min_count,
                         "root": True})
-        if self.sim.config.debug:
-            out.update({"view": view,
-                        "sent_packages": dict(self.sent_packages),
-                        "recv_packages": dict(self.recv_packages),
-                        "sent_keys": dict(self.sent_keys)})
         return out
 
 

@@ -189,9 +189,7 @@ class RunConfig:
     key_bits: int = 512
     b_bits: int = 128
     incr_min: int = 10
-    pad: bool | None = None      # None = solver default
     timeout_secs: float | None = None
-    debug: bool = False
 
 
 def derive_rng(seed: int, *context) -> random.Random:
@@ -291,7 +289,7 @@ class Process:
             result = yield from self.main()
             self.result = result or {}
         except Stop:
-            self.result = self.stopped_result()
+            self.result = {"aborted": True}
         self.done = True
         # Keep servicing ring traffic until global quiescence; what no
         # intercept consumes is dropped.
@@ -299,9 +297,6 @@ class Process:
             m = yield
             if m.type in self.INTERCEPTS:
                 self.intercept(m)
-
-    def stopped_result(self) -> dict:
-        return {"aborted": True}
 
 
 # ------------------------------------------------------------------ engine

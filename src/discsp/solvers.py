@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import Problem, pad_domains
+from .model import ModelError, Problem, pad_domains
 from .runtime import Metrics, RunConfig, Sim, Transcript
 
 
@@ -34,7 +34,6 @@ class RunResult:
     transcript: Transcript
     iterations: int = 1
     min_violations: "int | None" = None
-    debug: dict = field(default_factory=dict)
 
     def joint_assignment(self) -> dict:
         """Test-harness omniscience: merge all agents' local outputs."""
@@ -55,11 +54,12 @@ def run_solver(name: str, problem: Problem, seed: int,
         raise KeyError(f"unknown solver {name!r}; known: {sorted(SOLVERS)}")
     spec = SOLVERS[name]
     config = config or RunConfig()
-    if not problem.is_connected() and len(problem.variables) > 1:
-        raise ValueError("solvers require a single constraint-graph component")
-    pad = spec.pad_default if config.pad is None else config.pad
+    components = len(problem.components())
+    if components != 1:
+        raise ModelError(f"solvers require one connected constraint graph, "
+                         f"got {components} components")
     run_problem = problem
-    if pad:
+    if spec.pad_default:
         size = max(len(problem.domains[x]) for x in problem.variables)
         run_problem = pad_domains(problem, size)
     sim = Sim(run_problem, seed, config)
@@ -78,9 +78,8 @@ def run_solver(name: str, problem: Problem, seed: int,
             feasible = r["feasible"]
         if r.get("min_violations") is not None:
             min_violations = r["min_violations"]
-    debug = {x: r for x, r in results.items()} if config.debug else {}
     return RunResult(
         solver=name, feasible=feasible, per_agent=per_agent,
         metrics=sim.metrics, transcript=sim.transcript,
-        iterations=iterations, min_violations=min_violations, debug=debug,
+        iterations=iterations, min_violations=min_violations,
     )

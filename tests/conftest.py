@@ -7,6 +7,7 @@ from discsp.generators import figure1_instance, figure2_tree_hints
 from discsp.kernel import KernelError, KernelProcess, PseudoTreeView
 from discsp.model import Constraint, Problem
 from discsp.runtime import RunConfig, Sim
+from discsp.solvers import SOLVERS
 from discsp.tables import FeasTable, TableError, _gather
 
 
@@ -68,6 +69,51 @@ def run_gen(gen):
         return stop.value
 
 
+# ------------------------------------------------------------ the test driver
+
+def simulate(problem: Problem, process, seed: int = 0,
+             config: RunConfig | None = None) -> Sim:
+    """Run one process per variable, built as ``process(var, sim)``, and
+    return the finished Sim: its ``processes`` hold each variable's result
+    and internal state, its ``metrics`` and ``transcript`` the run's.
+
+    Unlike ``run_solver`` it runs `problem` as given, never padded."""
+    config = config or RunConfig()
+    sim = Sim(problem, seed, config)
+    for x in problem.variables:
+        sim.add_process(process(x, sim))
+    sim.run(config.timeout_secs)
+    return sim
+
+
+def solver_process(name: str):
+    """The process factory of a registered solver, for ``simulate``."""
+    spec = SOLVERS[name]
+    return lambda var, sim: spec.process(var, sim, *spec.variant)
+
+
+def on_tree(process_cls, views: dict[str, PseudoTreeView]):
+    """`process_cls` with its epoch-0 pseudo-tree fixed to `views` instead
+    of an election and a DFS."""
+
+    class OnTree(process_cls):
+        def first_tree(self):
+            self.views[0] = views[self.var]
+            yield from ()  # a wait-free generator, like the one it replaces
+            return self.views[0]
+
+    return OnTree
+
+
+def outcome(sim: Sim) -> tuple:
+    """(feasible, joint assignment) of a finished run, as ``run_solver``
+    reports them."""
+    results = {x: p.result for x, p in sim.processes.items()}
+    feasible = next((r["feasible"] for r in results.values()
+                     if "feasible" in r), None)
+    return feasible, {x: r["value"] for x, r in results.items() if "value" in r}
+
+
 # ------------------------------------------------ standalone kernel drivers
 
 class _PhaseProcess(KernelProcess):
@@ -107,11 +153,9 @@ class _PhaseProcess(KernelProcess):
 
 def _run_phases(problem: Problem, seed: int, phases, order_hint=None,
                 root=None, config: RunConfig | None = None):
-    sim = Sim(problem, seed, config or RunConfig())
-    for x in problem.variables:
-        sim.add_process(_PhaseProcess(x, sim, phases, order_hint, root))
-    results = sim.run()
-    return results, sim
+    sim = simulate(problem, lambda x, sim: _PhaseProcess(
+        x, sim, phases, order_hint, root), seed, config)
+    return {x: p.result for x, p in sim.processes.items()}, sim
 
 
 def elect_root(problem: Problem, seed: int):
@@ -142,15 +186,10 @@ def solve_dpop(problem: Problem, views: dict[str, PseudoTreeView], seed: int = 0
 
     Returns (assignment, min_violations, metrics, transcript).
     """
-    config = config or RunConfig()
-    sim = Sim(problem, seed, config)
-    for x in problem.variables:
-        sim.add_process(DpopProcess(x, sim, preset_views=views))
-    results = sim.run(config.timeout_secs)
-    assignment = {x: r["value"] for x, r in results.items()}
-    min_count = next(r["min_violations"] for r in results.values()
-                     if r.get("root"))
-    return assignment, min_count, sim.metrics, sim.transcript
+    sim = simulate(problem, on_tree(DpopProcess, views), seed, config)
+    results = [p.result for p in sim.processes.values()]
+    min_count = next(r["min_violations"] for r in results if r.get("root"))
+    return outcome(sim)[1], min_count, sim.metrics, sim.transcript
 
 
 def tree_from_parents(problem: Problem, parents: dict,

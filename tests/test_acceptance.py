@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from conftest import run_gen, solve_dpop, tables_equal
+from conftest import run_gen, simulate, solve_dpop, solver_process, tables_equal
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.experiments import (ExperimentConfig, run_experiment, summarize
@@ -261,24 +261,23 @@ def test_criterion_6_privacy_audit_suite():
 
 
 def test_criterion_7_elgamal_operation_counters(fig1):
-    cfg = RunConfig(key_bits=64, b_bits=128, incr_min=10, debug=True)
+    cfg = RunConfig(key_bits=64, b_bits=128, incr_min=10)
     failures = []
     for solver in ("p32", "p32_plus"):
         for seed in (3, 11):
-            r = run_solver(solver, fig1, seed=seed, config=cfg)
+            # fig1's domains are uniform: run_solver would pad nothing.
+            sim = simulate(fig1, solver_process(solver), seed, cfg)
+            stats = sim.metrics.stats
             n = len(fig1.variables)
-            n_plus = next(d["ids"].total_bound for d in r.debug.values()
-                          if "ids" in d)
+            n_plus = sim.processes["x1"].ids.total_bound
             want_enc = n * (3 * n - 1) * n_plus
             want_dec = n * n * n_plus
-            if r.metrics.stats.get("p32_shuffle_enc") != want_enc:
+            if stats.get("p32_shuffle_enc") != want_enc:
                 failures.append((solver, seed, "enc",
-                                 r.metrics.stats.get("p32_shuffle_enc"),
-                                 want_enc))
-            if r.metrics.stats.get("decrypt_partials") != want_dec:
+                                 stats.get("p32_shuffle_enc"), want_enc))
+            if stats.get("decrypt_partials") != want_dec:
                 failures.append((solver, seed, "dec",
-                                 r.metrics.stats.get("decrypt_partials"),
-                                 want_dec))
+                                 stats.get("decrypt_partials"), want_dec))
     report("criterion 7: shuffle n(3n-1)n+ encryptions, reroot n^2 n+ "
            "decryptions", not failures, str(failures[:4]))
 
@@ -299,7 +298,8 @@ def test_soft_trend_check_logged_not_fatal():
     cfg = ExperimentConfig(
         family="coloring", sizes=(3, 4, 5), instances=4, seed=70_000,
         solvers=("pdpop_plus", "p32_plus", "p2_plus"),
-        key_bits=64, incr_min=2, oracle_cap=10 ** 5)
+        run=RunConfig(key_bits=64, incr_min=2),
+        oracle_cap=10 ** 5)
     rows = run_experiment(cfg)
     lines = trend_check(summarize_rows(rows))
     for line in lines:

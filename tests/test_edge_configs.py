@@ -3,7 +3,8 @@ obfuscation, dense IDs."""
 
 import pytest
 
-from discsp.model import Constraint, Problem, evaluate
+from conftest import outcome, simulate, solver_process
+from discsp.model import Constraint, Problem, evaluate, pad_domains
 from discsp.generators import gen_resource_allocation
 from discsp.oracle import brute_force
 from discsp.runtime import RunConfig
@@ -26,12 +27,17 @@ def mixed_domain_problem():
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 @pytest.mark.parametrize("pad", [None, False])
 def test_non_uniform_domains(solver, pad):
+    # pad=None runs run_solver, which pads as the solver does by default;
+    # pad=False runs the unpadded problem through the test driver.
     doms, p = mixed_domain_problem()
     o = brute_force(p)
-    cfg = RunConfig(key_bits=64, b_bits=128, incr_min=1, pad=pad)
-    r = run_solver(solver, p, seed=3, config=cfg)
-    assert r.feasible == o.feasible
-    joint = r.joint_assignment()
+    cfg = RunConfig(key_bits=64, b_bits=128, incr_min=1)
+    if pad is None:
+        r = run_solver(solver, p, seed=3, config=cfg)
+        feasible, joint = r.feasible, r.joint_assignment()
+    else:
+        feasible, joint = outcome(simulate(p, solver_process(solver), 3, cfg))
+    assert feasible == o.feasible
     assert evaluate(p, joint) == 0
     # padded fake values never surface in the reported assignments
     assert all(v in doms[x] for x, v in joint.items())
@@ -46,11 +52,13 @@ def test_zero_width_obfuscation_on_wide_scopes():
 
 def test_dense_ids_keep_counters_exact():
     _doms, p = mixed_domain_problem()
-    r = run_solver("p32", p, seed=2,
-                   config=RunConfig(key_bits=64, incr_min=0, debug=True))
+    # Padded as run_solver pads it for p32.
+    sim = simulate(pad_domains(p, 3), solver_process("p32"), 2,
+                   RunConfig(key_bits=64, incr_min=0))
+    stats = sim.metrics.stats
     n = len(p.variables)
-    n_plus = next(d["ids"].total_bound for d in r.debug.values() if "ids" in d)
+    n_plus = sim.processes["x1"].ids.total_bound
     assert n_plus == n  # incr_min=0 forces ids 0..n-1
-    assert r.iterations == n
-    assert r.metrics.stats["decrypt_partials"] == n * n * n_plus
-    assert r.metrics.stats["p32_shuffle_enc"] == n * (3 * n - 1) * n_plus
+    assert stats["iterations"] == n
+    assert stats["decrypt_partials"] == n * n * n_plus
+    assert stats["p32_shuffle_enc"] == n * (3 * n - 1) * n_plus

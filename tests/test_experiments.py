@@ -2,11 +2,15 @@ import csv
 
 import pytest
 
-from discsp import experiments
-from discsp.cli import main
-from discsp.experiments import (ExperimentConfig, RUN_FIELDS, median_ci,
-                                run_experiment, summarize, trend_check,
-                                write_csv)
+from discsp import experiments, problemio
+from discsp.cli import build_parser, main
+from discsp.experiments import (ExperimentConfig, RUN_FIELDS, instance_seed,
+                                median_ci, run_experiment, summarize,
+                                trend_check, write_csv)
+from discsp.generators import FAMILIES
+from discsp.model import ModelError
+from discsp.runtime import RunConfig
+from discsp.solvers import SOLVERS, run_solver
 
 
 def test_median_ci_odd_count_middle_order_statistic():
@@ -70,8 +74,10 @@ def test_worker_pool_matches_serial():
 
 def test_timeout_recorded_not_fatal():
     cfg = ExperimentConfig(family="coloring", sizes=(5,), instances=1, seed=1,
-                           solvers=("p32",), key_bits=64, incr_min=2,
-                           timeout_secs=0.000001, oracle_cap=10 ** 5)
+                           solvers=("p32",),
+                           run=RunConfig(key_bits=64, incr_min=2,
+                                         timeout_secs=0.000001),
+                           oracle_cap=10 ** 5)
     rows = run_experiment(cfg)
     assert [r["status"] for r in rows] == ["timeout"]
     assert summarize(rows) == []  # timed-out rows excluded from medians
@@ -87,7 +93,8 @@ def test_out_of_memory_recorded_not_fatal(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_solver", run_solver)
     cfg = ExperimentConfig(family="coloring", sizes=(3,), instances=1, seed=1,
-                           solvers=("dpop", "pdpop_plus"), key_bits=64)
+                           solvers=("dpop", "pdpop_plus"),
+                           run=RunConfig(key_bits=64))
     rows = run_experiment(cfg)
     assert [r["status"] for r in rows] == ["ok", "out_of_memory"]
     assert isinstance(rows[1]["wall_ms"], float)
@@ -107,7 +114,8 @@ def test_cli_bench_counts_out_of_memory_runs(tmp_path, capsys, monkeypatch):
 
 def test_parallel_workers_with_crypto_solver():
     cfg = ExperimentConfig(family="coloring", sizes=(3,), instances=2, seed=5,
-                           solvers=("p32",), key_bits=64, incr_min=2,
+                           solvers=("p32",),
+                           run=RunConfig(key_bits=64, incr_min=2),
                            workers=2, oracle_cap=10 ** 5)
     rows = run_experiment(cfg)
     assert len(rows) == 2
@@ -263,6 +271,83 @@ def test_cli_bench_writes_csvs(tmp_path, capsys):
     assert summary and {"family", "metric", "median"} <= set(summary[0])
 
 
-def test_cli_rejects_unknown_solver(tmp_path):
-    assert main(["bench", "--solvers", "quantum", "--out",
-                 str(tmp_path / "x")]) == 2
+def test_cli_rejects_unknown_solver(tmp_path, capsys):
+    # One usage error from argparse, as `solve --solver quantum` gives.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--solvers", "dpop,quantum", "--out",
+              str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --solvers: unknown solvers ['quantum']" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_commands_keep_their_own_timeout_defaults():
+    # argparse shares a parent parser's actions between subparsers, so a
+    # bench default set there would also reach solve.
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "p.txt"])
+    bench = parser.parse_args(["bench"])
+    assert solve.timeout_secs is None
+    assert bench.timeout_secs == 600.0
+    assert ExperimentConfig().run == RunConfig(timeout_secs=600.0)
+    defaults = RunConfig()
+    for args in (solve, bench):
+        assert (args.key_bits, args.b_bits, args.incr_min) == (
+            defaults.key_bits, defaults.b_bits, defaults.incr_min)
+
+
+def test_cli_bench_row_is_the_run_of_its_run_config(tmp_path, capsys):
+    prefix = str(tmp_path / "b")
+    assert main(["bench", "--sizes", "3", "--instances", "1", "--seed", "2",
+                 "--solvers", "pdpop_plus,p32", "--key-bits", "64",
+                 "--b-bits", "0", "--incr-min", "0", "--out", prefix]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(open(prefix + "_runs.csv")))
+    assert [row["solver"] for row in rows] == ["pdpop_plus", "p32"]
+    config = RunConfig(key_bits=64, b_bits=0, incr_min=0)
+    metrics = ("message_count", "info_bytes", "simulated_time")
+    seed = instance_seed(2, "coloring", 3, 0)
+    problem = FAMILIES["coloring"](3, seed)
+    for row in rows:
+        assert int(row["seed"]) == seed
+        want = run_solver(row["solver"], problem, seed, config).metrics
+        assert [row[m] for m in metrics] == [
+            str(getattr(want, m)) for m in metrics]
+    # Not the defaults' run: under --incr-min 0 the IDs are dense, so p32's
+    # root vectors are shorter.
+    usual = run_solver("p32", problem, seed, RunConfig(key_bits=64)).metrics
+    assert int(rows[1]["info_bytes"]) < usual.info_bytes
+
+
+def disconnected_problem_text():
+    return ("discsp 1\nagents 2\na1\na2\nvariables 2\n"
+            "x a1 i:0 i:1\ny a2 i:0 i:1\nconstraints 0\n")
+
+
+def empty_problem_text():
+    return "discsp 1\nagents 1\na1\nvariables 0\nconstraints 0\n"
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("text, components", [
+    (disconnected_problem_text(), 2), (empty_problem_text(), 0),
+], ids=["disconnected", "empty"])
+def test_cli_solve_rejects_a_problem_that_is_not_one_component(
+        tmp_path, capsys, solver, text, components):
+    # Every solver needs one connected constraint graph: the empty problem
+    # has no root to report a verdict, and a second component would need a
+    # second election and tree.
+    path = tmp_path / "p.discsp"
+    path.write_text(text)
+    problem = problemio.load(str(path))
+    with pytest.raises(ModelError, match=f"got {components} components"):
+        run_solver(solver, problem, 0, RunConfig(key_bits=64))
+    assert main(["solve", str(path), "--solver", solver,
+                 "--key-bits", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: solvers require one connected constraint graph, "
+        f"got {components} components"]

@@ -17,7 +17,7 @@ from discsp.solvers import run_solver
 from discsp.tables import Axis, FeasTable
 
 RGB = ("R", "B", "G")
-CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2, debug=True)
+CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2)
 
 T, F = True, False
 

@@ -1,6 +1,6 @@
 import hashlib
 
-from conftest import infeasible_triangle
+from conftest import infeasible_triangle, outcome, simulate, solver_process
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
@@ -9,11 +9,17 @@ from discsp.oracle import brute_force
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
 
-CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2, debug=True)
+CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2)
 
 
 def run_fig1(fig1, solver="p32", seed=7, cfg=CFG):
     return run_solver(solver, fig1, seed=seed, config=cfg)
+
+
+def simulate_fig1(fig1, solver="p32", seed=7):
+    """The same run as run_fig1, with its processes to inspect (figure 1's
+    domains are uniform, so run_solver pads nothing)."""
+    return simulate(fig1, solver_process(solver), seed, CFG)
 
 
 def decrypt_entry(params, c, shares):
@@ -22,14 +28,14 @@ def decrypt_entry(params, c, shares):
 
 
 def test_compound_keys_identical_and_counted(fig1):
-    r = run_fig1(fig1)
-    compounds = {d["compound"] for d in r.debug.values() if "compound" in d}
+    procs = simulate_fig1(fig1).processes.values()
+    compounds = {proc.compound for proc in procs}
     assert len(compounds) == 1
     key = compounds.pop()
-    n_plus = next(d["ids"].total_bound for d in r.debug.values())
+    n_plus = next(proc.ids.total_bound for proc in procs)
     assert key.share_count == n_plus
     # share ranges partition [0, n+): everyone circulated id+ - id + 1 shares
-    total = sum(d["ids"].next_bound - d["ids"].id + 1 for d in r.debug.values())
+    total = sum(proc.ids.next_bound - proc.ids.id + 1 for proc in procs)
     assert total == n_plus
 
 
@@ -38,25 +44,25 @@ def test_single_variable_compound_is_own_product():
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom},
                 (Constraint.from_predicate(("x1",), (dom,),
                                            lambda v: v == "B", {"a1"}, "u"),))
-    r = run_solver("p32", p, seed=3, config=CFG)
-    assert r.feasible and r.joint_assignment() == {"x1": "B"}
-    assert r.iterations == 1
-    d = r.debug["x1"]
-    assert d["compound"].share_count == d["ids"].total_bound
+    sim = simulate(p, solver_process("p32"), 3, CFG)
+    assert outcome(sim) == (True, {"x1": "B"})
+    assert sim.metrics.stats["iterations"] == 1
+    proc = sim.processes["x1"]
+    assert proc.compound.share_count == proc.ids.total_bound
 
 
 def test_shuffled_vectors_instrumented(fig1):
     """Decrypting every shuffled vector (test-only omniscience): one 0 per
     vector at distinct positions, identical -1 positions everywhere, and a
     single composed permutation consistent with all vectors."""
-    r = run_fig1(fig1)
+    procs = simulate_fig1(fig1).processes
     params = crypto.group_for_bits(CFG.key_bits)
-    shares = [d["private"] for d in r.debug.values()]
-    ids = {x: d["ids"] for x, d in r.debug.items()}
+    shares = [proc.key_share for proc in procs.values()]
+    ids = {x: proc.ids for x, proc in procs.items()}
     n_plus = next(iter(ids.values())).total_bound
     patterns = {}
-    for x, d in r.debug.items():
-        vect = d["shuffled_vector"]
+    for x, proc in procs.items():
+        vect = proc.shuffled_snapshot
         assert len(vect) == n_plus
         patterns[x] = [decrypt_entry(params, c, shares) for c in vect]
     minus_positions = {x: tuple(i for i, v in enumerate(pat) if v == -1)
@@ -83,11 +89,11 @@ def test_each_variable_root_exactly_once(fig1):
 
 
 def test_elgamal_operation_counters_exact(fig1):
-    r = run_fig1(fig1)
+    sim = simulate_fig1(fig1)
     n = len(fig1.variables)
-    n_plus = next(d["ids"].total_bound for d in r.debug.values())
-    assert r.metrics.stats["p32_shuffle_enc"] == n * (3 * n - 1) * n_plus
-    assert r.metrics.stats["decrypt_partials"] == n * n * n_plus
+    n_plus = sim.processes["x1"].ids.total_bound
+    assert sim.metrics.stats["p32_shuffle_enc"] == n * (3 * n - 1) * n_plus
+    assert sim.metrics.stats["decrypt_partials"] == n * n * n_plus
 
 
 def test_feasible_run_produces_valid_joint_solution(fig1):

@@ -2,14 +2,16 @@ import hashlib
 
 import pytest
 
+from conftest import on_tree, simulate, solver_process
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring, gen_party_game
 from discsp.model import evaluate
 from discsp.oracle import brute_force
-from discsp.pdpop import make_codename_package, obfuscate_infeasible
+from discsp.pdpop import (PdpopProcess, make_codename_package,
+                          obfuscate_infeasible)
 from discsp.runtime import RunConfig, derive_rng
 from discsp.solvers import run_solver
-from discsp.tables import Axis, FeasTable, join
+from discsp.tables import Axis, FeasTable, join, resolve_codename
 
 RGB = ("R", "B", "G")
 
@@ -64,23 +66,24 @@ def feas_records(transcript):
 
 
 def run_fig1(fig1, variant, b_bits, seed=11):
-    cfg = RunConfig(b_bits=b_bits, debug=True)
+    cfg = RunConfig(b_bits=b_bits)
     return run_solver(variant, fig1, seed=seed, config=cfg)
+
+
+def simulate_fig1(fig1, variant, b_bits, seed=11):
+    """The same run as run_fig1, with its processes to inspect (figure 1's
+    domains are uniform, so run_solver pads nothing)."""
+    return simulate(fig1, solver_process(variant), seed,
+                    RunConfig(b_bits=b_bits))
 
 
 def test_root_table_exact_when_unobfuscated(fig1, fig2_views):
     """On the reference tree with zero-width obfuscation, the root's
     de-obfuscated table is exactly [0, 1, 0] over (R, B, G)."""
-    from discsp.pdpop import PdpopProcess
-    from discsp.runtime import Sim
-    from discsp.tables import resolve_codename
-    sim = Sim(fig1, seed=5, config=RunConfig(b_bits=0, debug=True))
-    procs = {x: PdpopProcess(x, sim, "plus", preset_views=fig2_views)
-             for x in fig1.variables}
-    for proc in procs.values():
-        sim.add_process(proc)
-    results = sim.run()
-    assert results["x2"]["min_violations"] == 0
+    sim = simulate(fig1, on_tree(PdpopProcess, fig2_views), 5,
+                   RunConfig(b_bits=0))
+    procs = sim.processes
+    assert procs["x2"].result["min_violations"] == 0
     # Decode the final FEAS message (x3 -> x2) with the codename packages
     # the test can read off the process objects (shadow-auditor knowledge).
     final = [rec for rec in sim.transcript if rec.type == "FEAS"
@@ -127,13 +130,13 @@ def test_root_zero_pattern_with_obfuscation(fig1):
 
 
 def test_variant_codename_multiplicity(fig1):
-    plus = run_fig1(fig1, "pdpop_plus", b_bits=128)
-    minus = run_fig1(fig1, "pdpop", b_bits=128)
+    plus = simulate_fig1(fig1, "pdpop_plus", b_bits=128)
+    minus = simulate_fig1(fig1, "pdpop", b_bits=128)
     # x2 has a child and a pseudo-child somewhere in every tree; the plus
     # variant hands out pairwise distinct var codes, the minus variant one.
-    for r, distinct in ((plus, True), (minus, False)):
-        for x, dbg in r.debug.items():
-            pkgs = [pkg for (ep, _z), pkg in dbg.get("sent_packages", {}).items()
+    for sim, distinct in ((plus, True), (minus, False)):
+        for proc in sim.processes.values():
+            pkgs = [pkg for (ep, _z), pkg in proc.sent_packages.items()
                     if ep == 0]
             if len(pkgs) < 2:
                 continue
@@ -191,7 +194,7 @@ def test_obfuscation_soundness_instrumented(fig1):
     import itertools
     seed = 17
     clear = run_fig1(fig1, "pdpop_plus", b_bits=0, seed=seed)
-    obf = run_fig1(fig1, "pdpop_plus", b_bits=128, seed=seed)
+    obf = simulate_fig1(fig1, "pdpop_plus", b_bits=128, seed=seed)
     clear_tables = {(r.sender_var, r.receiver_var): r.payload["table"]
                     for r in feas_records(clear.transcript)}
     obf_tables = {(r.sender_var, r.receiver_var): r.payload["table"]
@@ -207,8 +210,8 @@ def test_obfuscation_soundness_instrumented(fig1):
         multi += 1
         # The parent's codename axis is the one the sender received from
         # its tree parent; every other axis is "non-parent".
-        view = obf.debug[sender]["view"]
-        parent_pkg = obf.debug[sender]["recv_packages"][(0, view.parent)]
+        proc = obf.processes[sender]
+        parent_pkg = proc.recv_packages[(0, proc.views[0].parent)]
         vary_axis = labels.index(parent_pkg.var_code)
         shapes = [len(ax["values"]) for ax in shadow["scope"]]
         fixed_axes = [i for i in range(len(labels)) if i != vary_axis]

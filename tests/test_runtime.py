@@ -6,7 +6,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import infeasible_triangle
+from conftest import infeasible_triangle, simulate, solver_process
 from discsp.generators import figure1_instance, gen_graph_coloring
 from discsp.model import Constraint, Problem
 from discsp.runtime import (DeadlockError, Msg, Process, RunConfig, SimError,
@@ -396,6 +396,19 @@ def test_record_size_is_the_size_of_its_envelope(solver):
     assert result.metrics.info_bytes == sum(r.size for r in result.transcript)
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_the_test_driver_makes_run_solvers_run(solver):
+    # The tests that read process internals run them through conftest's
+    # driver; on the pinned runs it makes run_solver's very transcript, so
+    # those internals come from the run the pins fix.
+    n, instance_seed = PINNED_INSTANCE[solver]
+    problem = gen_graph_coloring(n, seed=instance_seed)
+    config = RunConfig(key_bits=64)
+    sim = simulate(problem, solver_process(solver), 7, config)
+    result = run_solver(solver, problem, seed=7, config=config)
+    assert sim.transcript.to_jsonl() == result.transcript.to_jsonl()
+
+
 class EveryType(frozenset):
     """An INTERCEPTS set that admits every message type."""
 
@@ -411,7 +424,7 @@ def pinned_runs():
         n, instance_seed = PINNED_INSTANCE[solver]
         yield pytest.param(solver, gen_graph_coloring(n, seed=instance_seed),
                            7, RunConfig(key_bits=64), id=solver)
-    abort_cfg = RunConfig(key_bits=64, b_bits=128, incr_min=2, debug=True)
+    abort_cfg = RunConfig(key_bits=64, b_bits=128, incr_min=2)
     for solver, seed in (("p32_plus", 2), ("p2_plus", 4)):
         yield pytest.param(solver, infeasible_triangle(), seed, abort_cfg,
                            id=f"{solver}-abort")
