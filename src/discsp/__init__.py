@@ -11,11 +11,6 @@ an experiment driver and a CLI.
 from .model import Constraint, Problem, evaluate
 from .solvers import SOLVERS, RunResult, run_solver
 
-from . import dpop  # noqa: E402,F401  (populates solver registry)
-from . import pdpop  # noqa: E402,F401
-from . import p32  # noqa: E402,F401
-from . import p2  # noqa: E402,F401
-
 __all__ = [
     "Constraint", "Problem", "evaluate", "SOLVERS", "RunResult", "run_solver",
 ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .model import Problem
 from .runtime import Record, Transcript
+from .solvers import SOLVERS
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,9 @@ class AuditSpec:
 
 
 SPEC_BY_SOLVER = {
-    "dpop": AuditSpec(),
-    "pdpop": AuditSpec(),
-    "pdpop_plus": AuditSpec(),
-    "p32": AuditSpec(forbid_decision=True),
-    "p32_plus": AuditSpec(forbid_decision=True),
-    "p2": AuditSpec(encrypted_feas=True, forbid_decision=True),
-    "p2_plus": AuditSpec(encrypted_feas=True, forbid_decision=True),
+    name: AuditSpec(encrypted_feas=spec.privacy >= 3,
+                    forbid_decision=spec.privacy >= 2)
+    for name, spec in SOLVERS.items()
 }
 
 

@@ -115,15 +115,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(err) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 2
+
+
 def cmd_bench(args) -> int:
     cfg = ExperimentConfig(
         family=args.family, sizes=args.sizes, instances=args.instances,
         seed=args.seed, solvers=args.solvers, run=_run_config(args),
         workers=args.workers)
-    rows = run_experiment(cfg)
-    summary = summarize(rows)
     runs_path = f"{args.out}_runs.csv"
     summary_path = f"{args.out}_summary.csv"
+    try:  # fail before the grid runs, not after
+        for path in (runs_path, summary_path):
+            open(path, "w").close()
+    except OSError as err:
+        return _error(err)
+    rows = run_experiment(cfg)
+    summary = summarize(rows)
     write_csv(rows, runs_path)
     write_csv(summary, summary_path, SUMMARY_FIELDS)
     mismatches = [r for r in rows if r["oracle_ok"] is False]
@@ -142,13 +152,11 @@ def cmd_solve(args) -> int:
     try:
         problem = problemio.load(args.problem)
     except (OSError, UnicodeError, ModelError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err)
     try:
         result = run_solver(args.solver, problem, args.seed, _run_config(args))
     except ModelError as err:  # not one connected constraint graph
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err)
     except SimTimeout as err:
         print(f"timeout: {err}", file=sys.stderr)
         return 1
@@ -170,7 +178,10 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     problem = FAMILIES[args.family](args.size, args.seed)
-    problemio.dump(problem, args.out)
+    try:
+        problemio.dump(problem, args.out)
+    except OSError as err:
+        return _error(err)
     print(f"wrote {args.family} instance (n={len(problem.variables)} "
           f"variables, {len(problem.constraints)} constraints) to {args.out}")
     return 0

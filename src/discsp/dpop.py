@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .kernel import KernelProcess, PseudoTreeView
 from .model import Constraint, Problem
-from .solvers import register_solver
 from .tables import Axis, FeasTable, join, project_min, zero_table
 
 
@@ -53,7 +52,7 @@ def assignment_to_pairs(assignment: dict) -> list:
 
 
 def assignment_from_pairs(pairs) -> dict:
-    return {(k if not isinstance(k, list) else tuple(k)): v for k, v in pairs}
+    return dict(pairs)
 
 
 class DpopProcess(KernelProcess):
@@ -105,6 +104,3 @@ class DpopProcess(KernelProcess):
             out.update({"feasible": feasible, "min_violations": min_count,
                         "root": True})
         return out
-
-
-register_solver("dpop", DpopProcess, pad_default=False)

@@ -18,7 +18,7 @@ from .generators import FAMILIES
 from .model import evaluate
 from .oracle import OracleCapExceeded, brute_force
 from .runtime import RunConfig, SimTimeout
-from .solvers import run_solver
+from .solvers import SOLVERS, run_solver
 
 RUN_FIELDS = [
     "family", "size", "instance", "seed", "solver", "status", "feasible",
@@ -162,18 +162,12 @@ def summarize(rows: list[dict]) -> list[dict]:
     return out
 
 
-SOLVER_PRIVACY_RANK = {
-    "dpop": 0, "pdpop": 1, "pdpop_plus": 1,
-    "p32": 2, "p32_plus": 2, "p2": 3, "p2_plus": 3,
-}
-
-
 def trend_check(summary: list[dict]) -> list[str]:
     """Soft consistency check: more privacy should not be cheaper.
 
-    Compares medians of simulated time and info bytes across the privacy
-    ladder P-DPOP <= P^3/2 <= P^2 per (family, size); reports log lines,
-    never raises."""
+    Compares medians of simulated time and info bytes up the ladder of
+    privacy grades in SOLVERS, DPOP < P-DPOP < P^3/2 < P^2, per (family,
+    size); reports log lines, never raises."""
     lines = []
     table: dict[tuple, dict[str, float]] = {}
     for row in summary:
@@ -182,11 +176,9 @@ def trend_check(summary: list[dict]) -> list[str]:
                              {})[row["solver"]] = row["median"]
     for (family, size, metric), per_solver in sorted(table.items()):
         ranked = sorted(per_solver.items(),
-                        key=lambda kv: SOLVER_PRIVACY_RANK.get(kv[0], 9))
+                        key=lambda kv: SOLVERS[kv[0]].privacy)
         for (s1, v1), (s2, v2) in zip(ranked, ranked[1:]):
-            r1 = SOLVER_PRIVACY_RANK.get(s1, 9)
-            r2 = SOLVER_PRIVACY_RANK.get(s2, 9)
-            if r1 >= r2:
+            if SOLVERS[s1].privacy >= SOLVERS[s2].privacy:
                 continue
             status = "OK" if v1 <= v2 else "VIOLATION"
             lines.append(

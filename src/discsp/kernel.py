@@ -116,8 +116,7 @@ class KernelProcess(Process):
 
     def __init__(self, var: str, sim: Sim):
         super().__init__(var, sim)
-        p = sim.problem
-        self.neighbors = sorted(p.neighbor_vars(var))
+        self.neighbors = sorted(sim.neighbor_vars[var])
         self.views: dict[int, PseudoTreeView] = {}
         self.dfs_epoch = -1
         self._dfs_visited = False

@@ -20,7 +20,6 @@ from .dpop import local_join, table_from_payload, table_to_payload
 from .kernel import PseudoTreeView, circular_order
 from .model import Problem
 from .p32 import P32Process
-from .solvers import register_solver
 from .tables import FeasTable, join, map_entries, project
 
 
@@ -181,7 +180,3 @@ class P2Process(P32Process):
             lambda a, b: crypto.or_cipher(self.params, a, b))
         self.sim.note("p2_decrypt_counts", self._dichotomy_count)
         return value is not None, value
-
-
-register_solver("p2_plus", P2Process, pad_default=True, variant="plus")
-register_solver("p2", P2Process, pad_default=True, variant="minus")

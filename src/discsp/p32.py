@@ -20,7 +20,6 @@ from .kernel import PseudoTreeView
 from .model import Constraint
 from .pdpop import PdpopProcess
 from .runtime import Msg, Sim
-from .solvers import register_solver
 
 
 # Simulated compute units charged per modular exponentiation.
@@ -48,7 +47,6 @@ class P32Process(PdpopProcess):
         self.decr_codenames: set[int] = set()
         self.crypto_rng = sim.rng(var, "crypto")
         self.ticket_rng = sim.rng(var, "ticket")
-        self.shuffled_snapshot: list[dict] = []
 
     # -- crypto helpers -------------------------------------------------------
 
@@ -137,7 +135,6 @@ class P32Process(PdpopProcess):
         self.start_shuffle()
         m = yield from self.get("HOME")
         self.vector = list(m.payload["vector"])
-        self.shuffled_snapshot = list(self.vector)
 
     # -- collaborative decryption ------------------------------------------------
 
@@ -256,7 +253,3 @@ class P32Process(PdpopProcess):
         if root_iteration == 1:
             out.update({"feasible": feasible_out, "root": True})
         return out
-
-
-register_solver("p32_plus", P32Process, pad_default=True, variant="plus")
-register_solver("p32", P32Process, pad_default=True, variant="minus")

@@ -23,7 +23,6 @@ from .dpop import (assignment_from_pairs, assignment_to_pairs, local_join,
 from .kernel import KernelProcess, PseudoTreeView
 from .model import Constraint
 from .runtime import Sim
-from .solvers import register_solver
 from .tables import (Axis, FeasTable, join, map_entries, project_min,
                      resolve_codename)
 
@@ -265,7 +264,3 @@ class PdpopProcess(KernelProcess):
             out.update({"feasible": feasible, "min_violations": min_count,
                         "root": True})
         return out
-
-
-register_solver("pdpop_plus", PdpopProcess, pad_default=True, variant="plus")
-register_solver("pdpop", PdpopProcess, pad_default=True, variant="minus")

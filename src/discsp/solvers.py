@@ -1,28 +1,35 @@
-"""Solver registry and the top-level simulation entry point."""
+"""The solver table and the top-level simulation entry point."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dpop import DpopProcess
 from .model import ModelError, Problem, pad_domains
+from .p2 import P2Process
+from .p32 import P32Process
+from .pdpop import PdpopProcess
 from .runtime import Metrics, RunConfig, Sim, Transcript
 
 
 @dataclass(frozen=True)
 class SolverSpec:
-    name: str
     process: type           # Process subclass, built once per variable
-    pad_default: bool
+    privacy: int            # the paper's grade, see SOLVERS
     variant: tuple = ()     # extra positional arguments after (var, sim)
 
 
-SOLVERS: dict[str, SolverSpec] = {}
-
-
-def register_solver(name: str, process_cls: type, pad_default: bool,
-                    variant: "str | None" = None):
-    SOLVERS[name] = SolverSpec(name, process_cls, pad_default,
-                               () if variant is None else (variant,))
+# privacy: 0 none; 1 agent, topology and constraint privacy; 2 adds decision
+# privacy; 3 adds full constraint privacy (encrypted feasibility values).
+SOLVERS: dict[str, SolverSpec] = {
+    "dpop": SolverSpec(DpopProcess, 0),
+    "pdpop": SolverSpec(PdpopProcess, 1, ("minus",)),
+    "pdpop_plus": SolverSpec(PdpopProcess, 1, ("plus",)),
+    "p32": SolverSpec(P32Process, 2, ("minus",)),
+    "p32_plus": SolverSpec(P32Process, 2, ("plus",)),
+    "p2": SolverSpec(P2Process, 3, ("minus",)),
+    "p2_plus": SolverSpec(P2Process, 3, ("plus",)),
+}
 
 
 @dataclass
@@ -59,7 +66,7 @@ def run_solver(name: str, problem: Problem, seed: int,
         raise ModelError(f"solvers require one connected constraint graph, "
                          f"got {components} components")
     run_problem = problem
-    if spec.pad_default:
+    if spec.privacy >= 1:  # equal domain sizes hide each domain's size
         size = max(len(problem.domains[x]) for x in problem.variables)
         run_problem = pad_domains(problem, size)
     sim = Sim(run_problem, seed, config)

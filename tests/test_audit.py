@@ -9,6 +9,19 @@ def make_record(sender_agent, receiver_agent, msg_type, payload, tick=0):
                   type=msg_type, payload=payload, size=0, sent_clock=0)
 
 
+def test_spec_by_solver_follows_the_privacy_grades():
+    # Grades 2 and 3 forbid decisions; only grade 3 encrypts feasibility.
+    assert SPEC_BY_SOLVER == {
+        "dpop": AuditSpec(),
+        "pdpop": AuditSpec(),
+        "pdpop_plus": AuditSpec(),
+        "p32": AuditSpec(forbid_decision=True),
+        "p32_plus": AuditSpec(forbid_decision=True),
+        "p2": AuditSpec(encrypted_feas=True, forbid_decision=True),
+        "p2_plus": AuditSpec(encrypted_feas=True, forbid_decision=True),
+    }
+
+
 def test_dpop_control_has_decision_findings(fig1):
     r = run_solver("dpop", fig1, seed=1)
     findings = audit(r.transcript, fig1, SPEC_BY_SOLVER["dpop"])

@@ -43,6 +43,18 @@ def test_non_uniform_domains(solver, pad):
     assert all(v in doms[x] for x, v in joint.items())
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_run_solver_pads_every_solver_but_dpop(solver):
+    _doms, p = mixed_domain_problem()
+    cfg = RunConfig(key_bits=64)
+    ran = run_solver(solver, p, seed=3, config=cfg).transcript.to_jsonl()
+    padded, unpadded = (
+        simulate(q, solver_process(solver), 3, cfg).transcript.to_jsonl()
+        for q in (pad_domains(p, 3), p))
+    assert padded != unpadded
+    assert ran == (unpadded if solver == "dpop" else padded)
+
+
 def test_zero_width_obfuscation_on_wide_scopes():
     p = gen_resource_allocation(slots=4, bids=2, seed=0)
     o = brute_force(p)

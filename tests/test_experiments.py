@@ -122,6 +122,26 @@ def test_parallel_workers_with_crypto_solver():
     assert all(r["status"] == "ok" and r["oracle_ok"] for r in rows)
 
 
+def test_trend_check_climbs_the_paper_privacy_ladder():
+    # The paper's ladder: DPOP < P-DPOP(+) < P^3/2-DPOP(+) < P^2-DPOP(+).
+    ladder = {"dpop": 0, "pdpop": 1, "pdpop_plus": 1,
+              "p32": 2, "p32_plus": 2, "p2": 3, "p2_plus": 3}
+    assert {name: spec.privacy for name, spec in SOLVERS.items()} == ladder
+    summary = [
+        {"family": "coloring", "size": 3, "solver": solver,
+         "metric": "info_bytes", "count": 1, "median": value, "ci_lo": value,
+         "ci_hi": value}
+        for solver, value in (("p2", 40), ("p32", 30), ("pdpop", 20),
+                              ("dpop", 10), ("p2_plus", 41),
+                              ("p32_plus", 31), ("pdpop_plus", 21))
+    ]
+    assert trend_check(summary) == [
+        "TREND OK coloring n=3 info_bytes: dpop=10 <= pdpop=20",
+        "TREND OK coloring n=3 info_bytes: pdpop_plus=21 <= p32=30",
+        "TREND OK coloring n=3 info_bytes: p32_plus=31 <= p2=40",
+    ]
+
+
 def test_trend_check_reports_lines():
     summary = [
         {"family": "coloring", "size": 3, "solver": "pdpop_plus",
@@ -175,6 +195,29 @@ def test_cli_solve_reports_a_malformed_or_missing_file_in_one_line(
     assert main(["solve", str(tmp_path / "missing.discsp")]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "missing.discsp" in line
+
+
+def test_cli_gen_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["gen", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+
+
+def test_cli_bench_reports_an_unwritable_out_before_the_grid(
+        tmp_path, capsys, monkeypatch):
+    def run_experiment(cfg):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr("discsp.cli.run_experiment", run_experiment)
+    out = tmp_path / "missing" / "b"
+    assert main(["bench", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and f"{out}_runs.csv" in line
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -6,6 +6,7 @@ from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring
 from discsp.model import Constraint, Problem, evaluate
 from discsp.oracle import brute_force
+from discsp.p32 import P32Process
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
 
@@ -51,11 +52,20 @@ def test_single_variable_compound_is_own_product():
     assert proc.compound.share_count == proc.ids.total_bound
 
 
+class SnapshotP32(P32Process):
+    """P32Process that keeps a copy of its shuffled root vector."""
+
+    def shuffle_vectors(self):
+        yield from super().shuffle_vectors()
+        self.shuffled_snapshot = list(self.vector)
+
+
 def test_shuffled_vectors_instrumented(fig1):
     """Decrypting every shuffled vector (test-only omniscience): one 0 per
     vector at distinct positions, identical -1 positions everywhere, and a
     single composed permutation consistent with all vectors."""
-    procs = simulate_fig1(fig1).processes
+    procs = simulate(fig1, lambda var, sim: SnapshotP32(var, sim, "minus"),
+                     7, CFG).processes
     params = crypto.group_for_bits(CFG.key_bits)
     shares = [proc.key_share for proc in procs.values()]
     ids = {x: proc.ids for x, proc in procs.items()}
