@@ -38,39 +38,30 @@ class Finding:
     detail: str
 
 
-def _strings(obj):
-    if isinstance(obj, str):
-        yield obj
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _strings(k)
-            yield from _strings(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            yield from _strings(v)
+def _scan(payload):
+    """One walk over a canonical payload: its strings (dict keys included),
+    its table structures and its assignment lists."""
+    strings: set = set()
+    tables: list = []
+    assignments: list = []
 
+    def walk(obj):
+        if isinstance(obj, str):
+            strings.add(obj)
+        elif isinstance(obj, dict):
+            if "scope" in obj and "entries" in obj:
+                tables.append(obj)
+            if isinstance(obj.get("assignment"), list):
+                assignments.append(obj["assignment"])
+            for k, v in obj.items():
+                walk(k)
+                walk(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                walk(v)
 
-def _tables(obj):
-    """Yield every table structure nested in a canonical payload."""
-    if isinstance(obj, dict):
-        if "scope" in obj and "entries" in obj:
-            yield obj
-        for v in obj.values():
-            yield from _tables(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            yield from _tables(v)
-
-
-def _assignments(obj):
-    if isinstance(obj, dict):
-        if "assignment" in obj and isinstance(obj["assignment"], list):
-            yield obj["assignment"]
-        for v in obj.values():
-            yield from _assignments(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            yield from _assignments(v)
+    walk(payload)
+    return strings, tables, assignments
 
 
 def audit(transcript: Transcript, problem: Problem,
@@ -90,8 +81,9 @@ def audit(transcript: Transcript, problem: Problem,
             findings.append(Finding(
                 "non-neighbor-delivery", rec.tick,
                 f"{rec.sender_agent} -> {recv}"))
+        strings, tables, assignments = _scan(rec.payload)
         # Cleartext references to non-neighbors anywhere in the payload.
-        for tok in set(_strings(rec.payload)):
+        for tok in strings:
             if tok in var_names and not visible_to(recv, var_owner[tok]):
                 findings.append(Finding(
                     "agent-privacy", rec.tick,
@@ -101,7 +93,7 @@ def audit(transcript: Transcript, problem: Problem,
                     "agent-privacy", rec.tick,
                     f"agent id {tok!r} visible to {recv}"))
         # Domain values attributed through real-name axis labels.
-        for table in _tables(rec.payload):
+        for table in tables:
             for ax in table["scope"]:
                 label = ax["label"]
                 if (isinstance(label, str) and label in var_names
@@ -112,7 +104,7 @@ def audit(transcript: Transcript, problem: Problem,
                             "agent-privacy", rec.tick,
                             f"domain values of {label!r} visible to {recv}"))
         if spec.encrypted_feas and _is_feas(rec):
-            for table in _tables(rec.payload):
+            for table in tables:
                 if any(isinstance(e, (bool, int)) for e in table["entries"]):
                     findings.append(Finding(
                         "constraint-privacy", rec.tick,
@@ -123,7 +115,7 @@ def audit(transcript: Transcript, problem: Problem,
                     "decision-privacy", rec.tick,
                     "DECISION message in a decision-private run"))
             else:
-                for pairs in _assignments(rec.payload):
+                for pairs in assignments:
                     if any(isinstance(label, str) and label in var_names
                            for label, _v in pairs):
                         findings.append(Finding(

@@ -118,12 +118,8 @@ class KernelProcess(Process):
         super().__init__(var, sim)
         self.neighbors = sorted(sim.neighbor_vars[var])
         self.views: dict[int, PseudoTreeView] = {}
-        self.dfs_epoch = -1
-        self._dfs_visited = False
-        self._dfs_parent = None
-        self._dfs_children: list[str] = []
-        self._dfs_pp: set[str] = set()
-        self._dfs_pc: set[str] = set()
+        # (epoch, pseudo-children) of the last DFS that visited this variable
+        self._visited: "tuple[int, set[str]] | None" = None
         self.ids: IdAssignment | None = None
 
     # -- routing -------------------------------------------------------------
@@ -159,19 +155,17 @@ class KernelProcess(Process):
             self.sim.post(self.var, dst, Msg(kind, msg.payload,
                                              sender=self.var, wire=msg.wire))
             return None
-        if msg.type == "TOKEN" and msg.payload.get("kind") == "visit":
-            if msg.payload["epoch"] == self.dfs_epoch and self._dfs_visited:
-                if self.dfs_epoch in self.views:
-                    # A completed variable can never be probed again (all its
-                    # incident edges were classified before it returned).
-                    raise KernelError(
-                        f"{self.var}: probe after DFS completion (epoch "
-                        f"{self.dfs_epoch})")
-                self._dfs_pc.add(msg.sender)
-                self.send(msg.sender, "TOKEN", {
-                    "kind": "bounce", "epoch": self.dfs_epoch,
-                })
-                return None
+        if (msg.type == "TOKEN" and msg.payload.get("kind") == "visit"
+                and self._visited and msg.payload["epoch"] == self._visited[0]):
+            epoch, pc = self._visited
+            if epoch in self.views:
+                # A completed variable can never be probed again (all its
+                # incident edges were classified before it returned).
+                raise KernelError(
+                    f"{self.var}: probe after DFS completion (epoch {epoch})")
+            pc.add(msg.sender)
+            self.send(msg.sender, "TOKEN", {"kind": "bounce", "epoch": epoch})
+            return None
         return msg
 
     # -- root election ---------------------------------------------------------
@@ -211,39 +205,31 @@ class KernelProcess(Process):
         neighbor bounces, classifying the edge as a back-edge whose root is
         the bouncing (ancestor) side.
         """
-        self.dfs_epoch = epoch
-        self._dfs_visited = False
-        self._dfs_parent = None
-        self._dfs_children = []
-        self._dfs_pp = set()
-        self._dfs_pc = set()
-        if is_root:
-            self._dfs_visited = True
-        else:
+        parent = None
+        if not is_root:
             m = yield from self.get("TOKEN", kind="visit", epoch=epoch)
-            self._dfs_visited = True
-            self._dfs_parent = m.sender
+            parent = m.sender
+        children: list[str] = []
+        pp: set[str] = set()
+        pc: set[str] = set()
+        self._visited = (epoch, pc)
         for u in self._probe_order(epoch):
-            if (u == self._dfs_parent or u in self._dfs_children
-                    or u in self._dfs_pp or u in self._dfs_pc):
+            if u == parent or u in children or u in pp or u in pc:
                 continue
             self.send(u, "TOKEN", {"kind": "visit", "epoch": epoch})
             # Once visited, the intercept bounces every visit of this epoch,
             # so u's return or bounce is the only TOKEN this wait can see.
             m = yield from self.get("TOKEN", sender=u, epoch=epoch)
             if m.payload["kind"] == "bounce":
-                self._dfs_pp.add(u)
+                pp.add(u)
             else:
-                self._dfs_children.append(u)
+                children.append(u)
         if not is_root:
-            self.send(self._dfs_parent, "TOKEN",
-                      {"kind": "return", "epoch": epoch})
+            self.send(parent, "TOKEN", {"kind": "return", "epoch": epoch})
         self.views[epoch] = PseudoTreeView(
-            variable=self.var, parent=self._dfs_parent,
-            pseudo_parents=tuple(sorted(self._dfs_pp)),
-            children=tuple(self._dfs_children),
-            pseudo_children=tuple(sorted(self._dfs_pc)),
-            is_root=is_root,
+            variable=self.var, parent=parent,
+            pseudo_parents=tuple(sorted(pp)), children=tuple(children),
+            pseudo_children=tuple(sorted(pc)), is_root=is_root,
         )
         return self.views[epoch]
 

@@ -268,29 +268,33 @@ def pad_domains(problem: Problem, size: int) -> Problem:
 
     Each padded variable gains a private unary constraint forbidding its fake
     values, so the solution set projected onto real values is unchanged.
-    Domains already at `size` are left untouched.
+    Domains already at `size` are left untouched.  A fake token is
+    `PAD_PREFIX` plus a number and never equals a real value of its own
+    variable; a real value that merely starts with `PAD_PREFIX` stays real.
     """
     max_dom = max(len(problem.domains[x]) for x in problem.variables)
     if size < max_dom:
         raise ModelError(f"pad size {size} below largest domain {max_dom}")
     domains = dict(problem.domains)
+    fakes: dict[str, frozenset] = {}
     extra: list[Constraint] = []
     for x in problem.variables:
         dom = list(domains[x])
         missing = size - len(dom)
         if missing == 0:
             continue
-        fakes = []
+        pads = []
         i = 0
-        while len(fakes) < missing:
+        while len(pads) < missing:
             token = f"{PAD_PREFIX}{i}"
             if token not in dom:
-                fakes.append(token)
+                pads.append(token)
             i += 1
-        dom = dom + fakes
+        dom = dom + pads
         domains[x] = tuple(dom)
+        fakes[x] = frozenset(pads)
         extra.append(Constraint.from_predicate(
-            (x,), (dom,), lambda v: not (isinstance(v, str) and v.startswith(PAD_PREFIX)),
+            (x,), (dom,), lambda v, _f=fakes[x]: v not in _f,
             visibility={problem.owner[x]}, name=f"pad_{x}",
         ))
     if not extra:
@@ -307,7 +311,7 @@ def pad_domains(problem: Problem, size: int) -> Problem:
             continue
 
         def padded_cost(*values, _c=c):
-            if any(isinstance(v, str) and v.startswith(PAD_PREFIX) for v in values):
+            if any(v in fakes.get(x, ()) for x, v in zip(_c.scope, values)):
                 return False
             return _c.cost(values) == 0
 

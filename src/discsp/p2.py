@@ -146,7 +146,7 @@ class P2Process(P32Process):
         problem = self.sim.problem
         plain = boolean_local_join(problem, view, tuple(self.local_constraints))
         self.charge(plain.size())
-        plain = self.apply_ancestor_codes(plain, view, epoch)
+        plain = self.apply_ancestor_codes(plain, view)
 
         if not view.is_root:
             m = yield from self.get("START", "FEAS", epoch=epoch)
@@ -154,7 +154,7 @@ class P2Process(P32Process):
                 out = self._encrypt_table(project_or(plain, x))
             else:
                 enc = table_from_payload(m.payload)
-                enc = self.resolve_own_codes(enc, epoch)
+                enc = self.resolve_own_codes(enc)
                 enc = self._rerandomized(self.encrypted_join(enc, plain))
                 out = self._rerandomized(self.encrypted_project(enc))
             payload = table_to_payload(out)
@@ -167,7 +167,7 @@ class P2Process(P32Process):
             self.route_to_previous(epoch, "START", {"epoch": epoch})
             m = yield from self.get("FEAS", epoch=epoch)
             enc = table_from_payload(m.payload)
-            enc = self.resolve_own_codes(enc, epoch)
+            enc = self.resolve_own_codes(enc)
             if enc.labels() != [x]:
                 raise P2Error(f"root table has unresolved labels {enc.labels()}")
             enc = self._rerandomized(self.encrypted_join(enc, plain))

@@ -44,7 +44,7 @@ class P32Process(PdpopProcess):
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
         self.is_temp_root = False
-        self.decr_codenames: set[int] = set()
+        self.ticket: int | None = None  # codename of our DECR on the ring
         self.crypto_rng = sim.rng(var, "crypto")
         self.ticket_rng = sim.rng(var, "ticket")
 
@@ -141,13 +141,10 @@ class P32Process(PdpopProcess):
     def ring_decrypt_element(self, c: dict) -> int:
         """Send a decryption ticket around the epoch-0 ring; every other
         variable strips its share, and we finish with our own."""
-        codename = self.ticket_rng.getrandbits(128)
-        while codename in self.decr_codenames:
-            codename += 1
-        self.decr_codenames.add(codename)
+        self.ticket = self.ticket_rng.getrandbits(128)
         self.route_to_previous(0, "DECR", {
-            "codename": codename, "alpha": c["alpha"], "beta": c["beta"]})
-        m = yield from self.get("DECR", codename=codename)
+            "codename": self.ticket, "alpha": c["alpha"], "beta": c["beta"]})
+        m = yield from self.get("DECR", codename=self.ticket)
         final = crypto.strip_share(self.params, m.payload, self.key_share)
         self.sim.stat("decrypt_partials")
         self.charge_exps(1)
@@ -167,7 +164,7 @@ class P32Process(PdpopProcess):
         if msg.type == "VECT":
             return self._handle_vect(msg.payload)
         if msg.type == "DECR":
-            if msg.payload["codename"] in self.decr_codenames:
+            if msg.payload["codename"] == self.ticket:
                 return msg  # our ticket coming home: let the waiter match it
             partial = crypto.strip_share(self.params, msg.payload,
                                          self.key_share)
@@ -191,7 +188,7 @@ class P32Process(PdpopProcess):
         yield from self.exchange_codenames(view, epoch)
         yield from self.exchange_keys(view, epoch)
         feasible, _count, root_value, _best, _seps = yield from self.feas_phase(
-            view, epoch, record_best=False)
+            view, epoch)
         return feasible, root_value
 
     def ground(self, value, epoch: int):
@@ -211,45 +208,32 @@ class P32Process(PdpopProcess):
         yield from self.setup_compound_key(n_plus, ids.next_bound - ids.id + 1)
         yield from self.shuffle_vectors()
 
-        my_value = None
-        feasible_out = None
-        root_iteration = None
+        out = {}
         epoch = 0
-        while self.vector:
-            # Reroot: pop and decrypt entries, skipping unassigned-ID slots.
-            entry = None
-            while self.vector:
-                c = self.vector.pop(0)
-                entry = yield from self.ring_decrypt_small(c)
-                if entry != -1:
-                    break
-                entry = None
-            if entry is None:
-                break  # only padding was left; every variable has been root
+        for c in self.vector:
+            # Reroot: decrypt entries in turn, skipping unassigned-ID slots.
+            entry = yield from self.ring_decrypt_small(c)
+            if entry == -1:
+                continue
             epoch += 1
             i_am_root = entry == 0
             view = yield from self.build_tree(epoch, i_am_root)
             feasible, root_value = yield from self.iteration_propagate(view, epoch)
-            if i_am_root:
-                self.sim.stat("iterations")
-                self.sim.note("roots", self.var)
-                root_iteration = epoch
-                if not feasible:
-                    if epoch != 1:
-                        raise P32Error(
-                            f"infeasibility surfaced at iteration {epoch}")
-                    for c in view.children:
-                        self.send(c, "ABORT", {"epoch": epoch})
-                    feasible_out = False
-                    break
-                feasible_out = True if epoch == 1 else feasible_out
-                my_value = root_value
-                self.ground(root_value, epoch)
-        out = {}
-        if my_value is None and feasible_out is not False:
+            if not i_am_root:
+                continue
+            self.sim.stat("iterations")
+            self.sim.note("roots", self.var)
+            if not feasible:
+                if epoch != 1:
+                    raise P32Error(
+                        f"infeasibility surfaced at iteration {epoch}")
+                for child in view.children:
+                    self.send(child, "ABORT", {"epoch": epoch})
+                return {"feasible": False, "root": True}
+            out["value"] = root_value
+            if epoch == 1:
+                out.update({"feasible": True, "root": True})
+            self.ground(root_value, epoch)
+        if "value" not in out:
             raise P32Error(f"{self.var} never became root")
-        if my_value is not None:
-            out["value"] = my_value
-        if root_iteration == 1:
-            out.update({"feasible": feasible_out, "root": True})
         return out

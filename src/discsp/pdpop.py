@@ -89,10 +89,11 @@ class PdpopProcess(KernelProcess):
             raise PdpopError(f"unknown variant {variant!r}")
         self.variant = variant
         self.local_constraints: list[Constraint] = []
-        self.sent_packages: dict = {}   # (epoch, recipient) -> package
-        self.recv_packages: dict = {}   # (epoch, ancestor) -> package
-        self.sent_keys: dict = {}       # (epoch, pseudo_child) -> tuple
-        self.recv_keys: dict = {}       # (epoch, pseudo_parent) -> tuple
+        # Codename and key material of the current epoch only.
+        self.own_codes: dict[int, CodenamePackage] = {}  # var_code -> package
+        self.recv_packages: dict[str, CodenamePackage] = {}  # ancestor -> package
+        self.sent_keys: list[tuple] = []  # one per pseudo-child, in order
+        self.recv_keys: dict[str, tuple] = {}  # pseudo-parent -> key
 
     # -- codename and key exchange -------------------------------------------
 
@@ -103,18 +104,22 @@ class PdpopProcess(KernelProcess):
         shared = None
         if self.variant == "minus" and recipients:
             shared = make_codename_package(rng, len(domain))
+        # Keyed by var_code in first-send order: the minus variant's shared
+        # package is held once.
+        self.own_codes = {}
         for z in recipients:
             pkg = shared if shared is not None else make_codename_package(
                 rng, len(domain))
-            self.sent_packages[(epoch, z)] = pkg
+            self.own_codes[pkg.var_code] = pkg
             self.sim.log_logical("CODES")
             self.send(z, "CODES", {
                 "epoch": epoch, "var_code": pkg.var_code,
                 "codes": list(pkg.domain_codes), "sigma": list(pkg.sigma),
             })
+        self.recv_packages = {}
         for y in view.ancestors_here():
             m = yield from self.get("CODES", sender=y, epoch=epoch)
-            self.recv_packages[(epoch, y)] = CodenamePackage(
+            self.recv_packages[y] = CodenamePackage(
                 var_code=m.payload["var_code"],
                 domain_codes=tuple(m.payload["codes"]),
                 sigma=tuple(m.payload["sigma"]),
@@ -124,56 +129,52 @@ class PdpopProcess(KernelProcess):
         rng = self.sim.rng(self.var, "keys", epoch)
         b = self.sim.config.b_bits
         domain = self.sim.problem.domains[self.var]
+        self.sent_keys = []
         for z in view.pseudo_children:
             key = tuple(rng.randrange(0, 1 << b) if b else 0 for _ in domain)
-            self.sent_keys[(epoch, z)] = key
+            self.sent_keys.append(key)
             self.sim.log_logical("KEY")
             self.send(z, "KEY", {"epoch": epoch, "key": list(key)})
+        self.recv_keys = {}
         for y in view.pseudo_parents:
             m = yield from self.get("KEY", sender=y, epoch=epoch)
-            self.recv_keys[(epoch, y)] = tuple(m.payload["key"])
+            self.recv_keys[y] = tuple(m.payload["key"])
 
     # -- coded feasibility propagation ----------------------------------------
 
-    def apply_ancestor_codes(self, t: FeasTable, view: PseudoTreeView,
-                             epoch: int) -> FeasTable:
+    def apply_ancestor_codes(self, t: FeasTable,
+                             view: PseudoTreeView) -> FeasTable:
         """Swap every (pseudo-)parent axis for its received codename axis,
         listing the coded values in the package's permuted order."""
         problem = self.sim.problem
         for y in view.ancestors_here():
             if y not in t.labels():
                 continue
-            pkg = self.recv_packages[(epoch, y)]
+            pkg = self.recv_packages[y]
             t = resolve_codename(t, y, pkg.var_code,
                                  dict(zip(problem.domains[y], pkg.domain_codes)),
                                  pkg.coded_axis_values())
         return t
 
-    def coded_local_join(self, view: PseudoTreeView, epoch: int) -> FeasTable:
-        t = local_join(self.sim.problem, view, tuple(self.local_constraints))
-        return self.apply_ancestor_codes(t, view, epoch)
-
-    def resolve_own_codes(self, t: FeasTable, epoch: int) -> FeasTable:
+    def resolve_own_codes(self, t: FeasTable) -> FeasTable:
         domain = self.sim.problem.domains[self.var]
-        seen = set()
-        for (ep, _z), pkg in list(self.sent_packages.items()):
-            if ep != epoch or pkg.var_code in seen:
-                continue
-            seen.add(pkg.var_code)
-            if pkg.var_code in t.labels():
-                t = resolve_codename(t, pkg.var_code, self.var,
+        for code, pkg in self.own_codes.items():
+            if code in t.labels():
+                t = resolve_codename(t, code, self.var,
                                      pkg.code_to_value(domain), domain)
         return t
 
-    def feas_phase(self, view: PseudoTreeView, epoch: int, record_best: bool):
+    def feas_phase(self, view: PseudoTreeView, epoch: int):
         """Coded, obfuscated bottom-up propagation (shared with the rerooted
-        solvers, which skip the argmin recording).
+        solvers).
 
         Returns (feasible, min_count, root_value, best, seps); the first
-        three are None at non-root variables."""
+        three are None at non-root variables, `best` is None at the root."""
         x = self.var
         b = self.sim.config.b_bits
-        m = self.coded_local_join(view, epoch)
+        m = self.apply_ancestor_codes(
+            local_join(self.sim.problem, view, tuple(self.local_constraints)),
+            view)
         self.charge(m.size())
         if b and any(e > 0 for e in m.entries):
             r = self.sim.rng(x, "obf", epoch).randrange(1, 1 << b)
@@ -183,12 +184,11 @@ class PdpopProcess(KernelProcess):
             msg = yield from self.get("FEAS", sender=c, epoch=epoch)
             t = table_from_payload(msg.payload)
             seps[c] = t.labels()
-            t = self.resolve_own_codes(t, epoch)
+            t = self.resolve_own_codes(t)
             m = join(m, t)
             self.charge(m.size())
         domain = self.sim.problem.domains[x]
-        for z in view.pseudo_children:
-            key = self.sent_keys[(epoch, z)]
+        for key in self.sent_keys:
             m = join(m, FeasTable([Axis(x, domain)], [-k for k in key]))
         if view.is_root:
             if m.labels() != [x]:
@@ -201,8 +201,8 @@ class PdpopProcess(KernelProcess):
         out, best = project_min(m, x)
         self.charge(m.size())
         for y in view.pseudo_parents:
-            pkg = self.recv_packages[(epoch, y)]
-            key = self.recv_keys[(epoch, y)]
+            pkg = self.recv_packages[y]
+            key = self.recv_keys[y]
             # The key axis lists the coded values in the package's permuted
             # order; listed unpermuted, it would expose sigma.  If the
             # back-edge constraint joined deeper in the subtree, the coded
@@ -216,7 +216,7 @@ class PdpopProcess(KernelProcess):
         payload["epoch"] = epoch
         self.sim.log_logical("FEAS", sep=len(out.scope))
         self.send(view.parent, "FEAS", payload)
-        return (None, None, None, best if record_best else None, seps)
+        return (None, None, None, best, seps)
 
     # -- coded decision propagation --------------------------------------------
 
@@ -232,9 +232,7 @@ class PdpopProcess(KernelProcess):
                                      epoch=epoch)
             decided = assignment_from_pairs(dm.payload["assignment"])
             my_value = best.get(decided)
-        own_codes = {pkg.var_code: pkg
-                     for (ep, _z), pkg in self.sent_packages.items()
-                     if ep == epoch}
+        own_codes = self.own_codes
         for c in view.children:
             payload = {}
             for label in seps[c]:
@@ -257,7 +255,7 @@ class PdpopProcess(KernelProcess):
         yield from self.exchange_codenames(view, 0)
         yield from self.exchange_keys(view, 0)
         feasible, min_count, root_value, best, seps = yield from self.feas_phase(
-            view, 0, record_best=True)
+            view, 0)
         my_value = yield from self.decision_phase(view, 0, best, seps, root_value)
         out = {"value": my_value}
         if view.is_root:

@@ -35,6 +35,13 @@ def _enc_value(v) -> str:
     raise ModelError(f"unsupported value type {type(v).__name__}")
 
 
+def _enc_name(kind: str, name: str) -> str:
+    if not name or any(ch.isspace() for ch in name):
+        raise ModelError(f"{kind} name {name!r} is empty or contains "
+                         f"whitespace")
+    return name
+
+
 def _int(tok: str) -> int:
     try:
         return int(tok)
@@ -53,16 +60,14 @@ def _dec_value(tok: str):
 def dumps(problem: Problem) -> str:
     lines = ["discsp 1"]
     lines.append(f"agents {len(problem.agents)}")
-    lines.extend(problem.agents)
+    lines.extend(_enc_name("agent", a) for a in problem.agents)
     lines.append(f"variables {len(problem.variables)}")
     for x in problem.variables:
         vals = " ".join(_enc_value(v) for v in problem.domains[x])
-        lines.append(f"{x} {problem.owner[x]} {vals}")
+        lines.append(f"{_enc_name('variable', x)} {problem.owner[x]} {vals}")
     lines.append(f"constraints {len(problem.constraints)}")
     for i, c in enumerate(problem.constraints):
-        name = c.name or f"c{i}"
-        if any(ch.isspace() for ch in name):
-            raise ModelError(f"constraint name {name!r} contains whitespace")
+        name = _enc_name("constraint", c.name or f"c{i}")
         forbidden = [vals for (vals, cost) in _iter_tuples(c) if cost == 1]
         lines.append(
             f"constraint {name} scope {len(c.scope)} {' '.join(c.scope)} "

@@ -55,6 +55,27 @@ def test_run_solver_pads_every_solver_but_dpop(solver):
     assert ran == (unpadded if solver == "dpop" else padded)
 
 
+def pad_prefixed_problem():
+    """x in (!pad0, a), y in (!pad0, a, b), one constraint x == y == !pad0:
+    the only solution uses a real value that starts with the pad prefix."""
+    doms = {"x": ("!pad0", "a"), "y": ("!pad0", "a", "b")}
+    owner = {"x": "a1", "y": "a2"}
+    c = Constraint.from_predicate(("x", "y"), (doms["x"], doms["y"]),
+                                  lambda u, v: u == v == "!pad0",
+                                  {"a1", "a2"}, name="both_pad0")
+    return Problem(("a1", "a2"), ("x", "y"), owner, doms, (c,))
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_real_value_with_the_pad_prefix_is_not_padding(solver):
+    p = pad_prefixed_problem()
+    o = brute_force(p)
+    assert o.feasible
+    r = run_solver(solver, p, seed=1, config=RunConfig(key_bits=64))
+    assert r.feasible == o.feasible
+    assert r.joint_assignment() == {"x": "!pad0", "y": "!pad0"}
+
+
 def test_zero_width_obfuscation_on_wide_scopes():
     p = gen_resource_allocation(slots=4, bids=2, seed=0)
     o = brute_force(p)

@@ -167,6 +167,17 @@ def test_pad_domains_sizes():
     assert len(pads) == 1  # only x1 needed a fake value
 
 
+def test_pad_domains_keeps_real_values_with_the_pad_prefix():
+    doms = {"x": ("!pad0", "a"), "y": ("!pad0", "a", "b")}
+    c = Constraint.from_predicate(("x", "y"), (doms["x"], doms["y"]),
+                                  lambda u, v: u == v, {"a1", "a2"})
+    p = Problem(("a1", "a2"), ("x", "y"), {"x": "a1", "y": "a2"}, doms, (c,))
+    padded = pad_domains(p, 3)
+    assert padded.domains["x"] == ("!pad0", "a", "!pad1")
+    assert evaluate(padded, {"x": "!pad0", "y": "!pad0"}) == 0
+    assert evaluate(padded, {"x": "!pad1", "y": "!pad0"}) > 0
+
+
 def test_pad_domains_uniform_noop(fig1):
     assert pad_domains(fig1, 3) is fig1
 

@@ -89,10 +89,9 @@ def test_root_table_exact_when_unobfuscated(fig1, fig2_views):
     final = [rec for rec in sim.transcript if rec.type == "FEAS"
              and rec.receiver_var == "x2"][-1]
     got = table_from_record(final)
-    for (epoch, _z), pkg in procs["x2"].sent_packages.items():
-        if epoch == 0 and pkg.var_code in got.labels():
-            got = resolve_codename(got, pkg.var_code, "x2",
-                                   pkg.code_to_value(RGB), RGB)
+    for code, pkg in procs["x2"].own_codes.items():
+        if code in got.labels():
+            got = resolve_codename(got, code, "x2", pkg.code_to_value(RGB), RGB)
     assert got.labels() == ["x2"]
     assert got.entries == [0, 1, 0]
 
@@ -129,22 +128,33 @@ def test_root_zero_pattern_with_obfuscation(fig1):
     assert evaluate(fig1, joint) == 0
 
 
+def sent_var_codes(transcript) -> dict:
+    """{(epoch, sender): [var_code, ...]} of the CODES records."""
+    out: dict = {}
+    for rec in transcript:
+        if rec.type == "CODES":
+            out.setdefault((rec.payload["epoch"], rec.sender_var),
+                           []).append(rec.payload["var_code"])
+    return out
+
+
 def test_variant_codename_multiplicity(fig1):
-    plus = simulate_fig1(fig1, "pdpop_plus", b_bits=128)
-    minus = simulate_fig1(fig1, "pdpop", b_bits=128)
-    # x2 has a child and a pseudo-child somewhere in every tree; the plus
-    # variant hands out pairwise distinct var codes, the minus variant one.
-    for sim, distinct in ((plus, True), (minus, False)):
-        for proc in sim.processes.values():
-            pkgs = [pkg for (ep, _z), pkg in proc.sent_packages.items()
-                    if ep == 0]
-            if len(pkgs) < 2:
-                continue
-            codes = {p.var_code for p in pkgs}
-            if distinct:
-                assert len(codes) == len(pkgs)
-            else:
-                assert len(codes) == 1
+    """Within each epoch the plus variant sends pairwise distinct var codes,
+    the minus variant one per sender; p32 reroots, so every one of its
+    epochs is checked."""
+    for solver, distinct in (("pdpop_plus", True), ("pdpop", False),
+                             ("p32_plus", True), ("p32", False)):
+        r = run_solver(solver, fig1, seed=11,
+                       config=RunConfig(key_bits=64, b_bits=128))
+        sent = sent_var_codes(r.transcript)
+        epochs = {ep for ep, _x in sent}
+        assert epochs == ({0} if solver.startswith("pdpop")
+                          else set(range(1, r.iterations + 1)))
+        multi = {key: codes for key, codes in sent.items() if len(codes) >= 2}
+        # Some variable has two (pseudo-)children in every tree.
+        assert {ep for ep, _x in multi} == epochs
+        for codes in multi.values():
+            assert len(set(codes)) == (len(codes) if distinct else 1)
 
 
 def test_feas_payload_labels_are_codes(fig1):
@@ -211,7 +221,7 @@ def test_obfuscation_soundness_instrumented(fig1):
         # The parent's codename axis is the one the sender received from
         # its tree parent; every other axis is "non-parent".
         proc = obf.processes[sender]
-        parent_pkg = proc.recv_packages[(0, proc.views[0].parent)]
+        parent_pkg = proc.recv_packages[proc.views[0].parent]
         vary_axis = labels.index(parent_pkg.var_code)
         shapes = [len(ax["values"]) for ax in shadow["scope"]]
         fixed_axes = [i for i in range(len(labels)) if i != vary_axis]

@@ -3,7 +3,7 @@ import pytest
 from discsp import problemio
 from discsp.generators import (gen_graph_coloring, gen_meeting_scheduling,
                                gen_party_game, gen_resource_allocation)
-from discsp.model import ModelError, evaluate
+from discsp.model import Constraint, ModelError, Problem, evaluate
 from discsp.oracle import brute_force
 
 
@@ -80,6 +80,16 @@ HEAD = "discsp 1\nagents 1\na1\nvariables 2\nx a1 i:0 i:1\ny a1 i:0 i:1\n"
 def test_malformed_file_raises_model_error(text):
     with pytest.raises(ModelError):
         problemio.loads(text)
+
+
+@pytest.mark.parametrize("agent,var", [("a 1", "x"), ("a1", "x y"),
+                                       ("", "x"), ("a1", "")])
+def test_dumps_rejects_names_loads_cannot_read(agent, var):
+    dom = (0, 1)
+    c = Constraint.from_predicate((var,), (dom,), lambda v: v == 0, {agent})
+    p = Problem((agent,), (var,), {var: agent}, {var: dom}, (c,))
+    with pytest.raises(ModelError, match="is empty or contains whitespace"):
+        problemio.dumps(p)
 
 
 def test_truncated_file_rejected(fig1):
