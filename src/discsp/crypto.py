@@ -6,8 +6,12 @@ compound public keys formed as the product of per-agent shares, and
 decryption split into per-share partial steps.
 
 Encoding: false is the group identity 1, true is a fixed element z != 1 of
-large prime order, so an OR-product of k trues decodes to z**k.  Anything
-that is neither 1 nor a small power of z signals a protocol bug and raises.
+large prime order, so an OR-product of k trues decrypts to z**k and a
+boolean decrypts as "not the identity", whatever k.  Only ``decode`` (k up
+to TRUE_POWER_BOUND) and ``decode_small`` (root vector entries) read an
+element as a number, and raise on one they cannot read.  In TOY_GROUP z has
+order q = 11, so an OR-product of 11 trues is the identity and decrypts
+false; in the 64- and 512-bit groups q is above 2**62.
 
 A cyphertext is the canonical dict it travels as, ``{"alpha": a, "beta":
 b}``, here and in every solver.  ``rerandomize_entries`` re-randomizes a
@@ -53,8 +57,8 @@ class MalformedCyphertext(CryptoError):
 
 # ------------------------------------------------------------------ groups
 
-def is_probable_prime(n: int, rounds: int = 64, rng=None) -> bool:
-    """Miller-Rabin with the given number of rounds."""
+def is_probable_prime(n: int, rng=None) -> bool:
+    """Miller-Rabin with 64 rounds."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -65,7 +69,7 @@ def is_probable_prime(n: int, rounds: int = 64, rng=None) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(64):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -95,7 +99,6 @@ class GroupParams:
     p: int
     g: int
     z: int
-    bit_length: int
     _z_powers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -140,7 +143,7 @@ class GroupParams:
 
 def make_group(p: int, g: int) -> GroupParams:
     """Build params from a known safe prime; z is fixed to g**2."""
-    return GroupParams(p=p, g=g, z=pow(g, 2, p), bit_length=p.bit_length())
+    return GroupParams(p=p, g=g, z=pow(g, 2, p))
 
 
 def generate_group(bits: int, rng: random.Random) -> GroupParams:
@@ -272,24 +275,14 @@ class KeyPairShare:
     public: int   # y_i = g**x_i mod p
 
 
-@dataclass(frozen=True)
-class CompoundPublicKey:
-    y: int
-    share_count: int
-
-
 def generate_share(params: GroupParams, rng: random.Random) -> KeyPairShare:
     x = rng.randrange(1, params.exp_bound)
     return KeyPairShare(private=x, public=fixed_base_pow(params.g, x, params.p))
 
 
-def combine_public(params: GroupParams, publics) -> CompoundPublicKey:
-    y = 1
-    n = 0
-    for pub in publics:
-        y = y * pub % params.p
-        n += 1
-    return CompoundPublicKey(y=y, share_count=n)
+def combine_public(params: GroupParams, publics) -> int:
+    """The compound public key y: the product of the public parts."""
+    return math.prod(publics) % params.p
 
 
 def split_public_shares(params: GroupParams, share: KeyPairShare, count: int,
@@ -313,8 +306,8 @@ def encode_bool(params: GroupParams, m: bool) -> int:
     return params.z if m else 1
 
 
-def rerandomize_entries(params: GroupParams, key: CompoundPublicKey,
-                        cyphertexts, rng: random.Random) -> list[dict]:
+def rerandomize_entries(params: GroupParams, key: int, cyphertexts,
+                        rng: random.Random) -> list[dict]:
     """Re-randomize a vector of cyphertexts into new ones, drawing one
     rng.randrange(1, exp_bound) per entry in entry order.
 
@@ -323,7 +316,7 @@ def rerandomize_entries(params: GroupParams, key: CompoundPublicKey,
     {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
     once for the whole vector."""
     p, bound = params.p, params.exp_bound
-    rows = _pair_table(key.y, params.g, p)
+    rows = _pair_table(key, params.g, p)
     randrange = rng.randrange
     out = []
     for c in cyphertexts:
@@ -333,17 +326,16 @@ def rerandomize_entries(params: GroupParams, key: CompoundPublicKey,
     return out
 
 
-def encrypt(params: GroupParams, key: CompoundPublicKey, m: bool,
+def encrypt(params: GroupParams, key: int, m: bool,
             rng: random.Random) -> dict:
     return rerandomize_entries(
         params, key, [{"alpha": encode_bool(params, m), "beta": 1}], rng)[0]
 
 
-def rerandomize(params: GroupParams, key: CompoundPublicKey, c: dict,
-                r: int) -> dict:
+def rerandomize(params: GroupParams, key: int, c: dict, r: int) -> dict:
     """Multiply in an encryption of 1 with randomness 0 <= r < 2**bitlen(p);
     r == 0 leaves c unchanged."""
-    alpha, beta = _pair_walk(_pair_table(key.y, params.g, params.p), r,
+    alpha, beta = _pair_walk(_pair_table(key, params.g, params.p), r,
                              params.p, c["alpha"], c["beta"])
     return {"alpha": alpha, "beta": beta}
 

@@ -20,6 +20,9 @@ from .oracle import OracleCapExceeded, brute_force
 from .runtime import RunConfig, SimTimeout
 from .solvers import SOLVERS, run_solver
 
+# Runs on instances with more joint assignments skip the oracle check.
+ORACLE_CAP = 10 ** 6
+
 RUN_FIELDS = [
     "family", "size", "instance", "seed", "solver", "status", "feasible",
     "oracle_feasible", "oracle_ok", "solution_valid", "simulated_time",
@@ -42,7 +45,6 @@ class ExperimentConfig:
     solvers: tuple[str, ...] = ("dpop", "pdpop_plus")
     run: RunConfig = field(
         default_factory=lambda: RunConfig(timeout_secs=600.0))
-    oracle_cap: int = 10 ** 6
     workers: int = 1
 
 
@@ -87,7 +89,7 @@ def _run_one(task: dict) -> dict:
     row["sep_max"] = result.metrics.sep_max
     row["iterations"] = result.iterations
     try:
-        o = brute_force(problem, cap=task["oracle_cap"])
+        o = brute_force(problem, cap=ORACLE_CAP)
     except OracleCapExceeded:
         return row
     row["oracle_feasible"] = o.feasible
@@ -112,7 +114,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                     "family": cfg.family, "size": size, "index": index,
                     "seed": seed, "solver": solver,
                     "run": cfg.run,
-                    "oracle_cap": cfg.oracle_cap,
                 })
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -121,15 +122,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     return [_run_one(t) for t in tasks]
 
 
-def median_ci(values, confidence: float = 0.95):
-    """Median with a distribution-free order-statistic confidence interval
-    (binomial ranks)."""
+def median_ci(values):
+    """Median with a distribution-free 95% order-statistic confidence
+    interval (binomial ranks)."""
     xs = sorted(values)
     n = len(xs)
     if n == 0:
         return None, None, None
     med = statistics.median(xs)
-    alpha = (1 - confidence) / 2
+    alpha = 0.025
     r, cdf = 0, 0.0
     for k in range(n):
         nxt = cdf + math.comb(n, k) * 0.5 ** n

@@ -23,14 +23,18 @@ class KernelError(RuntimeError):
 
 @dataclass(frozen=True)
 class PseudoTreeView:
-    """One variable's local view of the pseudo-tree."""
+    """One variable's local view of the pseudo-tree of one epoch."""
 
     variable: str
+    epoch: int
     parent: "str | None"
     pseudo_parents: tuple[str, ...]
     children: tuple[str, ...]
     pseudo_children: tuple[str, ...]
-    is_root: bool
+
+    @property
+    def is_root(self) -> bool:
+        return self.parent is None
 
     def ancestors_here(self) -> tuple[str, ...]:
         out = () if self.parent is None else (self.parent,)
@@ -43,8 +47,6 @@ class PseudoTreeView:
                 raise KernelError(f"{self.variable}: {y} is not a constraint-graph neighbor")
         if set(self.children) & set(self.pseudo_children):
             raise KernelError(f"{self.variable}: child and pseudo-child overlap")
-        if self.is_root != (self.parent is None):
-            raise KernelError(f"{self.variable}: root flag disagrees with parent")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class IdAssignment:
     id: int
     next_bound: int   # tight strict lower bound on the next unique ID
     total_bound: int  # upper bound on the variable count
-    incr_min: int
 
     def validate(self):
         if not (self.id <= self.next_bound < self.total_bound):
@@ -75,19 +76,20 @@ def to_previous_hop(view: PseudoTreeView) -> tuple[str, str]:
 
 
 def route_hop(view: PseudoTreeView, kind: str, sender: "str | None"):
-    """Routing decision on receipt: ("deliver",) or ("forward", kind, dst)."""
+    """Routing decision on receipt: None to deliver here, else the variable
+    to forward the envelope to, always as LAST."""
     if kind == "LAST":
         if not view.children:
-            return ("deliver",)
-        return ("forward", "LAST", view.children[-1])
+            return None
+        return view.children[-1]
     if kind == "PREV":
         if not view.children or sender not in view.children:
             raise KernelError(
                 f"{view.variable}: PREV from {sender} which is not a child")
         i = view.children.index(sender)
         if i == 0:
-            return ("deliver",)
-        return ("forward", "LAST", view.children[i - 1])
+            return None
+        return view.children[i - 1]
     raise KernelError(f"unknown envelope kind {kind}")
 
 
@@ -144,15 +146,14 @@ class KernelProcess(Process):
             if view is None:
                 raise KernelError(
                     f"{self.var}: routed envelope for unknown epoch {epoch}")
-            decision = route_hop(view, msg.type, msg.sender)
-            if decision[0] == "deliver":
+            dst = route_hop(view, msg.type, msg.sender)
+            if dst is None:
                 inner = Msg(msg.payload["inner_type"], dict(msg.payload["inner"]))
                 if inner.type in self.INTERCEPTS:
                     return self.intercept(inner)
                 return inner
-            _, kind, dst = decision
             # The same envelope with the encoding it was delivered with.
-            self.sim.post(self.var, dst, Msg(kind, msg.payload,
+            self.sim.post(self.var, dst, Msg("LAST", msg.payload,
                                              sender=self.var, wire=msg.wire))
             return None
         if (msg.type == "TOKEN" and msg.payload.get("kind") == "visit"
@@ -170,8 +171,9 @@ class KernelProcess(Process):
 
     # -- root election ---------------------------------------------------------
 
-    def elect_root(self, rounds: int):
-        """Synchronous max-score flooding; returns True iff this variable wins.
+    def elect_root(self):
+        """Synchronous max-score flooding over as many rounds as there are
+        variables; returns True iff this variable wins.
 
         Each round sends one SCORE message object to every neighbour, so it
         is encoded once, and takes the round's scores in the order they
@@ -181,7 +183,7 @@ class KernelProcess(Process):
         my_score = rng.getrandbits(128)
         best = my_score
         neighbors = self.neighbors
-        for r in range(1, rounds + 1):
+        for r in range(1, len(self.sim.problem.variables) + 1):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in neighbors:
                 self.sim.post(self.var, u, msg)
@@ -227,24 +229,25 @@ class KernelProcess(Process):
         if not is_root:
             self.send(parent, "TOKEN", {"kind": "return", "epoch": epoch})
         self.views[epoch] = PseudoTreeView(
-            variable=self.var, parent=parent,
+            variable=self.var, epoch=epoch, parent=parent,
             pseudo_parents=tuple(sorted(pp)), children=tuple(children),
-            pseudo_children=tuple(sorted(pc)), is_root=is_root,
+            pseudo_children=tuple(sorted(pc)),
         )
         return self.views[epoch]
 
     def first_tree(self):
-        """The epoch-0 pseudo-tree: a root election over as many rounds as
-        there are variables, then a DFS from the winner."""
-        is_root = yield from self.elect_root(len(self.sim.problem.variables))
+        """The epoch-0 pseudo-tree: a root election, then a DFS from the
+        winner."""
+        is_root = yield from self.elect_root()
         return (yield from self.build_tree(0, is_root))
 
     # -- unique IDs ---------------------------------------------------------------
 
-    def assign_ids(self, epoch: int, incr_min: int):
-        """DFS-order counter with secret random increments; root broadcasts
-        the final counter as the bound n+."""
-        view = self.views[epoch]
+    def assign_ids(self):
+        """DFS-order counter over the epoch-0 tree with secret random
+        increments of 1 to 1 + 2 * incr_min; root broadcasts the final counter
+        as the bound n+."""
+        view = self.views[0]
         rng = self.sim.rng(self.var, "ids")
         if view.is_root:
             counter = 0
@@ -252,7 +255,7 @@ class KernelProcess(Process):
             m = yield from self.get("IDS", sender=view.parent, kind="assign")
             counter = m.payload["counter"]
         my_id = counter
-        counter += 1 + rng.randint(0, 2 * incr_min)
+        counter += 1 + rng.randint(0, 2 * self.sim.config.incr_min)
         next_bound = counter - 1
         for c in view.children:
             self.send(c, "IDS", {"kind": "assign", "counter": counter})
@@ -267,6 +270,6 @@ class KernelProcess(Process):
         for c in view.children:
             self.send(c, "IDS", {"kind": "total", "total": total})
         self.ids = IdAssignment(id=my_id, next_bound=next_bound,
-                                total_bound=total, incr_min=incr_min)
+                                total_bound=total)
         self.ids.validate()
         return self.ids

@@ -263,18 +263,17 @@ def decompose_shared_constraint(c: Constraint, owner: dict[str, str]):
 PAD_PREFIX = "!pad"
 
 
-def pad_domains(problem: Problem, size: int) -> Problem:
-    """Pad every domain to `size` values with fake, always-infeasible tokens.
+def pad_domains(problem: Problem) -> Problem:
+    """Pad every domain to the largest domain's size with fake,
+    always-infeasible tokens.
 
     Each padded variable gains a private unary constraint forbidding its fake
     values, so the solution set projected onto real values is unchanged.
-    Domains already at `size` are left untouched.  A fake token is
+    Domains already at that size are left untouched.  A fake token is
     `PAD_PREFIX` plus a number and never equals a real value of its own
     variable; a real value that merely starts with `PAD_PREFIX` stays real.
     """
-    max_dom = max(len(problem.domains[x]) for x in problem.variables)
-    if size < max_dom:
-        raise ModelError(f"pad size {size} below largest domain {max_dom}")
+    size = max(len(problem.domains[x]) for x in problem.variables)
     domains = dict(problem.domains)
     fakes: dict[str, frozenset] = {}
     extra: list[Constraint] = []

@@ -140,9 +140,9 @@ class P2Process(P32Process):
         self._dichotomy_count += 1
         return (yield from self.ring_decrypt_bool(c))
 
-    def iteration_propagate(self, view: PseudoTreeView, epoch: int):
-        yield from self.exchange_codenames(view, epoch)
-        x = self.var
+    def iteration_propagate(self, view: PseudoTreeView):
+        yield from self.exchange_codenames(view)
+        x, epoch = self.var, view.epoch
         problem = self.sim.problem
         plain = boolean_local_join(problem, view, tuple(self.local_constraints))
         self.charge(plain.size())

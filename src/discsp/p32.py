@@ -39,7 +39,7 @@ class P32Process(PdpopProcess):
         super().__init__(var, sim, variant)
         self.params = crypto.group_for_bits(sim.config.key_bits)
         self.key_share: crypto.KeyPairShare | None = None
-        self.compound: crypto.CompoundPublicKey | None = None
+        self.compound: int | None = None  # the compound public key y
         self.vector: list[dict] = []
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
@@ -55,17 +55,19 @@ class P32Process(PdpopProcess):
 
     # -- phase 1: shares ------------------------------------------------------
 
-    def setup_compound_key(self, n_plus: int, share_count: int):
-        """Circulate public key shares; every variable ends with the same
-        compound key built from all n+ shares."""
-        self.key_share = crypto.generate_share(self.params, self.crypto_rng)
+    def setup_compound_key(self):
+        """Circulate public key shares, one per ID this variable holds (its
+        own and the unassigned ones up to next_bound); every variable ends
+        with the same compound key built from all n+ shares."""
+        ids, rng = self.ids, self.crypto_rng
+        self.key_share = crypto.generate_share(self.params, rng)
         publics = crypto.split_public_shares(
-            self.params, self.key_share, share_count, self.crypto_rng)
+            self.params, self.key_share, ids.next_bound - ids.id + 1, rng)
         mine = set(publics)
         for share in publics:
             self.route_to_previous(0, "SHARE", {"share": share})
         collected = []
-        for _ in range(n_plus):
+        for _ in range(ids.total_bound):
             m = yield from self.get("SHARE")
             share = m.payload["share"]
             collected.append(share)
@@ -156,7 +158,7 @@ class P32Process(PdpopProcess):
 
     def ring_decrypt_bool(self, c: dict) -> bool:
         element = yield from self.ring_decrypt_element(c)
-        return self.params.decode(element) > 0
+        return element != 1  # z**k for an OR of k >= 1 trues, k unbounded
 
     # -- standing services ----------------------------------------------------------
 
@@ -183,29 +185,29 @@ class P32Process(PdpopProcess):
 
     # -- per-iteration propagation (overridden by P2) ---------------------------------
 
-    def iteration_propagate(self, view: PseudoTreeView, epoch: int):
+    def iteration_propagate(self, view: PseudoTreeView):
         """Returns (feasible, root_value) at the root, (None, None) elsewhere."""
-        yield from self.exchange_codenames(view, epoch)
-        yield from self.exchange_keys(view, epoch)
-        feasible, _count, root_value, _best, _seps = yield from self.feas_phase(
-            view, epoch)
+        yield from self.exchange_codenames(view)
+        yield from self.exchange_keys(view)
+        feasible, _count, root_value, _best, _seps = (
+            yield from self.feas_phase(view))
         return feasible, root_value
 
-    def ground(self, value, epoch: int):
+    def ground(self, value):
+        """Pin this variable to `value`; it is root, so grounded, once."""
         x = self.var
         domain = self.sim.problem.domains[x]
         self.local_constraints.append(Constraint.from_predicate(
             (x,), (domain,), lambda v: v == value,
-            visibility={self.sim.problem.owner[x]}, name=f"ground_{x}_{epoch}"))
+            visibility={self.sim.problem.owner[x]}, name=f"ground_{x}"))
 
     # -- main -------------------------------------------------------------------------
 
     def main(self):
         view = yield from self.first_tree()
         self.is_temp_root = view.is_root
-        ids = yield from self.assign_ids(0, self.sim.config.incr_min)
-        n_plus = ids.total_bound
-        yield from self.setup_compound_key(n_plus, ids.next_bound - ids.id + 1)
+        yield from self.assign_ids()
+        yield from self.setup_compound_key()
         yield from self.shuffle_vectors()
 
         out = {}
@@ -218,7 +220,7 @@ class P32Process(PdpopProcess):
             epoch += 1
             i_am_root = entry == 0
             view = yield from self.build_tree(epoch, i_am_root)
-            feasible, root_value = yield from self.iteration_propagate(view, epoch)
+            feasible, root_value = yield from self.iteration_propagate(view)
             if not i_am_root:
                 continue
             self.sim.stat("iterations")
@@ -233,7 +235,7 @@ class P32Process(PdpopProcess):
             out["value"] = root_value
             if epoch == 1:
                 out.update({"feasible": True, "root": True})
-            self.ground(root_value, epoch)
+            self.ground(root_value)
         if "value" not in out:
             raise P32Error(f"{self.var} never became root")
         return out

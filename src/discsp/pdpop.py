@@ -97,8 +97,8 @@ class PdpopProcess(KernelProcess):
 
     # -- codename and key exchange -------------------------------------------
 
-    def exchange_codenames(self, view: PseudoTreeView, epoch: int):
-        rng = self.sim.rng(self.var, "codes", epoch)
+    def exchange_codenames(self, view: PseudoTreeView):
+        rng = self.sim.rng(self.var, "codes", view.epoch)
         domain = self.sim.problem.domains[self.var]
         recipients = list(view.children) + list(view.pseudo_children)
         shared = None
@@ -113,20 +113,20 @@ class PdpopProcess(KernelProcess):
             self.own_codes[pkg.var_code] = pkg
             self.sim.log_logical("CODES")
             self.send(z, "CODES", {
-                "epoch": epoch, "var_code": pkg.var_code,
+                "epoch": view.epoch, "var_code": pkg.var_code,
                 "codes": list(pkg.domain_codes), "sigma": list(pkg.sigma),
             })
         self.recv_packages = {}
         for y in view.ancestors_here():
-            m = yield from self.get("CODES", sender=y, epoch=epoch)
+            m = yield from self.get("CODES", sender=y, epoch=view.epoch)
             self.recv_packages[y] = CodenamePackage(
                 var_code=m.payload["var_code"],
                 domain_codes=tuple(m.payload["codes"]),
                 sigma=tuple(m.payload["sigma"]),
             )
 
-    def exchange_keys(self, view: PseudoTreeView, epoch: int):
-        rng = self.sim.rng(self.var, "keys", epoch)
+    def exchange_keys(self, view: PseudoTreeView):
+        rng = self.sim.rng(self.var, "keys", view.epoch)
         b = self.sim.config.b_bits
         domain = self.sim.problem.domains[self.var]
         self.sent_keys = []
@@ -134,10 +134,10 @@ class PdpopProcess(KernelProcess):
             key = tuple(rng.randrange(0, 1 << b) if b else 0 for _ in domain)
             self.sent_keys.append(key)
             self.sim.log_logical("KEY")
-            self.send(z, "KEY", {"epoch": epoch, "key": list(key)})
+            self.send(z, "KEY", {"epoch": view.epoch, "key": list(key)})
         self.recv_keys = {}
         for y in view.pseudo_parents:
-            m = yield from self.get("KEY", sender=y, epoch=epoch)
+            m = yield from self.get("KEY", sender=y, epoch=view.epoch)
             self.recv_keys[y] = tuple(m.payload["key"])
 
     # -- coded feasibility propagation ----------------------------------------
@@ -164,13 +164,13 @@ class PdpopProcess(KernelProcess):
                                      pkg.code_to_value(domain), domain)
         return t
 
-    def feas_phase(self, view: PseudoTreeView, epoch: int):
+    def feas_phase(self, view: PseudoTreeView):
         """Coded, obfuscated bottom-up propagation (shared with the rerooted
         solvers).
 
         Returns (feasible, min_count, root_value, best, seps); the first
         three are None at non-root variables, `best` is None at the root."""
-        x = self.var
+        x, epoch = self.var, view.epoch
         b = self.sim.config.b_bits
         m = self.apply_ancestor_codes(
             local_join(self.sim.problem, view, tuple(self.local_constraints)),
@@ -220,8 +220,7 @@ class PdpopProcess(KernelProcess):
 
     # -- coded decision propagation --------------------------------------------
 
-    def decision_phase(self, view: PseudoTreeView, epoch: int, best, seps,
-                       root_value):
+    def decision_phase(self, view: PseudoTreeView, best, seps, root_value):
         x = self.var
         domain = self.sim.problem.domains[x]
         decided: dict = {}
@@ -229,7 +228,7 @@ class PdpopProcess(KernelProcess):
             my_value = root_value
         else:
             dm = yield from self.get("DECISION", sender=view.parent,
-                                     epoch=epoch)
+                                     epoch=view.epoch)
             decided = assignment_from_pairs(dm.payload["assignment"])
             my_value = best.get(decided)
         own_codes = self.own_codes
@@ -245,18 +244,18 @@ class PdpopProcess(KernelProcess):
                         f"{x}: no coded assignment for separator label {label}")
             self.sim.log_logical("DECISION")
             self.send(c, "DECISION", {
-                "epoch": epoch, "assignment": assignment_to_pairs(payload)})
+                "epoch": view.epoch, "assignment": assignment_to_pairs(payload)})
         return my_value
 
     # -- overall P-DPOP(+) ------------------------------------------------------
 
     def main(self):
         view = yield from self.first_tree()
-        yield from self.exchange_codenames(view, 0)
-        yield from self.exchange_keys(view, 0)
-        feasible, min_count, root_value, best, seps = yield from self.feas_phase(
-            view, 0)
-        my_value = yield from self.decision_phase(view, 0, best, seps, root_value)
+        yield from self.exchange_codenames(view)
+        yield from self.exchange_keys(view)
+        feasible, min_count, root_value, best, seps = (
+            yield from self.feas_phase(view))
+        my_value = yield from self.decision_phase(view, best, seps, root_value)
         out = {"value": my_value}
         if view.is_root:
             out.update({"feasible": feasible, "min_violations": min_count,

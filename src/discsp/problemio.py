@@ -105,7 +105,10 @@ def loads(text: str) -> Problem:
     header = take().split()
     if header != ["discsp", "1"]:
         raise ModelError(f"unsupported header {header}")
-    agents = [take().strip() for _ in range(section("agents"))]
+    agents = [take().split() for _ in range(section("agents"))]
+    for toks in agents:
+        if len(toks) != 1:
+            raise ModelError(f"agent line {toks} is not one name")
     variables, owner, domains = [], {}, {}
     for _ in range(section("variables")):
         toks = take().split()
@@ -144,8 +147,8 @@ def loads(text: str) -> Problem:
             scope, doms, forbidden, visibility, name))
     if pos != len(lines):
         raise ModelError("trailing content in problem file")
-    return Problem(tuple(agents), tuple(variables), owner, domains,
-                   tuple(constraints))
+    return Problem(tuple(toks[0] for toks in agents), tuple(variables),
+                   owner, domains, tuple(constraints))
 
 
 def dump(problem: Problem, path) -> None:

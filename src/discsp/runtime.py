@@ -327,9 +327,10 @@ class Sim:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, timeout_secs: float | None = None):
+    def run(self):
         """Run every process to completion; raise SimTimeout once the wall
-        time passes `timeout_secs` (None runs unbounded)."""
+        time passes `config.timeout_secs` (None runs unbounded)."""
+        timeout_secs = self.config.timeout_secs
         if timeout_secs is not None:
             if not timeout_secs > 0:
                 raise ValueError(

@@ -67,12 +67,11 @@ def run_solver(name: str, problem: Problem, seed: int,
                          f"got {components} components")
     run_problem = problem
     if spec.privacy >= 1:  # equal domain sizes hide each domain's size
-        size = max(len(problem.domains[x]) for x in problem.variables)
-        run_problem = pad_domains(problem, size)
+        run_problem = pad_domains(problem)
     sim = Sim(run_problem, seed, config)
     for x in run_problem.variables:
         sim.add_process(spec.process(x, sim, *spec.variant))
-    results = sim.run(config.timeout_secs)
+    results = sim.run()
 
     per_agent: dict = {}
     feasible = None

@@ -99,7 +99,7 @@ def zero_table(label, values) -> FeasTable:
 
 
 def _index_map(src_scope: list[Axis], out_scope: list[Axis],
-               feeds=None) -> list[int]:
+               feeds) -> list[int]:
     """Flat source index for every cell of `out_scope`, row-major.
 
     `feeds[k]` lists the (source axis, remap) pairs output axis k reads:
@@ -108,12 +108,9 @@ def _index_map(src_scope: list[Axis], out_scope: list[Axis],
     broadcasting an operand); resolve_codename merging onto an existing
     axis has one output axis read two.
     No source axis is read by more than one output axis.
-    Without `feeds`, each output axis reads the source axis of its label,
-    matched by value.  The map is built by expanding per-axis offsets, so
-    no cell position is ever decoded.
+    The map is built by expanding per-axis offsets, so no cell position is
+    ever decoded.
     """
-    if feeds is None:
-        feeds = _feeds_by_label(src_scope, out_scope)
     strides, n = [], 1
     for a in reversed(src_scope):
         strides.append(n)

@@ -82,7 +82,7 @@ def simulate(problem: Problem, process, seed: int = 0,
     sim = Sim(problem, seed, config)
     for x in problem.variables:
         sim.add_process(process(x, sim))
-    sim.run(config.timeout_secs)
+    sim.run()
     return sim
 
 
@@ -137,8 +137,7 @@ class _PhaseProcess(KernelProcess):
         is_root = False
         for phase in self.phases:
             if phase == "elect":
-                is_root = yield from self.elect_root(
-                    len(self.sim.problem.variables))
+                is_root = yield from self.elect_root()
                 out["is_root"] = is_root
             elif phase == "dfs":
                 if self.preset_root is not None:
@@ -146,7 +145,7 @@ class _PhaseProcess(KernelProcess):
                 view = yield from self.build_tree(0, is_root)
                 out["view"] = view
             elif phase == "ids":
-                ids = yield from self.assign_ids(0, self.sim.config.incr_min)
+                ids = yield from self.assign_ids()
                 out["ids"] = ids
         return out
 
@@ -240,11 +239,10 @@ def tree_from_parents(problem: Problem, parents: dict,
     views = {}
     for x in parents:
         views[x] = PseudoTreeView(
-            variable=x, parent=parents[x],
+            variable=x, epoch=0, parent=parents[x],
             pseudo_parents=tuple(sorted(pseudo_parents[x])),
             children=tuple(children[x]),
             pseudo_children=tuple(sorted(pseudo_children[x])),
-            is_root=parents[x] is None,
         )
         views[x].validate(problem)
     return views

@@ -196,17 +196,17 @@ def test_criterion_5_crypto_suite():
                                         crypto.encrypt(params, key, a, rng),
                                         crypto.encrypt(params, key, b, rng))
                 if dec(c_or) is not (a or b):
-                    failures.append((params.bit_length, "or", a, b))
+                    failures.append((params.p.bit_length(), "or", a, b))
                 # P2's AND: the kernel on c for true, on (1, 1) for false.
                 c_and = crypto.encrypt(params, key, a, rng)
                 c_and = kernel(c_and if b else {"alpha": 1, "beta": 1})
                 if dec(c_and) is not (a and b):
-                    failures.append((params.bit_length, "and", a, b))
+                    failures.append((params.p.bit_length(), "and", a, b))
         # rerandomization invariance
         c = crypto.encrypt(params, key, True, rng)
         c2 = kernel(c)
         if dec(c2) is not True or c2 == c:
-            failures.append((params.bit_length, "rerandomize"))
+            failures.append((params.p.bit_length(), "rerandomize"))
         # compound keys, 1..5 shares
         for k in range(1, 6):
             shares = [crypto.generate_share(params, rng) for _ in range(k)]
@@ -214,7 +214,7 @@ def test_criterion_5_crypto_suite():
             for bit in (False, True):
                 c = crypto.encrypt(params, ckey, bit, rng)
                 if dec(c, shares) is not bit:
-                    failures.append((params.bit_length, "compound", k, bit))
+                    failures.append((params.p.bit_length(), "compound", k, bit))
     # 512-bit timing
     share = crypto.generate_share(crypto.GROUP_512, rng)
     key = crypto.combine_public(crypto.GROUP_512, [share.public])
@@ -298,8 +298,7 @@ def test_soft_trend_check_logged_not_fatal():
     cfg = ExperimentConfig(
         family="coloring", sizes=(3, 4, 5), instances=4, seed=70_000,
         solvers=("pdpop_plus", "p32_plus", "p2_plus"),
-        run=RunConfig(key_bits=64, incr_min=2),
-        oracle_cap=10 ** 5)
+        run=RunConfig(key_bits=64, incr_min=2))
     rows = run_experiment(cfg)
     lines = trend_check(summarize_rows(rows))
     for line in lines:

@@ -50,7 +50,7 @@ def test_run_solver_pads_every_solver_but_dpop(solver):
     ran = run_solver(solver, p, seed=3, config=cfg).transcript.to_jsonl()
     padded, unpadded = (
         simulate(q, solver_process(solver), 3, cfg).transcript.to_jsonl()
-        for q in (pad_domains(p, 3), p))
+        for q in (pad_domains(p), p))
     assert padded != unpadded
     assert ran == (unpadded if solver == "dpop" else padded)
 
@@ -86,7 +86,7 @@ def test_zero_width_obfuscation_on_wide_scopes():
 def test_dense_ids_keep_counters_exact():
     _doms, p = mixed_domain_problem()
     # Padded as run_solver pads it for p32.
-    sim = simulate(pad_domains(p, 3), solver_process("p32"), 2,
+    sim = simulate(pad_domains(p), solver_process("p32"), 2,
                    RunConfig(key_bits=64, incr_min=0))
     stats = sim.metrics.stats
     n = len(p.variables)

@@ -32,8 +32,7 @@ def test_median_ci_empty():
 
 def test_run_experiment_grid_and_summary(tmp_path):
     cfg = ExperimentConfig(family="coloring", sizes=(3, 4), instances=2,
-                           seed=1, solvers=("dpop", "pdpop_plus"),
-                           oracle_cap=10 ** 5)
+                           seed=1, solvers=("dpop", "pdpop_plus"))
     rows = run_experiment(cfg)
     assert len(rows) == 2 * 2 * 2
     assert all(r["status"] == "ok" for r in rows)
@@ -76,8 +75,7 @@ def test_timeout_recorded_not_fatal():
     cfg = ExperimentConfig(family="coloring", sizes=(5,), instances=1, seed=1,
                            solvers=("p32",),
                            run=RunConfig(key_bits=64, incr_min=2,
-                                         timeout_secs=0.000001),
-                           oracle_cap=10 ** 5)
+                                         timeout_secs=0.000001))
     rows = run_experiment(cfg)
     assert [r["status"] for r in rows] == ["timeout"]
     assert summarize(rows) == []  # timed-out rows excluded from medians
@@ -116,7 +114,7 @@ def test_parallel_workers_with_crypto_solver():
     cfg = ExperimentConfig(family="coloring", sizes=(3,), instances=2, seed=5,
                            solvers=("p32",),
                            run=RunConfig(key_bits=64, incr_min=2),
-                           workers=2, oracle_cap=10 ** 5)
+                           workers=2)
     rows = run_experiment(cfg)
     assert len(rows) == 2
     assert all(r["status"] == "ok" and r["oracle_ok"] for r in rows)

@@ -218,7 +218,7 @@ def test_ids_follow_dfs_preorder(fig1, fig2_views):
 
 def test_id_assignment_invariant_validation():
     with pytest.raises(KernelError):
-        IdAssignment(id=5, next_bound=4, total_bound=10, incr_min=1).validate()
+        IdAssignment(id=5, next_bound=4, total_bound=10).validate()
 
 
 # -- circular routing -----------------------------------------------------------------
@@ -229,11 +229,10 @@ def walk_previous(views, start):
     hops = 1
     sender = start
     while True:
-        decision = route_hop(views[dst], kind, sender)
-        if decision[0] == "deliver":
+        nxt = route_hop(views[dst], kind, sender)
+        if nxt is None:
             return dst, hops
-        _, kind, nxt = decision
-        sender, dst = dst, nxt
+        kind, sender, dst = "LAST", dst, nxt
         hops += 1
 
 
@@ -280,4 +279,4 @@ def test_routing_single_variable():
     p = single_var_problem()
     views = build_dfs_tree(p, "x1", seed=0)
     assert to_previous_hop(views["x1"]) == ("LAST", "x1")
-    assert route_hop(views["x1"], "LAST", "x1") == ("deliver",)
+    assert route_hop(views["x1"], "LAST", "x1") is None

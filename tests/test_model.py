@@ -161,7 +161,7 @@ def test_pad_domains_sizes():
     c = Constraint.from_predicate(("x1", "x2"), (domains["x1"], RGB),
                                   lambda a, b: a != b, {"a1", "a2"})
     p = Problem(agents, variables, owner, domains, (c,))
-    padded = pad_domains(p, 3)
+    padded = pad_domains(p)
     assert all(len(padded.domains[x]) == 3 for x in variables)
     pads = [c for c in padded.constraints if c.name.startswith("pad_")]
     assert len(pads) == 1  # only x1 needed a fake value
@@ -172,19 +172,14 @@ def test_pad_domains_keeps_real_values_with_the_pad_prefix():
     c = Constraint.from_predicate(("x", "y"), (doms["x"], doms["y"]),
                                   lambda u, v: u == v, {"a1", "a2"})
     p = Problem(("a1", "a2"), ("x", "y"), {"x": "a1", "y": "a2"}, doms, (c,))
-    padded = pad_domains(p, 3)
+    padded = pad_domains(p)
     assert padded.domains["x"] == ("!pad0", "a", "!pad1")
     assert evaluate(padded, {"x": "!pad0", "y": "!pad0"}) == 0
     assert evaluate(padded, {"x": "!pad1", "y": "!pad0"}) > 0
 
 
 def test_pad_domains_uniform_noop(fig1):
-    assert pad_domains(fig1, 3) is fig1
-
-
-def test_pad_domains_too_small(fig1):
-    with pytest.raises(ModelError):
-        pad_domains(fig1, 2)
+    assert pad_domains(fig1) is fig1
 
 
 def test_pad_preserves_solution_set():
@@ -193,7 +188,7 @@ def test_pad_preserves_solution_set():
     c = Constraint.from_predicate(("x1", "x2"), (domains["x1"], RGB),
                                   lambda a, b: a != b, {"a1", "a2"})
     p = Problem(("a1", "a2"), ("x1", "x2"), owner, domains, (c,))
-    padded = pad_domains(p, 4)
+    padded = pad_domains(p)
     base = brute_force(p)
     solutions = set()
     for values in itertools.product(*(padded.domains[x] for x in padded.variables)):

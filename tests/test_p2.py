@@ -189,6 +189,25 @@ def test_received_codenames_are_held_for_the_last_epoch_only(fig1):
         assert tuple(proc.recv_packages) == last.ancestors_here()
 
 
+@pytest.mark.parametrize("solver", ["p2", "p2_plus"])
+def test_more_feasible_completions_than_decode_reads(solver):
+    """A chain of 10 variables with 5 values and "!=" between neighbours:
+    an OR-product at the root multiplies one true per feasible completion,
+    far more than crypto.TRUE_POWER_BOUND, and still decrypts as true."""
+    names = tuple(f"x{i}" for i in range(10))
+    dom = tuple(range(5))
+    owner = {x: f"ag_{x}" for x in names}
+    cons = tuple(
+        Constraint.from_predicate((u, v), (dom, dom), lambda a, b: a != b,
+                                  {owner[u], owner[v]}, name=f"ne_{u}{v}")
+        for u, v in zip(names, names[1:]))
+    p = Problem(tuple(owner.values()), names, owner,
+                {x: dom for x in names}, cons)
+    r = run_solver(solver, p, seed=1, config=RunConfig(key_bits=64))
+    assert r.feasible
+    assert evaluate(p, r.joint_assignment()) == 0
+
+
 def test_infeasible_detected_first_iteration():
     r = run_solver("p2", infeasible_triangle(), seed=4, config=CFG)
     assert r.feasible is False and r.iterations == 1 and r.per_agent == {}

@@ -30,11 +30,12 @@ def decrypt_entry(params, c, shares):
 
 def test_compound_keys_identical_and_counted(fig1):
     procs = simulate_fig1(fig1).processes.values()
-    compounds = {proc.compound for proc in procs}
-    assert len(compounds) == 1
-    key = compounds.pop()
+    params = next(iter(procs)).params
+    product = 1
+    for proc in procs:
+        product = product * proc.key_share.public % params.p
+    assert {proc.compound for proc in procs} == {product}
     n_plus = next(proc.ids.total_bound for proc in procs)
-    assert key.share_count == n_plus
     # share ranges partition [0, n+): everyone circulated id+ - id + 1 shares
     total = sum(proc.ids.next_bound - proc.ids.id + 1 for proc in procs)
     assert total == n_plus
@@ -49,7 +50,7 @@ def test_single_variable_compound_is_own_product():
     assert outcome(sim) == (True, {"x1": "B"})
     assert sim.metrics.stats["iterations"] == 1
     proc = sim.processes["x1"]
-    assert proc.compound.share_count == proc.ids.total_bound
+    assert proc.compound == proc.key_share.public
 
 
 class SnapshotP32(P32Process):
@@ -104,6 +105,13 @@ def test_elgamal_operation_counters_exact(fig1):
     n_plus = sim.processes["x1"].ids.total_bound
     assert sim.metrics.stats["p32_shuffle_enc"] == n * (3 * n - 1) * n_plus
     assert sim.metrics.stats["decrypt_partials"] == n * n * n_plus
+
+
+def test_every_view_carries_its_epoch(fig1):
+    sim = simulate_fig1(fig1, "p32_plus")
+    for proc in sim.processes.values():
+        assert sorted(proc.views) == list(range(len(fig1.variables) + 1))
+        assert all(view.epoch == e for e, view in proc.views.items())
 
 
 def test_feasible_run_produces_valid_joint_solution(fig1):

@@ -72,11 +72,13 @@ HEAD = "discsp 1\nagents 1\na1\nvariables 2\nx a1 i:0 i:1\ny a1 i:0 i:1\n"
     HEAD + "constraints 1\nconstraint c scope 1 x forbidden 1\ni:5\n",
     "discsp 1\nagents 2\na1\na1\nvariables 1\nx a1 i:0\nconstraints 0\n",
     HEAD + "constraints 1\nconstraint c scope 1 x forbidden -1\n",
+    "discsp 1\nagents 2\na 1\nb\nvariables 2\nx b i:0 i:1\ny b i:0 i:1\n"
+    "constraints 1\nconstraint c scope 2 x y forbidden 0\n",
 ], ids=["agents-no-count", "agents-two", "agents-negative",
         "variable-no-owner", "constraint-header-cut",
         "undeclared-scope-variable", "arity-past-line-end",
         "forbidden-value-outside-domain", "duplicate-agent",
-        "forbidden-count-negative"])
+        "forbidden-count-negative", "agent-name-with-whitespace"])
 def test_malformed_file_raises_model_error(text):
     with pytest.raises(ModelError):
         problemio.loads(text)

@@ -132,11 +132,11 @@ def test_get_matches_what_an_intercept_hands_back():
 def test_non_positive_timeout_is_rejected(timeout_secs):
     """0 used to run unbounded and -1 to time out at once."""
     p = two_var_problem()
-    sim = Sim(p, seed=0, config=RunConfig())
+    sim = Sim(p, seed=0, config=RunConfig(timeout_secs=timeout_secs))
     for x in p.variables:
         sim.add_process(PingProcess(x, sim))
     with pytest.raises(ValueError, match="timeout_secs must be positive"):
-        sim.run(timeout_secs)
+        sim.run()
     assert len(sim.transcript) == 0
 
 

@@ -343,6 +343,8 @@ def test_callbacks_run_once_per_output_cell_in_row_major_order(pair, data):
 # per-cell reference, one `_index_map` index per output cell, on any feeds.
 
 def per_cell_gather(t, out_scope, feeds=None):
+    if feeds is None:
+        feeds = _feeds_by_label(t.scope, out_scope)
     return list(map(t.entries.__getitem__, _index_map(t.scope, out_scope, feeds)))
 
 
