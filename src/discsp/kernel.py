@@ -176,8 +176,9 @@ class KernelProcess(Process):
         variables; returns True iff this variable wins.
 
         Each round sends one SCORE message object to every neighbour, so it
-        is encoded once, and takes the round's scores in the order they
-        arrive: each neighbour sends exactly one per round.
+        is encoded once, and takes the round's scores with one counted wait:
+        each neighbour sends exactly one per round.  A score of the next
+        round that arrives early is stashed for that round's wait.
         """
         rng = self.sim.rng(self.var, "election")
         my_score = rng.getrandbits(128)
@@ -187,8 +188,8 @@ class KernelProcess(Process):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in neighbors:
                 self.sim.post(self.var, u, msg)
-            for _ in neighbors:
-                m = yield from self.get("SCORE", round=r)
+            for m in (yield from self.get("SCORE", round=r,
+                                          count=len(neighbors))):
                 best = max(best, m.payload["score"])
             self.charge(1)
         return best == my_score

@@ -43,7 +43,6 @@ class P32Process(PdpopProcess):
         self.vector: list[dict] = []
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
-        self.is_temp_root = False
         self.ticket: int | None = None  # codename of our DECR on the ring
         self.crypto_rng = sim.rng(var, "crypto")
         self.ticket_rng = sim.rng(var, "ticket")
@@ -115,7 +114,7 @@ class P32Process(PdpopProcess):
                 overwrite = set(range(self.ids.id + 1, self.ids.next_bound + 1))
             else:
                 rnd += 1
-        if rnd > 1 and self.is_temp_root:
+        if rnd > 1 and self.views[0].is_root:
             rnd += 1
         if rnd == 3:
             vect = [vect[self.perm[j]] for j in range(len(vect))]
@@ -204,8 +203,7 @@ class P32Process(PdpopProcess):
     # -- main -------------------------------------------------------------------------
 
     def main(self):
-        view = yield from self.first_tree()
-        self.is_temp_root = view.is_root
+        yield from self.first_tree()
         yield from self.assign_ids()
         yield from self.setup_compound_key()
         yield from self.shuffle_vectors()

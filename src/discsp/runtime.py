@@ -7,14 +7,17 @@ loop of ``Process.run``.  The scheduler delivers messages in global send
 order, which preserves FIFO per channel and makes every run a pure function
 of the seed.  Deliveries happen only between process steps, when every live
 process is blocked in a wait, so each delivery resumes its receiver
-directly.  A wait's terms (types, sender, payload fields) are data that a
-deadlock report names.  Payloads must be canonical (dicts with str keys,
-lists, ints, strs, bools and None); anything else raises TypeError at its
-first delivery.  Every delivered message is appended to the transcript
-with a copy of its payload and its wire size, both taken in one pass over
-the payload (a forwarded ring hop reuses the pass of the hop before);
-simulated time is tracked per variable with the usual dependency-max rule
-(a receiver's clock is at least the sender's clock at send time).
+directly; ``Sim.run`` makes every delivery in one loop.  A wait's terms
+(types, sender, payload fields, and a count when it waits for several
+messages) are data that a deadlock report names.  Payloads must be
+canonical (dicts with str keys, lists, ints, strs, bools and None); anything
+else raises TypeError at its first delivery.  Every delivered message is
+appended to the transcript with a copy of its payload and its wire size,
+both taken in one pass over the payload (a forwarded ring hop reuses the
+pass of the hop before); the envelope around a payload is sized once per
+message type and run.  Simulated time is tracked per variable with the
+usual dependency-max rule (a receiver's clock is at least the sender's clock
+at send time).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class SimTimeout(SimError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Msg:
     type: str
     payload: dict
@@ -210,11 +213,11 @@ class Process:
 
     Subclasses implement main() as a generator.  send() and charge() are
     plain calls; a protocol suspends only in a wait, one
-    ``yield from self.get(*types, sender=, **fields)`` call, whose terms stay
-    on the process as ``waiting`` for a deadlock report.  An arrival whose
-    type is in INTERCEPTS goes through intercept() (routing, ring services),
-    which consumes it or hands back what is left of it; what the wait does
-    not match is stashed for a later wait.
+    ``yield from self.get(*types, sender=, count=, **fields)`` call, whose
+    terms stay on the process as ``waiting`` for a deadlock report.  An
+    arrival whose type is in INTERCEPTS goes through intercept() (routing,
+    ring services), which consumes it or hands back what is left of it; what
+    the wait does not match is stashed for a later wait.
     """
 
     # Message types intercept() may consume; no other type is offered to it.
@@ -240,35 +243,50 @@ class Process:
             clocks = self.sim.clocks
             clocks[self.var] = clocks.get(self.var, 0) + units
 
-    def get(self, *types, sender=None, **fields):
+    def get(self, *types, sender=None, count=None, **fields):
         """Wait for the first message whose type is in `types`, sent by
         `sender` when one is given, whose payload holds every item of
         `fields`; a stashed match wins over new arrivals.
+
+        With ``count=n`` the wait takes the next n matches and returns them
+        as a list, in the order n one-message waits with the same terms
+        would return them: stashed matches first, then arrivals.
 
         An arrival whose type is in INTERCEPTS goes through intercept()
         first, and the wait matches what it hands back.  An abort flag set by
         an intercept bails out of the wait entirely.
         """
+        want = 1 if count is None else count
+        got = []
         stash = self.stash
-        if stash:
-            for i, m in enumerate(stash):
-                if (m.type in types and (sender is None or m.sender == sender)
-                        and fields.items() <= m.payload.items()):
-                    return stash.pop(i)
-        self.waiting = (types, sender, fields)
-        intercepts = self.INTERCEPTS
-        while True:
-            m = yield
-            if m.type in intercepts:
-                m = self.intercept(m)
-                if self.aborted:
-                    raise Stop()
-                if m is None:
-                    continue
+        i = 0
+        while len(got) < want and i < len(stash):
+            m = stash[i]
             if (m.type in types and (sender is None or m.sender == sender)
                     and fields.items() <= m.payload.items()):
-                return m
-            stash.append(m)
+                got.append(stash.pop(i))
+            else:
+                i += 1
+        if len(got) < want:
+            self.waiting = ((types, sender, fields) if count is None
+                            else (types, sender, fields, count))
+            intercepts = self.INTERCEPTS
+            while True:
+                m = yield
+                if m.type in intercepts:
+                    m = self.intercept(m)
+                    if self.aborted:
+                        raise Stop()
+                    if m is None:
+                        continue
+                if (m.type in types and (sender is None or m.sender == sender)
+                        and fields.items() <= m.payload.items()):
+                    got.append(m)
+                    if len(got) == want:
+                        break
+                else:
+                    stash.append(m)
+        return got[0] if count is None else got
 
     def intercept(self, msg: Msg) -> "Msg | None":
         """Handle service traffic: return None when `msg` is consumed, else
@@ -314,7 +332,6 @@ class Sim:
         self.processes: dict[str, Process] = {}
         self._gens: dict[str, object] = {}  # live generators only
         self._queue: deque = deque()
-        self._deadline = None
         self.neighbor_vars = {
             x: set(problem.neighbor_vars(x)) for x in problem.variables
         }
@@ -331,51 +348,64 @@ class Sim:
         """Run every process to completion; raise SimTimeout once the wall
         time passes `config.timeout_secs` (None runs unbounded)."""
         timeout_secs = self.config.timeout_secs
+        deadline = None
         if timeout_secs is not None:
             if not timeout_secs > 0:
                 raise ValueError(
                     f"timeout_secs must be positive, got {timeout_secs}")
-            self._deadline = time.monotonic() + timeout_secs
+            deadline = time.monotonic() + timeout_secs
+        gens, step = self._gens, self._step
         for var in sorted(self.processes):
-            gen = self._gens[var] = self.processes[var].run()
-            self._step(var, gen, None)
-        queue, deliver = self._queue, self._deliver
-        while queue:
-            if self._deadline is not None and time.monotonic() > self._deadline:
-                raise SimTimeout(f"simulation exceeded {timeout_secs}s")
-            deliver(*queue.popleft())
+            gen = gens[var] = self.processes[var].run()
+            step(var, gen, None)
+        queue = self._queue
+        popleft = queue.popleft
+        owner = self.problem.owner
+        records = self.transcript.records
+        clocks = self.clocks
+        metrics = self.metrics
+        counts = metrics.physical_counts
+        sizes = {}  # _ENVELOPE_SIZE + wire_size(type), per message type
+        tick = len(records)
+        info_bytes = metrics.info_bytes
+        try:
+            while queue:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SimTimeout(f"simulation exceeded {timeout_secs}s")
+                src, dst, msg, sent_clock = popleft()
+                gen = gens.get(dst)
+                if gen is None:
+                    if dst in self.processes:
+                        raise SimError(f"message {msg.type} to {dst}, whose "
+                                       f"process has ended")
+                    raise SimError(f"message to unknown variable {dst}")
+                wire = msg.wire
+                if wire is None:
+                    wire = msg.wire = encode(msg.payload)
+                msg_type = msg.type
+                size = sizes.get(msg_type)
+                if size is None:
+                    size = sizes[msg_type] = (_ENVELOPE_SIZE
+                                              + wire_size(msg_type))
+                size += wire[1]
+                records.append(Record(tick, src, owner[src], dst, owner[dst],
+                                      msg_type, wire[0], size, sent_clock))
+                tick += 1
+                info_bytes += size
+                counts[msg_type] = counts.get(msg_type, 0) + 1
+                if clocks.get(dst, -1) < sent_clock:  # sent clocks are >= 0
+                    clocks[dst] = sent_clock
+                step(dst, gen, msg)
+        finally:
+            metrics.message_count = tick
+            metrics.info_bytes = info_bytes
         blocked = {v: {"waits": p.waiting, "stashed": [m.type for m in p.stash]}
                    for v, p in self.processes.items() if not p.done}
         if blocked:
             raise DeadlockError(
                 f"no deliverable messages; blocked processes: {blocked}")
-        self.metrics.simulated_time = max(self.clocks.values(), default=0)
+        metrics.simulated_time = max(clocks.values(), default=0)
         return {v: p.result for v, p in self.processes.items()}
-
-    def _deliver(self, src, dst, msg, sent_clock):
-        gen = self._gens.get(dst)
-        if gen is None:
-            if dst in self.processes:
-                raise SimError(f"message {msg.type} to {dst}, whose process "
-                               f"has ended")
-            raise SimError(f"message to unknown variable {dst}")
-        wire = msg.wire
-        if wire is None:
-            wire = msg.wire = encode(msg.payload)
-        msg_type = msg.type
-        size = _ENVELOPE_SIZE + wire_size(msg_type) + wire[1]
-        owner = self.problem.owner
-        records = self.transcript.records
-        records.append(Record(len(records), src, owner[src], dst, owner[dst],
-                              msg_type, wire[0], size, sent_clock))
-        metrics = self.metrics
-        metrics.message_count += 1
-        metrics.info_bytes += size
-        counts = metrics.physical_counts
-        counts[msg_type] = counts.get(msg_type, 0) + 1
-        clocks = self.clocks
-        clocks[dst] = max(clocks.get(dst, 0), sent_clock)
-        self._step(dst, gen, msg)
 
     def _step(self, var: str, gen, value):
         """Resume `var`'s generator with `value`; it runs until its next
@@ -391,14 +421,13 @@ class Sim:
 
     def post(self, src: str, dst: str, msg: Msg):
         """Queue `msg` from `src` to `dst`, stamped with `src`'s clock."""
-        self._check_channel(src, dst)
+        if dst != src and dst not in self.neighbor_vars[src]:
+            self._check_channel(src, dst)
         self._queue.append((src, dst, msg, self.clocks.get(src, 0)))
 
     def _check_channel(self, src: str, dst: str):
-        if dst == src:
-            return
-        if dst in self.neighbor_vars[src]:
-            return
+        """Allow a send to a variable of the same agent; reject any other
+        send that is not to a constraint-graph neighbour."""
         owner = self.problem.owner
         if dst not in owner:
             raise SimError(f"{src} sent to {dst!r}, which is not a problem variable")

@@ -6,7 +6,7 @@ from discsp.dpop import DpopProcess
 from discsp.generators import figure1_instance, figure2_tree_hints
 from discsp.kernel import KernelError, KernelProcess, PseudoTreeView
 from discsp.model import Constraint, Problem
-from discsp.runtime import RunConfig, Sim
+from discsp.runtime import Msg, RunConfig, Sim
 from discsp.solvers import SOLVERS
 from discsp.tables import FeasTable, TableError, _gather
 
@@ -148,6 +148,25 @@ class _PhaseProcess(KernelProcess):
                 ids = yield from self.assign_ids()
                 out["ids"] = ids
         return out
+
+
+class ReferenceElection(_PhaseProcess):
+    """``elect_root`` with one one-message wait per neighbour and round: the
+    reference for the kernel's counted wait."""
+
+    def elect_root(self):
+        rng = self.sim.rng(self.var, "election")
+        my_score = rng.getrandbits(128)
+        best = my_score
+        for r in range(1, len(self.sim.problem.variables) + 1):
+            msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
+            for u in self.neighbors:
+                self.sim.post(self.var, u, msg)
+            for _ in self.neighbors:
+                m = yield from self.get("SCORE", round=r)
+                best = max(best, m.payload["score"])
+            self.charge(1)
+        return best == my_score
 
 
 def _run_phases(problem: Problem, seed: int, phases, order_hint=None,

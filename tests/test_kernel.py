@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (_run_phases, assign_unique_ids, build_dfs_tree,
-                      elect_root, tree_from_parents)
-from discsp.generators import (figure2_tree_hints, gen_graph_coloring,
-                               gen_party_game)
+from conftest import (ReferenceElection, _PhaseProcess, _run_phases,
+                      assign_unique_ids, build_dfs_tree, elect_root, simulate,
+                      tree_from_parents)
+from discsp.generators import (FAMILIES, figure2_tree_hints,
+                               gen_graph_coloring, gen_party_game)
 from discsp.kernel import (IdAssignment, KernelError, circular_order,
                            route_hop, to_previous_hop)
 from discsp.model import Constraint, Problem
@@ -97,6 +98,43 @@ def test_election_elects_the_top_score_in_n_rounds_of_flooding(problem, seed):
     degrees = sum(len(problem.neighbor_vars(x)) for x in problem.variables)
     assert (sim.metrics.physical_counts.get("SCORE", 0)
             == len(problem.variables) * degrees)
+
+
+def early_scores(sim) -> int:
+    """How many times a variable is delivered its first SCORE of round r + 1
+    before its last SCORE of round r."""
+    first, last = {}, {}
+    for rec in sim.transcript:
+        if rec.type == "SCORE":
+            key = (rec.receiver_var, rec.payload["round"])
+            first.setdefault(key, rec.tick)
+            last[key] = rec.tick
+    return sum(1 for (x, r), tick in first.items()
+               if (x, r - 1) in last and tick < last[(x, r - 1)])
+
+
+@pytest.mark.parametrize("family,size", [("coloring", 8), ("meetings", 4),
+                                         ("auction", 3), ("party", 8)])
+@pytest.mark.parametrize("phases", [["elect"], ["dfs", "elect"]],
+                         ids=["elect", "dfs-then-elect"])
+def test_counted_election_matches_one_wait_per_neighbour(family, size, phases):
+    # A plain election never overlaps its rounds: every round-r SCORE is
+    # queued before any of round r + 1.  Electing after a DFS starts the
+    # variables at different times, so early scores take the stash path.
+    problem = FAMILIES[family](size, 1)
+    root = problem.variables[0]
+    runs = [simulate(problem, lambda x, sim: cls(x, sim, phases, root=root),
+                     seed=2)
+            for cls in (_PhaseProcess, ReferenceElection)]
+    counted, reference = runs
+    assert counted.transcript.to_jsonl() == reference.transcript.to_jsonl()
+    assert counted.clocks == reference.clocks
+    assert ({x: p.result["is_root"] for x, p in counted.processes.items()}
+            == {x: p.result["is_root"]
+                for x, p in reference.processes.items()})
+    assert (early_scores(counted) > 0) == (phases != ["elect"])
+    for sim in runs:
+        assert all(p.stash == [] for p in sim.processes.values())
 
 
 # -- DFS --------------------------------------------------------------------------

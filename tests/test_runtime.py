@@ -128,6 +128,99 @@ def test_get_matches_what_an_intercept_hands_back():
     assert sim.clocks["x2"] == 2  # both WRAPs went through the intercept
 
 
+class Collector(Process):
+    """x1 sends SCRIPT to x2.  x2 waits for END, which stashes what x1 sent
+    before it, then takes four "A" messages with k=1: in one counted wait
+    when COUNTED, else in four one-message waits."""
+
+    INTERCEPTS = frozenset({"WRAP", "NOISE", "ABORT"})
+    SCRIPT: tuple = ()
+    COUNTED = False
+
+    def intercept(self, msg):
+        self.charge(1)
+        if msg.type == "ABORT":
+            self.aborted = True
+        if msg.type != "WRAP":
+            return None
+        return Msg(msg.payload["inner_type"], msg.payload["inner"])
+
+    def main(self):
+        if self.var == "x1":
+            for msg_type, payload in self.SCRIPT:
+                self.send("x2", msg_type, payload)
+            return {}
+        yield from self.get("END")
+        if self.COUNTED:
+            got = yield from self.get("A", k=1, count=4)
+        else:
+            got = []
+            for _ in range(4):
+                got.append((yield from self.get("A", k=1)))
+        return {"got": [(m.type, m.sender, m.payload) for m in got]}
+
+
+def collect(script, counted):
+    cls = type("Scripted", (Collector,),
+               {"SCRIPT": script, "COUNTED": counted})
+    sim = simulate(two_var_problem(), cls)
+    x2 = sim.processes["x2"]
+    stash = [(m.type, m.sender, m.payload) for m in x2.stash]
+    return x2.result, stash, sim.clocks, sim.transcript.to_jsonl()
+
+
+def wrap(inner_type, **inner):
+    return ("WRAP", {"inner_type": inner_type, "inner": inner})
+
+
+def test_a_counted_wait_returns_what_one_message_waits_return():
+    script = (("A", {"k": 1, "n": 0}), ("B", {"k": 1}), ("A", {"k": 2}),
+              ("A", {"k": 1, "n": 1}), ("END", {}), ("NOISE", {"k": 1}),
+              wrap("A", k=1, n=2), ("A", {"k": 3}), wrap("B", k=1),
+              ("A", {"k": 1, "n": 3}), ("A", {"k": 1, "n": 4}))
+    counted = collect(script, counted=True)
+    assert counted == collect(script, counted=False)
+    result, stash, clocks, _ = counted
+    # Two stashed matches first, then arrivals: the NOISE is consumed, the
+    # first WRAP unwrapped into a match, and what does not match stays
+    # stashed in order behind what was there.
+    assert result["got"] == [("A", "x1", {"k": 1, "n": 0}),
+                             ("A", "x1", {"k": 1, "n": 1}),
+                             ("A", None, {"k": 1, "n": 2}),
+                             ("A", "x1", {"k": 1, "n": 3})]
+    assert stash == [("B", "x1", {"k": 1}), ("A", "x1", {"k": 2}),
+                     ("A", "x1", {"k": 3}), ("B", None, {"k": 1})]
+    assert clocks["x2"] == 3  # NOISE and both WRAPs went through intercept
+
+
+def test_an_abort_stops_a_counted_wait_as_it_stops_one_message_waits():
+    script = (("A", {"k": 1, "n": 0}), ("END", {}), ("B", {"k": 1}),
+              ("A", {"k": 1, "n": 1}), ("ABORT", {}), ("A", {"k": 1, "n": 2}))
+    counted = collect(script, counted=True)
+    assert counted == collect(script, counted=False)
+    result, stash, _, _ = counted
+    assert result == {"aborted": True}
+    assert stash == [("B", "x1", {"k": 1})]
+
+
+def test_deadlock_in_a_counted_wait_names_its_count():
+    class StuckCounted(Process):
+        def main(self):
+            if self.var == "x1":
+                self.send("x2", "NEVER", {"kind": "late"})
+                return {}
+            yield from self.get("NEVER", kind="late", count=2)
+
+    sim = Sim(two_var_problem(), seed=0, config=RunConfig())
+    for x in ("x1", "x2"):
+        sim.add_process(StuckCounted(x, sim))
+    with pytest.raises(DeadlockError) as err:
+        sim.run()
+    wait = "{'waits': (('NEVER',), None, {'kind': 'late'}, 2), 'stashed': []}"
+    assert str(err.value) == ("no deliverable messages; blocked processes: "
+                              f"{{'x2': {wait}}}")
+
+
 @pytest.mark.parametrize("timeout_secs", [0, -1])
 def test_non_positive_timeout_is_rejected(timeout_secs):
     """0 used to run unbounded and -1 to time out at once."""
@@ -178,8 +271,38 @@ def test_channel_violation_rejected():
     sim = Sim(p, seed=0, config=RunConfig())
     for x in p.variables:
         sim.add_process(Leaky(x, sim))
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match=r"^channel violation: x1 -> x3 are not "
+                                       r"constraint-graph neighbors$"):
         sim.run()
+
+
+def test_self_and_same_agent_sends_are_delivered():
+    # x1 and x2 belong to one agent and share no constraint; each reaches
+    # the other and itself without being graph neighbours.
+    dom = ("0",)
+    owner = {"x1": "a1", "x2": "a1", "x3": "a2"}
+    cons = tuple(
+        Constraint.from_predicate((x, "x3"), (dom, dom), lambda a, b: True,
+                                  {"a1", "a2"}, f"c{x}")
+        for x in ("x1", "x2"))
+    p = Problem(("a1", "a2"), ("x1", "x2", "x3"), owner,
+                {x: dom for x in owner}, cons)
+
+    class Sibling(Process):
+        def main(self):
+            if self.var == "x3":
+                return {}
+            other = "x2" if self.var == "x1" else "x1"
+            self.send(self.var, "SELF", {})
+            self.send(other, "SIB", {})
+            yield from self.get("SELF", sender=self.var)
+            yield from self.get("SIB", sender=other)
+            return {}
+
+    sim = simulate(p, Sibling)
+    sends = [(r.sender_var, r.receiver_var, r.type) for r in sim.transcript]
+    assert sends == [("x1", "x1", "SELF"), ("x1", "x2", "SIB"),
+                     ("x2", "x2", "SELF"), ("x2", "x1", "SIB")]
 
 
 def test_send_to_an_unknown_name_raises_sim_error():
