@@ -32,11 +32,13 @@ give 2**128 against Pollard's lambda, far above what the number field sieve
 needs against a 512-bit p.
 
 Exponentiations to g and to the compound key y use cached fixed-base tables
-of W-bit windows (W = 8 up to 128-bit moduli, 6 above), and raise y and g in
-one walk over the digits of their shared exponent.  Up to 128 bits a walk
-reduces mod p once at the end; above, it reduces every row and stops at the
-exponent's last nonzero digit.  ``partial_decrypt`` and ``strip_share``,
-whose base varies, use plain ``pow``.
+of 8-bit windows, with just the rows that exponents below ``exp_bound`` use
+(1 in TOY_GROUP, 8 at 64 bits, 32 at 512 bits), and raise y and g in one
+walk over the digits of their shared exponent.  Up to 128 bits a walk
+reduces mod p once at the end; above, it reduces every row.  An exponent
+the rows do not cover, negative or too wide, goes to plain ``pow``; no
+solver draws one.  ``partial_decrypt`` and ``strip_share``, whose base
+varies, use plain ``pow``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ TRUE_POWER_BOUND = 1 << 16
 EXP_BITS = 256
 
 
+def _exp_bound(p: int) -> int:
+    return min(p - 1, 1 << EXP_BITS)
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Safe-prime group: p = 2q + 1 with q prime, g a generator of Z_p^*,
@@ -109,7 +115,7 @@ class GroupParams:
     def exp_bound(self) -> int:
         """Exclusive upper bound of every secret exponent drawn in this
         group: p - 1 up to EXP_BITS-bit groups, else 2**EXP_BITS."""
-        return min(self.p - 1, 1 << EXP_BITS)
+        return _exp_bound(self.p)
 
     def validate(self):
         if not is_probable_prime(self.p) or not is_probable_prime(self.q):
@@ -187,58 +193,69 @@ def group_for_bits(bits: int) -> GroupParams:
 
 # ------------------------------------------------- fixed-base exponentiation
 
-# Moduli up to this width take 8-bit windows, and their walks multiply the
-# row entries together and reduce mod p once at the end.  At 64 bits that
-# makes a pair walk about a quarter faster; near 128 bits the two ways cost
-# about the same.  Above it the windows are 6 bits wide and every row is
-# reduced as it is taken: at 512 bits the product of 86 rows makes a lazy
-# walk about nine times slower.
+# Fixed-base tables index exponents by digits of this many bits.
+_WINDOW = 8
+
+# Moduli up to this width have their walks multiply the row entries together
+# and reduce mod p once at the end.  At 64 bits that makes a pair walk about
+# a quarter faster; near 128 bits the two ways cost about the same.  Above it
+# every row is reduced as it is taken: at 512 bits the product of 32 rows
+# makes a lazy walk about four times slower.
 _NARROW_BITS = 128
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds base**(d * 2**(W*i)) mod p for every digit d < 2**W
-    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3).  W is 8 up to
-    128-bit moduli (8 rows of 256 at 64 bits) and 6 above (86 rows of 64, about
-    0.6 MB, at 512 bits), so an exponentiation takes up to 8 or 86
-    multiplications where pow squares 63 or 511 times; a 256-bit exponent
-    stops after 43 rows.  Bases and moduli are public group values, so one
-    bounded cache serves every simulated agent and run."""
+    """Row i holds base**(d * 2**(8*i)) mod p for every digit d < 256
+    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3), for just the
+    rows that exponents below exp_bound use: 8 rows at 64 bits, and 32 rows,
+    about 0.8 MB, at 512 bits, where exponents are below 2**256.  So an
+    exponentiation takes 8 or 32 multiplications where pow squares 63 or 255
+    times.  Bases and moduli are public group values; the cache of 2 holds g
+    and the current run's compound key y."""
     _pair_table.cache_clear()  # no pair may keep an evicted table alive
-    w = 8 if p.bit_length() <= _NARROW_BITS else 6
     rows = []
-    step = base % p  # base**(2**(W*i))
-    for _ in range(-(-p.bit_length() // w)):
+    step = base % p  # base**(2**(8*i))
+    for _ in range(-(-(_exp_bound(p) - 1).bit_length() // _WINDOW)):
         row = [1]
-        for _ in range(1, 1 << w):
+        for _ in range(1, 1 << _WINDOW):
             row.append(row[-1] * step % p)
         step = row[-1] * step % p
         rows.append(tuple(row))
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _pair_table(y: int, g: int, p: int) -> tuple:
     """Rows (y row i, g row i), shared with the single-base tables."""
     return tuple(zip(_fixed_base_table(y, p), _fixed_base_table(g, p)))
 
 
+def _on_table(rows, e: int) -> bool:
+    """Whether the rows of a table cover exponent e: 0 <= e < 2**(8*rows).
+    A negative e shifts to -1, never to 0."""
+    return not e >> _WINDOW * len(rows)
+
+
+def _pow_off_table(base: int, e: int, p: int) -> int:
+    """pow(base, e, p) for an exponent no table covers; solvers draw none."""
+    return pow(base, e, p)
+
+
 def fixed_base_pow(base: int, e: int, p: int) -> int:
-    """pow(base, e, p) for 0 <= e < 2**bitlen(p) via a cached table for the
-    base: one lookup and one multiplication per W-bit digit of e (above 128
-    bits, up to its last nonzero digit)."""
+    """pow(base, e, p) via a cached table for the base: one lookup and one
+    multiplication per row for an exponent the rows cover (every one below
+    exp_bound), plain pow for any other e."""
     rows = _fixed_base_table(base, p)
-    mask = len(rows[0]) - 1
-    w, acc = mask.bit_length(), 1
+    if not _on_table(rows, e):
+        return _pow_off_table(base, e, p)
+    w, mask, acc = _WINDOW, (1 << _WINDOW) - 1, 1
     if p.bit_length() <= _NARROW_BITS:
         for row in rows:
             acc *= row[e & mask]
             e >>= w
         return acc % p
     for row in rows:
-        if not e:
-            break
         acc = acc * row[e & mask] % p
         e >>= w
     return acc
@@ -247,9 +264,8 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
 def _pair_walk(rows, e: int, p: int, acc_y: int,
                acc_g: int) -> tuple[int, int]:
     """(acc_y * y**e mod p, acc_g * g**e mod p) in one walk over the digits
-    of 0 <= e < 2**bitlen(p), given the rows of _pair_table(y, g, p)."""
-    mask = len(rows[0][0]) - 1
-    w = mask.bit_length()
+    of an exponent the rows of _pair_table(y, g, p) cover."""
+    w, mask = _WINDOW, (1 << _WINDOW) - 1
     if p.bit_length() <= _NARROW_BITS:
         for row_y, row_g in rows:
             d = e & mask
@@ -258,8 +274,6 @@ def _pair_walk(rows, e: int, p: int, acc_y: int,
             e >>= w
         return acc_y % p, acc_g % p
     for row_y, row_g in rows:
-        if not e:
-            break
         d = e & mask
         acc_y = acc_y * row_y[d] % p
         acc_g = acc_g * row_g[d] % p
@@ -314,7 +328,7 @@ def rerandomize_entries(params: GroupParams, key: int, cyphertexts,
     Each entry comes out as rerandomize(c, r), so {"alpha": e, "beta": 1}
     comes out as a fresh encryption of element e (1 * g**r == g**r), and
     {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
-    once for the whole vector."""
+    once for the whole vector, whose draws it always covers."""
     p, bound = params.p, params.exp_bound
     rows = _pair_table(key, params.g, p)
     randrange = rng.randrange
@@ -333,10 +347,16 @@ def encrypt(params: GroupParams, key: int, m: bool,
 
 
 def rerandomize(params: GroupParams, key: int, c: dict, r: int) -> dict:
-    """Multiply in an encryption of 1 with randomness 0 <= r < 2**bitlen(p);
+    """Multiply in an encryption of 1 with randomness r: a pair walk for an
+    r the rows cover (every one below exp_bound), plain pow for any other r.
     r == 0 leaves c unchanged."""
-    alpha, beta = _pair_walk(_pair_table(key, params.g, params.p), r,
-                             params.p, c["alpha"], c["beta"])
+    p, g = params.p, params.g
+    rows = _pair_table(key, g, p)
+    if _on_table(rows, r):
+        alpha, beta = _pair_walk(rows, r, p, c["alpha"], c["beta"])
+    else:
+        alpha = c["alpha"] * _pow_off_table(key, r, p) % p
+        beta = c["beta"] * _pow_off_table(g, r, p) % p
     return {"alpha": alpha, "beta": beta}
 
 

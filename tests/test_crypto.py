@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,11 @@ TOY64 = crypto.TOY64_GROUP
 G512 = crypto.GROUP_512
 GROUPS = pytest.mark.parametrize("params", [TOY, TOY64, G512],
                                  ids=["p23", "toy64", "g512"])
+# The published groups and a generated 160-bit one, whose walks reduce every
+# row (above 128 bits) and whose rows cover all of [0, p - 1).
+WALK_GROUPS = pytest.mark.parametrize(
+    "params", [TOY, TOY64, G512, crypto.group_for_bits(160)],
+    ids=["p23", "toy64", "g512", "gen160"])
 # False encrypted with randomness 0: the input of P2's AND with false.
 ONE = {"alpha": 1, "beta": 1}
 
@@ -264,9 +270,9 @@ def test_small_groups_draw_across_the_whole_range(params):
 
 
 def test_fixed_base_walks_match_pow_at_every_exponent_width():
-    """The 512-bit walks stop at an exponent's last nonzero digit.  0, one
-    exponent of each bit length up to bitlen(p), and 2**bitlen(p) - 1 (above
-    p - 1, still inside the walks' contract) all give pow's value."""
+    """0, one exponent of each bit length up to bitlen(p), and
+    2**bitlen(p) - 1 all give pow's value: up to 256 bits through the
+    512-bit walks, above through plain pow."""
     p, g = G512.p, G512.g
     rng = random.Random(19)
     key = pow(g, rng.randrange(1, p - 1), p)
@@ -333,9 +339,31 @@ def test_group_constants_validate():
 
 # ------------------------------------------------- fixed-base exponentiation
 
-def in_range_exponents(p):
-    return st.one_of(st.sampled_from([0, 1, p - 2, p - 1]),
+def in_range_exponents(params):
+    """Exponents in [0, p - 1], also drawn from [0, exp_bound) alone: at 512
+    bits nearly all of [0, p - 1] lies above the tables and takes plain pow,
+    and only exponents below exp_bound reach the walks."""
+    p, bound = params.p, params.exp_bound
+    return st.one_of(st.sampled_from([0, 1, bound - 1, p - 2, p - 1]),
+                     st.integers(min_value=0, max_value=bound - 1),
                      st.integers(min_value=0, max_value=p - 1))
+
+
+def table_limit(params):
+    """2**(8R) for the R rows of the group's tables: the walks cover
+    exactly the exponents in [0, 2**(8R))."""
+    return 1 << 8 * len(crypto._fixed_base_table(params.g, params.p))
+
+
+def any_exponents(params):
+    """Any int: negative, below and at the table limit, and wider than p."""
+    limit, width = table_limit(params), params.p.bit_length()
+    return st.one_of(
+        st.sampled_from([-1, 0, limit - 1, limit, 1 << width, 1 << 2 * width]),
+        st.integers(),
+        st.integers(max_value=-1),
+        st.integers(min_value=0, max_value=limit - 1),
+        st.integers(min_value=limit, max_value=1 << 2 * width))
 
 
 def pair_pow(params, y, e):
@@ -351,21 +379,21 @@ def bases(params):
                          lambda x: pow(params.g, x, params.p)))
 
 
-@GROUPS
+@WALK_GROUPS
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_matches_pow(params, data):
     base = data.draw(bases(params))
-    e = data.draw(in_range_exponents(params.p))
+    e = data.draw(in_range_exponents(params))
     assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p)
 
 
-@GROUPS
+@WALK_GROUPS
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_pair_matches_pow(params, data):
     y = data.draw(bases(params))
-    e = data.draw(in_range_exponents(params.p))
+    e = data.draw(in_range_exponents(params))
     assert pair_pow(params, y, e) == (pow(y, e, params.p),
                                       pow(params.g, e, params.p))
 
@@ -379,10 +407,49 @@ def test_fixed_base_walks_match_pow_around_the_narrow_cut(bits, data):
                               max_value=(1 << bits) - 1)) | 1
     y, g = (data.draw(st.integers(min_value=2, max_value=p - 1))
             for _ in range(2))
-    e = data.draw(in_range_exponents(p))
+    params = crypto.make_group(p, g)
+    e = data.draw(in_range_exponents(params))
     assert fixed_base_pow(y, e, p) == pow(y, e, p)
-    assert pair_pow(crypto.make_group(p, g), y, e) == (pow(y, e, p),
-                                                       pow(g, e, p))
+    assert pair_pow(params, y, e) == (pow(y, e, p), pow(g, e, p))
+
+
+@WALK_GROUPS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_base_walks_fall_back_to_pow_off_the_table(params, data):
+    """Any int exponent, negative or wider than the tables too, gives pow's
+    value, and exactly the ones outside [0, 2**(8R)) take plain pow."""
+    p, g = params.p, params.g
+    y = data.draw(bases(params))
+    e = data.draw(any_exponents(params))
+    with mock.patch.object(crypto, "_pow_off_table",
+                           wraps=crypto._pow_off_table) as off_table:
+        assert fixed_base_pow(y, e, p) == pow(y, e, p)
+        assert pair_pow(params, y, e) == (pow(y, e, p), pow(g, e, p))
+    assert off_table.call_count == (0 if 0 <= e < table_limit(params) else 3)
+
+
+@pytest.mark.parametrize("solver", ["p32_plus", "p2_plus"])
+def test_solvers_never_leave_the_512bit_tables(solver, monkeypatch):
+    """Every exponent a 512-bit solve raises g or y to is below 2**256, so
+    each takes a walk over the 32 rows of 256 and none takes plain pow."""
+    off_table, walks = [], []
+    pair_walk = crypto._pair_walk
+
+    def counting_walk(*args):
+        walks.append(args[1])
+        return pair_walk(*args)
+
+    monkeypatch.setattr(crypto, "_pow_off_table",
+                        lambda *args: off_table.append(args))
+    monkeypatch.setattr(crypto, "_pair_walk", counting_walk)
+    result = run_solver(solver, gen_graph_coloring(2, seed=1), seed=3,
+                        config=RunConfig(key_bits=512))
+    assert result.feasible is not None
+    assert off_table == [] and walks
+    assert all(0 < e < G512.exp_bound for e in walks)
+    table = crypto._fixed_base_table(G512.g, G512.p)
+    assert (len(table), {len(row) for row in table}) == (32, {256})
 
 
 def test_fixed_base_tables_stay_bounded():
@@ -398,12 +465,13 @@ def test_fixed_base_tables_stay_bounded():
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
-def test_window_width_follows_the_modulus():
-    """W = 8 up to 128-bit moduli, 6 above: 8 rows of 256 at 64 bits, and
-    the 86 rows of 64 at 512 bits that the 6-bit window always had."""
-    for params, rows, width in ((TOY64, 8, 256), (G512, 86, 64)):
+def test_table_rows_follow_the_exponent_bound():
+    """8-bit windows at every modulus, with one row per 8 bits of the widest
+    exponent below exp_bound: 1 row of 256 in the 5-bit group, 8 at 64 bits
+    and 32 at 512 bits, where exponents are below 2**256."""
+    for params, rows in ((TOY, 1), (TOY64, 8), (G512, 32)):
         table = crypto._fixed_base_table(params.g, params.p)
-        assert (len(table), {len(row) for row in table}) == (rows, {width})
+        assert (len(table), {len(row) for row in table}) == (rows, {256})
 
 
 def test_pair_tables_share_the_single_base_rows():
