@@ -6,8 +6,9 @@ propagation reaches it again; coding an axis and resolving it are each one
 `resolve_codename` gather.  Feasibility values are obfuscated two ways: a
 single random number added to the positive entries of each local join
 (never subtracted, preserving the zero pattern), and per-value obfuscation
-keys added at the leaf of each back-edge and subtracted at its root, each
-key joined as a one-axis table.
+keys added at the leaf of each back-edge and subtracted at its root.  Each
+key is a one-axis table, joined onto the local join when its axis is there
+and onto the projected table otherwise; see `PdpopProcess.feas_phase`.
 
 The "plus" variant sends a distinct codename package to every
 (pseudo-)child, improving topology privacy at the cost of wider separators;
@@ -92,8 +93,7 @@ class PdpopProcess(KernelProcess):
         # Codename and key material of the current epoch only.
         self.own_codes: dict[int, CodenamePackage] = {}  # var_code -> package
         self.recv_packages: dict[str, CodenamePackage] = {}  # ancestor -> package
-        self.sent_keys: list[tuple] = []  # one per pseudo-child, in order
-        self.recv_keys: dict[str, tuple] = {}  # pseudo-parent -> key
+        self.keys: list[FeasTable] = []  # one-axis key tables, see exchange_keys
 
     # -- codename and key exchange -------------------------------------------
 
@@ -126,19 +126,28 @@ class PdpopProcess(KernelProcess):
             )
 
     def exchange_keys(self, view: PseudoTreeView):
+        """Send each pseudo-child a fresh key and take one from each
+        pseudo-parent, as the one-axis tables the FEAS phase joins: each
+        sent key negated on this variable's axis, then each received key on
+        its sender's codename axis.  That axis lists the coded values in the
+        package's permuted order; listed unpermuted, it would expose sigma."""
         rng = self.sim.rng(self.var, "keys", view.epoch)
         b = self.sim.config.b_bits
         domain = self.sim.problem.domains[self.var]
-        self.sent_keys = []
+        self.keys = []
         for z in view.pseudo_children:
-            key = tuple(rng.randrange(0, 1 << b) if b else 0 for _ in domain)
-            self.sent_keys.append(key)
+            key = [rng.randrange(0, 1 << b) if b else 0 for _ in domain]
+            self.keys.append(FeasTable([Axis(self.var, domain)],
+                                       [-k for k in key]))
             self.sim.log_logical("KEY")
-            self.send(z, "KEY", {"epoch": view.epoch, "key": list(key)})
-        self.recv_keys = {}
+            self.send(z, "KEY", {"epoch": view.epoch, "key": key})
         for y in view.pseudo_parents:
             m = yield from self.get("KEY", sender=y, epoch=view.epoch)
-            self.recv_keys[y] = tuple(m.payload["key"])
+            pkg = self.recv_packages[y]
+            key = m.payload["key"]
+            self.keys.append(FeasTable(
+                [Axis(pkg.var_code, pkg.coded_axis_values())],
+                [key[j] for j in pkg.sigma]))
 
     # -- coded feasibility propagation ----------------------------------------
 
@@ -168,6 +177,16 @@ class PdpopProcess(KernelProcess):
         """Coded, obfuscated bottom-up propagation (shared with the rerooted
         solvers).
 
+        Each key joins where the table it lands on is smallest: onto the
+        local join, after obfuscation (which must see the unkeyed entries),
+        when its axis is there -- always for a sent key, and for a received
+        key whose back-edge constraint was joined here -- and otherwise
+        onto the projected table.  Entries are ints, so the sums are exact
+        and their order is free, and a received key is constant along this
+        variable's axis, so it moves no column's first minimum: for a key
+        whose axis the local join holds, the payload and best response are
+        the same whichever of the two tables it joins.
+
         Returns (feasible, min_count, root_value, best, seps); the first
         three are None at non-root variables, `best` is None at the root."""
         x, epoch = self.var, view.epoch
@@ -179,6 +198,12 @@ class PdpopProcess(KernelProcess):
         if b and any(e > 0 for e in m.entries):
             r = self.sim.rng(x, "obf", epoch).randrange(1, 1 << b)
             m = obfuscate_infeasible(m, r)
+        late = []
+        for key in self.keys:
+            if key.scope[0].label in m.labels():
+                m = join(m, key)
+            else:
+                late.append(key)
         seps: dict[str, list] = {}
         for c in view.children:
             msg = yield from self.get("FEAS", sender=c, epoch=epoch)
@@ -187,9 +212,6 @@ class PdpopProcess(KernelProcess):
             t = self.resolve_own_codes(t)
             m = join(m, t)
             self.charge(m.size())
-        domain = self.sim.problem.domains[x]
-        for key in self.sent_keys:
-            m = join(m, FeasTable([Axis(x, domain)], [-k for k in key]))
         if view.is_root:
             if m.labels() != [x]:
                 raise PdpopError(
@@ -200,18 +222,14 @@ class PdpopProcess(KernelProcess):
             return (min_count == 0, min_count, best.entries[0], None, seps)
         out, best = project_min(m, x)
         self.charge(m.size())
-        for y in view.pseudo_parents:
-            pkg = self.recv_packages[y]
-            key = self.recv_keys[y]
-            # The key axis lists the coded values in the package's permuted
-            # order; listed unpermuted, it would expose sigma.  If the
-            # back-edge constraint joined deeper in the subtree, the coded
-            # axis is absent and the join broadcasts the table along it, so
-            # the key still rides up to the back-edge root, which subtracts
-            # every pseudo-child's key unconditionally.
-            out = join(out, FeasTable(
-                [Axis(pkg.var_code, pkg.coded_axis_values())],
-                [key[j] for j in pkg.sigma]))
+        for key in late:
+            # The back-edge constraint joined deeper in the subtree.  If no
+            # child's table brought the coded axis either, the join
+            # broadcasts the table along it, so the key still rides up to
+            # the back-edge root, which subtracts every pseudo-child's key
+            # unconditionally.  Joined before the children's tables, the
+            # broadcast axis would come earlier in the FEAS scope.
+            out = join(out, key)
         payload = table_to_payload(out)
         payload["epoch"] = epoch
         self.sim.log_logical("FEAS", sep=len(out.scope))

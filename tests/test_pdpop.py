@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from conftest import on_tree, simulate, solver_process
+from discsp import dpop, pdpop, tables
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.generators import gen_graph_coloring, gen_party_game
 from discsp.model import evaluate
@@ -301,3 +302,67 @@ def test_multi_variable_agent_transcript_is_pinned(solver):
     result = run_solver(solver, problem, seed=7, config=RunConfig(key_bits=64))
     digest = hashlib.sha256(result.transcript.to_jsonl().encode("utf-8"))
     assert digest.hexdigest() == MULTI_VARIABLE_SHA256[solver]
+
+
+def spy_key_joins(monkeypatch):
+    """Record every obfuscation-key join of the P-DPOP processes run under
+    `monkeypatch`: (owner variable, key table, size of the table it joins
+    onto, whether the owner had projected yet).  Also returns the size of
+    each variable's local join and every key table handed out."""
+    keys, local, projected, joins = {}, {}, set(), []
+    exchange_keys = pdpop.PdpopProcess.exchange_keys
+
+    def spy_exchange_keys(self, view):
+        yield from exchange_keys(self, view)
+        for key in self.keys:
+            keys[id(key)] = (self.var, key)
+
+    def spy_local_join(problem, view, extra=()):
+        t = dpop.local_join(problem, view, extra)
+        local[view.variable] = t.size()
+        return t
+
+    def spy_project_min(t, label):
+        projected.add(label)
+        return tables.project_min(t, label)
+
+    def spy_join(t1, t2, combine=None):
+        if id(t2) in keys:
+            var, key = keys[id(t2)]
+            joins.append((var, key, t1.size(), var in projected))
+        return tables.join(t1, t2, combine)
+
+    monkeypatch.setattr(pdpop.PdpopProcess, "exchange_keys", spy_exchange_keys)
+    monkeypatch.setattr(pdpop, "local_join", spy_local_join)
+    monkeypatch.setattr(pdpop, "project_min", spy_project_min)
+    monkeypatch.setattr(pdpop, "join", spy_join)
+    return keys, local, joins
+
+
+# The two pinned runs above: their SHA-256 pins guard both key placements.
+PINNED_PROBLEMS = {
+    "coloring": lambda: gen_graph_coloring(7, seed=1),
+    "party": lambda: gen_party_game(6, seed=1),
+}
+
+
+@pytest.mark.parametrize("solver", ["pdpop", "pdpop_plus"])
+@pytest.mark.parametrize("family", sorted(PINNED_PROBLEMS))
+def test_keys_join_onto_the_local_join_when_they_can(monkeypatch, family,
+                                                     solver):
+    keys, local, joins = spy_key_joins(monkeypatch)
+    run_solver(solver, PINNED_PROBLEMS[family](), seed=7,
+               config=RunConfig(key_bits=64))
+    assert sorted(id(key) for _, key, _, _ in joins) == sorted(keys)
+    early = late = 0
+    for var, key, size, after_projection in joins:
+        received = key.labels() != [var]
+        if after_projection:
+            assert received
+            late += 1
+        else:
+            assert size <= local[var], (var, key.labels())
+            early += received
+    assert early >= 1
+    if family == "party":
+        assert late >= 1

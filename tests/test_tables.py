@@ -337,6 +337,46 @@ def test_callbacks_run_once_per_output_cell_in_row_major_order(pair, data):
     assert out.entries == list(range(1, len(rest) + 1))
 
 
+def key_on(data, axis):
+    """A one-axis key table over `axis`'s values, listed in a random order,
+    with entries as wide as real obfuscation keys."""
+    values = data.draw(st.permutations(axis.values))
+    return FeasTable([Axis(axis.label, values)], data.draw(st.lists(
+        st.integers(-2**128, 2**128), min_size=len(values),
+        max_size=len(values))))
+
+
+@PROPS
+@given(st.data())
+def test_key_on_a_held_axis_joins_before_or_after_another_table(data):
+    # P-DPOP joins a key onto the local join, ahead of the children's
+    # tables: the result is the one joining it last gives.
+    doms = data.draw(domains())
+    m = tables_over(data.draw, doms, min_axes=1)
+    t = tables_over(data.draw, doms)
+    key = key_on(data, data.draw(st.sampled_from(m.scope)))
+    last, first = join(join(m, t), key), join(join(m, key), t)
+    assert first.scope == last.scope
+    assert first.entries == last.entries
+
+
+@PROPS
+@given(st.data())
+def test_key_off_the_projected_axis_joins_before_or_after_project_min(data):
+    # A key on another axis is constant along each column, so it moves no
+    # column's first minimum: the best responses agree, ties included.
+    m = tables_over(data.draw, data.draw(domains()), min_axes=2)
+    x, a = data.draw(st.permutations(m.labels()))[:2]
+    key = key_on(data, m.scope[m.axis(a)])
+    mins, best = project_min(m, x)
+    keyed_mins, keyed_best = project_min(join(m, key), x)
+    after = join(mins, key)
+    assert keyed_mins.scope == after.scope
+    assert keyed_mins.entries == after.entries
+    assert keyed_best.scope == best.scope
+    assert keyed_best.entries == best.entries
+
+
 # -- the blocked gather kernel --------------------------------------------------
 #
 # `_gather` copies trailing blocks as slices and repeats; it must equal the
