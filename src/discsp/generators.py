@@ -1,13 +1,14 @@
 """Benchmark problem generators for the four experiment families.
 
 All generators are deterministic under their seed and produce connected
-single-component problems whose constraints are visible exactly to the
-owners of their scope variables.
+single-component problems; a constraint is known exactly to the owners of
+its scope variables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .model import Constraint, ModelError, Problem
@@ -39,14 +40,13 @@ def figure1_instance() -> Problem:
     cons = []
     for a, b in edges:
         cons.append(Constraint.from_predicate(
-            (a, b), (rgb, rgb), lambda u, v: u != v,
-            {owner[a], owner[b]}, name=f"ne_{a}_{b}"))
+            (a, b), (rgb, rgb), lambda u, v: u != v, name=f"ne_{a}_{b}"))
     cons.append(Constraint.from_predicate(
-        ("x1",), (rgb,), lambda v: v != "R", {"a1"}, name="u_x1"))
+        ("x1",), (rgb,), lambda v: v != "R", name="u_x1"))
     cons.append(Constraint.from_predicate(
-        ("x4",), (rgb,), lambda v: v != "B", {"a4"}, name="u_x4"))
+        ("x4",), (rgb,), lambda v: v != "B", name="u_x4"))
     cons.append(Constraint.from_predicate(
-        ("x5",), (rgb,), lambda v: v not in ("B", "R"), {"a5"}, name="u_x5"))
+        ("x5",), (rgb,), lambda v: v not in ("B", "R"), name="u_x5"))
     return Problem(agents, variables, owner, domains, tuple(cons))
 
 
@@ -108,33 +108,27 @@ def gen_graph_coloring(n: int, density: float = 0.4, colors: int = 3,
     cons = []
     for a, b in sorted(edges):
         cons.append(Constraint.from_predicate(
-            (a, b), (dom, dom), lambda u, v: u != v,
-            {owner[a], owner[b]}, name=f"ne_{a}_{b}"))
+            (a, b), (dom, dom), lambda u, v: u != v, name=f"ne_{a}_{b}"))
     for x in variables:
         if rng.random() < unary_p:
             banned = rng.choice(dom)
             cons.append(Constraint.from_predicate(
                 (x,), (dom,), lambda v, banned=banned: v != banned,
-                {owner[x]}, name=f"u_{x}"))
+                name=f"u_{x}"))
     return Problem(tuple(agents), tuple(variables), owner,
                    {x: dom for x in variables}, tuple(cons))
 
 
-def _all_different(scope, doms, visibility, name):
+def _all_different(scope, doms, name):
     """allDifferent as one extensional constraint when tabulation fits,
     else the equivalent pairwise decomposition."""
-    size = 1
-    for d in doms:
-        size *= len(d)
-    if size <= TABLE_CAP:
+    if math.prod(len(d) for d in doms) <= TABLE_CAP:
         return [Constraint.from_predicate(
-            scope, doms, lambda *vs: len(set(vs)) == len(vs), visibility,
-            name=name)]
+            scope, doms, lambda *vs: len(set(vs)) == len(vs), name=name)]
     out = []
     for (x, dx), (y, dy) in itertools.combinations(zip(scope, doms), 2):
         out.append(Constraint.from_predicate(
-            (x, y), (dx, dy), lambda u, v: u != v, visibility,
-            name=f"{name}_{x}_{y}"))
+            (x, y), (dx, dy), lambda u, v: u != v, name=f"{name}_{x}_{y}"))
     return out
 
 
@@ -162,12 +156,12 @@ def gen_meeting_scheduling(meetings: int, pool: int = 3, per_meeting: int = 2,
         for a, b in itertools.combinations(who, 2):
             cons.append(Constraint.from_predicate(
                 (f"m{m}_{a}", f"m{m}_{b}"), (dom, dom),
-                lambda u, v: u == v, {a, b}, name=f"eq_m{m}_{a}_{b}"))
+                lambda u, v: u == v, name=f"eq_m{m}_{a}_{b}"))
     for a in agents:
         mine = [x for x in variables if owner[x] == a]
         if len(mine) >= 2:
             cons.extend(_all_different(
-                tuple(mine), tuple(dom for _ in mine), {a}, name=f"alldiff_{a}"))
+                tuple(mine), tuple(dom for _ in mine), name=f"alldiff_{a}"))
     used = sorted({owner[x] for x in variables})
     return Problem(tuple(used), tuple(variables), owner,
                    {x: dom for x in variables}, tuple(cons))
@@ -212,12 +206,12 @@ def resource_allocation_from_bids(resources, bid_list) -> Problem:
             copies_by_airline[airline].append((i, copy))
             cons.append(Constraint.from_predicate(
                 (alloc, copy), (dom, dom), lambda u, v: u == v,
-                {r, airline}, name=f"eq_{alloc}"))
+                name=f"eq_{alloc}"))
     for r, allocs in alloc_by_resource.items():
         if len(allocs) >= 2:
             cons.append(Constraint.from_predicate(
                 tuple(allocs), tuple(dom for _ in allocs),
-                lambda *vs: sum(vs) <= 1, {r}, name=f"cap_{r}"))
+                lambda *vs: sum(vs) <= 1, name=f"cap_{r}"))
     for airline, pairs in copies_by_airline.items():
         if not pairs:
             continue
@@ -235,7 +229,7 @@ def resource_allocation_from_bids(resources, bid_list) -> Problem:
             return len(granted) == 1
 
         cons.append(Constraint.from_predicate(
-            scope, tuple(dom for _ in scope), exactly_one, {airline},
+            scope, tuple(dom for _ in scope), exactly_one,
             name=f"one_{airline}"))
     used_agents = tuple(sorted({owner[x] for x in variables}))
     return Problem(used_agents, tuple(variables), owner,
@@ -288,7 +282,7 @@ def party_game_from_graph(players, social, likes, costs) -> Problem:
             owner[c] = p
             cons.append(Constraint.from_predicate(
                 (c, f"s_{q}"), (dom, dom), lambda u, v: u == v,
-                {p, q}, name=f"eq_{c}"))
+                name=f"eq_{c}"))
     for p in players:
         neigh = sorted(adj[p])
         scope = (f"s_{p}",) + tuple(f"c_{p}_{q}" for q in neigh)
@@ -302,7 +296,7 @@ def party_game_from_graph(players, social, likes, costs) -> Problem:
             return chosen >= other
 
         cons.append(Constraint.from_predicate(
-            scope, tuple(dom for _ in scope), best_response, {p},
+            scope, tuple(dom for _ in scope), best_response,
             name=f"br_{p}"))
     return Problem(tuple(players), tuple(variables), owner,
                    {x: dom for x in variables}, tuple(cons))

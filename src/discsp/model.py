@@ -10,6 +10,7 @@ int) with a stable total order given by their position in the domain list.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 Value = "str | int"
@@ -19,28 +20,19 @@ class ModelError(ValueError):
     """Raised for malformed problems, constraints or assignments."""
 
 
-def _product_size(sizes):
-    n = 1
-    for s in sizes:
-        n *= s
-    return n
-
-
 @dataclass(frozen=True)
 class Constraint:
     """An extensional constraint over an ordered scope of variables.
 
     `table` holds one cost per tuple of the scope's Cartesian product in
     row-major order (last scope variable varies fastest).  Costs are 0 for
-    feasible tuples and 1 for infeasible ones.  `visibility` is the set of
-    agents that know the constraint; the standard assumption is that this
-    equals the owners of the scope variables.
+    feasible tuples and 1 for infeasible ones.  A constraint is known
+    exactly to the owners of its scope variables.
     """
 
     scope: tuple[str, ...]
     domains: tuple[tuple, ...]  # domain (value tuple) per scope variable
     table: tuple[int, ...]
-    visibility: frozenset[str] = frozenset()
     name: str = ""
 
     def __post_init__(self):
@@ -50,23 +42,23 @@ class Constraint:
             raise ModelError(f"duplicate variable in scope {self.scope}")
         if len(self.domains) != len(self.scope):
             raise ModelError("one domain required per scope variable")
-        if len(self.table) != _product_size(len(d) for d in self.domains):
+        if len(self.table) != math.prod(len(d) for d in self.domains):
             raise ModelError("table size does not match scope product")
         if any(c not in (0, 1) for c in self.table):
             raise ModelError("constraint costs must be 0 or 1")
 
     @classmethod
-    def from_predicate(cls, scope, domains, predicate, visibility=(), name=""):
+    def from_predicate(cls, scope, domains, predicate, *, name=""):
         """Tabulate `predicate(*values) -> bool` (True = feasible)."""
         domains = tuple(tuple(d) for d in domains)
         table = tuple(
             0 if predicate(*values) else 1
             for values in itertools.product(*domains)
         )
-        return cls(tuple(scope), domains, table, frozenset(visibility), name)
+        return cls(tuple(scope), domains, table, name)
 
     @classmethod
-    def from_forbidden(cls, scope, domains, forbidden, visibility=(), name=""):
+    def from_forbidden(cls, scope, domains, forbidden, *, name=""):
         forbidden = {tuple(t) for t in forbidden}
         for t in forbidden:
             if len(t) != len(scope):
@@ -75,7 +67,7 @@ class Constraint:
                 if v not in dom:
                     raise ModelError(f"forbidden value {v!r} outside the domain of {x}")
         return cls.from_predicate(
-            scope, domains, lambda *v: v not in forbidden, visibility, name
+            scope, domains, lambda *v: v not in forbidden, name=name
         )
 
     def index_of(self, values):
@@ -133,17 +125,6 @@ class Problem:
                 if tuple(dom) != self.domains[x]:
                     raise ModelError(f"constraint domain for {x} disagrees with problem")
 
-    def check_visibility(self):
-        """Standard assumption 3: a constraint is visible exactly to the owners
-        of its scope variables."""
-        for c in self.constraints:
-            owners = frozenset(self.owner[x] for x in c.scope)
-            if c.visibility != owners:
-                raise ModelError(
-                    f"constraint {c.name or c.scope} visibility {set(c.visibility)} "
-                    f"!= scope owners {set(owners)}"
-                )
-
     def neighbor_vars(self, x: str) -> tuple[str, ...]:
         """Variables sharing a constraint scope with x, sorted."""
         out = set()
@@ -195,7 +176,7 @@ class Problem:
         return len(self.components()) <= 1
 
     def state_space_size(self) -> int:
-        return _product_size(len(self.domains[x]) for x in self.variables)
+        return math.prod(len(self.domains[x]) for x in self.variables)
 
 
 # Assignments are plain dicts {variable: value}.
@@ -217,47 +198,6 @@ def evaluate(problem: Problem, assignment: dict) -> int:
     return sum(
         c.cost(tuple(assignment[x] for x in c.scope)) for c in problem.constraints
     )
-
-
-def decompose_shared_constraint(c: Constraint, owner: dict[str, str]):
-    """Split a constraint known to k agents into k private constraints over
-    fresh copy variables, plus equality constraints tying copies to originals.
-
-    Returns (constraints, new_variables) where new_variables maps each fresh
-    copy variable to (owner_agent, domain).  A constraint known to a single
-    agent is returned unchanged.
-    """
-    agents = sorted(c.visibility)
-    if not agents:
-        raise ModelError("constraint has no knowing agent")
-    if len(agents) == 1:
-        return [c], {}
-
-    new_vars: dict[str, tuple] = {}
-    out: list[Constraint] = []
-    for agent in agents:
-        copies = []
-        for x, dom in zip(c.scope, c.domains):
-            if owner.get(x) == agent:
-                copies.append(x)  # own variables need no copy
-                continue
-            cx = f"{x}__{agent}"
-            if cx in new_vars:
-                raise ModelError(f"copy variable {cx} already exists")
-            new_vars[cx] = (agent, tuple(dom))
-            copies.append(cx)
-        out.append(
-            Constraint(tuple(copies), c.domains, c.table, frozenset({agent}),
-                       name=f"{c.name or 'c'}@{agent}")
-        )
-        for x, cx, dom in zip(c.scope, copies, c.domains):
-            if cx == x:
-                continue
-            out.append(Constraint.from_predicate(
-                (cx, x), (dom, dom), lambda a, b: a == b,
-                visibility={agent, owner[x]}, name=f"eq_{cx}",
-            ))
-    return out, new_vars
 
 
 PAD_PREFIX = "!pad"
@@ -293,8 +233,7 @@ def pad_domains(problem: Problem) -> Problem:
         domains[x] = tuple(dom)
         fakes[x] = frozenset(pads)
         extra.append(Constraint.from_predicate(
-            (x,), (dom,), lambda v, _f=fakes[x]: v not in _f,
-            visibility={problem.owner[x]}, name=f"pad_{x}",
+            (x,), (dom,), lambda v, _f=fakes[x]: v not in _f, name=f"pad_{x}",
         ))
     if not extra:
         return problem
@@ -315,7 +254,7 @@ def pad_domains(problem: Problem) -> Problem:
             return _c.cost(values) == 0
 
         new_constraints.append(Constraint.from_predicate(
-            c.scope, doms, padded_cost, c.visibility, c.name
+            c.scope, doms, padded_cost, name=c.name
         ))
     return Problem(problem.agents, problem.variables, dict(problem.owner),
                    domains, tuple(new_constraints) + tuple(extra))

@@ -188,7 +188,7 @@ class P32Process(PdpopProcess):
         """Returns (feasible, root_value) at the root, (None, None) elsewhere."""
         yield from self.exchange_codenames(view)
         yield from self.exchange_keys(view)
-        feasible, _count, root_value, _best, _seps = (
+        feasible, root_value, _best, _seps = (
             yield from self.feas_phase(view))
         return feasible, root_value
 
@@ -197,8 +197,7 @@ class P32Process(PdpopProcess):
         x = self.var
         domain = self.sim.problem.domains[x]
         self.local_constraints.append(Constraint.from_predicate(
-            (x,), (domain,), lambda v: v == value,
-            visibility={self.sim.problem.owner[x]}, name=f"ground_{x}"))
+            (x,), (domain,), lambda v: v == value, name=f"ground_{x}"))
 
     # -- main -------------------------------------------------------------------------
 

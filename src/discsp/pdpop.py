@@ -187,8 +187,10 @@ class PdpopProcess(KernelProcess):
         whose axis the local join holds, the payload and best response are
         the same whichever of the two tables it joins.
 
-        Returns (feasible, min_count, root_value, best, seps); the first
-        three are None at non-root variables, `best` is None at the root."""
+        Returns (feasible, root_value, best, seps); the first two are None
+        at non-root variables, `best` is None at the root.  The root's
+        minimum is obfuscated, so it tells feasibility (zero or not) and
+        never the number of violated constraints."""
         x, epoch = self.var, view.epoch
         b = self.sim.config.b_bits
         m = self.apply_ancestor_codes(
@@ -218,8 +220,7 @@ class PdpopProcess(KernelProcess):
                     f"root table has unresolved labels {m.labels()}")
             final, best = project_min(m, x)
             self.charge(m.size())
-            min_count = final.entries[0]
-            return (min_count == 0, min_count, best.entries[0], None, seps)
+            return (final.entries[0] == 0, best.entries[0], None, seps)
         out, best = project_min(m, x)
         self.charge(m.size())
         for key in late:
@@ -234,7 +235,7 @@ class PdpopProcess(KernelProcess):
         payload["epoch"] = epoch
         self.sim.log_logical("FEAS", sep=len(out.scope))
         self.send(view.parent, "FEAS", payload)
-        return (None, None, None, best, seps)
+        return (None, None, best, seps)
 
     # -- coded decision propagation --------------------------------------------
 
@@ -271,11 +272,10 @@ class PdpopProcess(KernelProcess):
         view = yield from self.first_tree()
         yield from self.exchange_codenames(view)
         yield from self.exchange_keys(view)
-        feasible, min_count, root_value, best, seps = (
+        feasible, root_value, best, seps = (
             yield from self.feas_phase(view))
         my_value = yield from self.decision_phase(view, best, seps, root_value)
         out = {"value": my_value}
         if view.is_root:
-            out.update({"feasible": feasible, "min_violations": min_count,
-                        "root": True})
+            out.update({"feasible": feasible, "root": True})
         return out

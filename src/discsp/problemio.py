@@ -14,8 +14,8 @@ round trip preserves ints vs strings):
 
 Values are encoded as ``i:<int>`` or ``s:<text>``; names must not contain
 whitespace.  Constraints are written by their forbidden tuples (the table is
-reconstructed over the scope product).  Visibility is the set of scope-var
-owners, matching the standard knowledge assumption.
+reconstructed over the scope product).  A constraint is known exactly to the
+owners of its scope variables, so the format records no other knowledge.
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ def loads(text: str) -> Problem:
                 raise ModelError(f"forbidden tuple arity mismatch in {name}")
             forbidden.append(vals)
         doms = tuple(domains[x] for x in scope)
-        visibility = frozenset(owner[x] for x in scope)
         constraints.append(Constraint.from_forbidden(
-            scope, doms, forbidden, visibility, name))
+            scope, doms, forbidden, name=name))
     if pos != len(lines):
         raise ModelError("trailing content in problem file")
     return Problem(tuple(toks[0] for toks in agents), tuple(variables),

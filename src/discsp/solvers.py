@@ -40,7 +40,7 @@ class RunResult:
     metrics: Metrics
     transcript: Transcript
     iterations: int = 1
-    min_violations: "int | None" = None
+    min_violations: "int | None" = None  # dpop only: the others never learn it
 
     def joint_assignment(self) -> dict:
         """Test-harness omniscience: merge all agents' local outputs."""

@@ -30,7 +30,7 @@ def infeasible_triangle():
     owner = {x: f"ag_{x}" for x in ("u", "v", "w")}
     cons = tuple(
         Constraint.from_predicate((a, b), (dom, dom), lambda s, t: s != t,
-                                  {owner[a], owner[b]}, name=f"ne_{a}{b}")
+                                  name=f"ne_{a}{b}")
         for a, b in (("u", "v"), ("v", "w"), ("u", "w")))
     return Problem(tuple(owner.values()), ("u", "v", "w"), owner,
                    {x: dom for x in owner}, cons)

@@ -74,7 +74,7 @@ def test_triangle_two_colors_infeasible():
     owner = {x: f"ag_{x}" for x in ("u", "v", "w")}
     cons = tuple(
         Constraint.from_predicate((a, b), (dom, dom), lambda s, t: s != t,
-                                  {owner[a], owner[b]}, name=f"ne_{a}{b}")
+                                  name=f"ne_{a}{b}")
         for a, b in itertools.combinations(("u", "v", "w"), 2))
     p = Problem(tuple(owner.values()), ("u", "v", "w"), owner,
                 {x: dom for x in owner}, cons)
@@ -87,7 +87,7 @@ def test_single_variable_unary():
     dom = RGB
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom},
                 (Constraint.from_predicate(("x1",), (dom,),
-                                           lambda v: v != "R", {"a1"}, "u"),))
+                                           lambda v: v != "R", name="u"),))
     r = run_solver("dpop", p, seed=0)
     assert r.feasible and r.joint_assignment()["x1"] != "R"
 

@@ -17,7 +17,7 @@ def mixed_domain_problem():
     cons = [
         Constraint.from_predicate((a, b), (doms[a], doms[b]),
                                   lambda u, v: u != v,
-                                  {owner[a], owner[b]}, name=f"ne_{a}_{b}")
+                                  name=f"ne_{a}_{b}")
         for a, b in (("x1", "x2"), ("x2", "x3"), ("x1", "x3"))
     ]
     return doms, Problem(("a1", "a2", "a3"), ("x1", "x2", "x3"), owner, doms,
@@ -62,7 +62,7 @@ def pad_prefixed_problem():
     owner = {"x": "a1", "y": "a2"}
     c = Constraint.from_predicate(("x", "y"), (doms["x"], doms["y"]),
                                   lambda u, v: u == v == "!pad0",
-                                  {"a1", "a2"}, name="both_pad0")
+                                  name="both_pad0")
     return Problem(("a1", "a2"), ("x", "y"), owner, doms, (c,))
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
+from discsp import problemio
+from discsp.experiments import instance_seed
 from discsp.generators import (FAMILIES, figure1_instance, gen_graph_coloring,
                                gen_meeting_scheduling, gen_party_game,
                                gen_resource_allocation, party_game_from_graph,
@@ -30,7 +33,7 @@ def test_oracle_empty_problem():
 def test_oracle_all_forbidden_unary():
     from discsp.model import Constraint, Problem
     dom = ("R", "B")
-    c = Constraint.from_predicate(("x1",), (dom,), lambda v: False, {"a1"}, "u")
+    c = Constraint.from_predicate(("x1",), (dom,), lambda v: False, name="u")
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom}, (c,))
     assert brute_force(p).min_violations >= 1
 
@@ -175,4 +178,20 @@ def test_family_registry_smoke():
     for family, gen in FAMILIES.items():
         p = gen(2 if family != "coloring" else 4, 3)
         assert p.is_connected() or len(p.variables) == 1
-        p.check_visibility()
+
+
+@pytest.mark.parametrize("family,size,digest", [
+    ("coloring", 8,
+     "3a5e493e14f2e4aa55bb92d899cbe3c932e319e01c18c2bc677c302a4f5d7a1a"),
+    ("meetings", 4,
+     "6cf247309125e3053bd9ef68abe42fcb2068c91e2dfad00a677b59c4886253fb"),
+    ("auction", 4,
+     "52a032eee4b14c13909e9c3e3d2cb2519bd8a550aa6f2c43140f99ed0e37113b"),
+    ("party", 8,
+     "88c1548fa779e45e26569b9f1f52aa9b4b546e4c114eb34b03d1c982ea69e521"),
+])
+def test_generator_output_is_pinned(family, size, digest):
+    """Each family's first grid instance, written in the file format, keeps
+    its SHA-256: agents, variables, domains, scopes, tables and names."""
+    p = FAMILIES[family](size, instance_seed(0, family, size, 0))
+    assert hashlib.sha256(problemio.dumps(p).encode()).hexdigest() == digest

@@ -17,7 +17,7 @@ from discsp.runtime import derive_rng
 def single_var_problem():
     return Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": ("R", "B")},
                    (Constraint.from_predicate(("x1",), (("R", "B"),),
-                                              lambda v: v == "R", {"a1"}, "u"),))
+                                              lambda v: v == "R", name="u"),))
 
 
 def path_problem(names=("a", "b", "c")):
@@ -25,7 +25,7 @@ def path_problem(names=("a", "b", "c")):
     owner = {x: f"ag_{x}" for x in names}
     cons = tuple(
         Constraint.from_predicate((u, v), (dom, dom), lambda a, b: a != b,
-                                  {owner[u], owner[v]}, name=f"ne_{u}{v}")
+                                  name=f"ne_{u}{v}")
         for u, v in zip(names, names[1:]))
     return Problem(tuple(owner.values()), tuple(names), owner,
                    {x: dom for x in names}, cons)
@@ -37,7 +37,7 @@ def triangle_problem():
     owner = {x: f"ag_{x}" for x in names}
     cons = tuple(
         Constraint.from_predicate((a, b), (dom, dom), lambda s, t: s != t,
-                                  {owner[a], owner[b]}, name=f"ne_{a}{b}")
+                                  name=f"ne_{a}{b}")
         for a, b in itertools.combinations(names, 2))
     return Problem(tuple(owner.values()), names, owner,
                    {x: dom for x in names}, cons)
@@ -65,9 +65,9 @@ def test_election_disconnected_one_root_per_component():
     owner = {"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a4"}
     cons = (
         Constraint.from_predicate(("x1", "x2"), (dom, dom),
-                                  lambda a, b: a != b, {"a1", "a2"}, "c1"),
+                                  lambda a, b: a != b, name="c1"),
         Constraint.from_predicate(("x3", "x4"), (dom, dom),
-                                  lambda a, b: a != b, {"a3", "a4"}, "c2"),
+                                  lambda a, b: a != b, name="c2"),
     )
     p = Problem(("a1", "a2", "a3", "a4"), ("x1", "x2", "x3", "x4"), owner,
                 {x: dom for x in owner}, cons)

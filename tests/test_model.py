@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from discsp.model import (Constraint, ModelError, Problem, decompose_shared_constraint,
-                          evaluate, pad_domains)
+from discsp.model import Constraint, ModelError, Problem, evaluate, pad_domains
 from discsp.oracle import brute_force
 
 RGB = ("R", "B", "G")
@@ -51,7 +50,7 @@ def test_max_discsp_unary_recast(fig1):
 
 def test_max_discsp_binary_recast():
     c = Constraint.from_predicate(("x1", "x2"), (RGB, RGB),
-                                  lambda a, b: a != b, {"a1", "a2"})
+                                  lambda a, b: a != b)
     assert c.cost(("R", "R")) == 1
     assert c.cost(("R", "G")) == 0
 
@@ -63,16 +62,6 @@ def test_evaluate_equals_cost_sum_exhaustive(fig1):
         total = sum(c.cost(tuple(a[x] for x in c.scope)) for c in fig1.constraints)
         assert evaluate(fig1, a) == total
     assert len(small) == 8
-
-
-def test_visibility_invariant(fig1):
-    fig1.check_visibility()
-    bad = Constraint.from_predicate(("x1",), (RGB,), lambda v: True,
-                                    {"a1", "a9"})
-    p = Problem(fig1.agents, fig1.variables, dict(fig1.owner),
-                dict(fig1.domains), fig1.constraints[:1] + (bad,))
-    with pytest.raises(ModelError):
-        p.check_visibility()
 
 
 def test_duplicate_agent_names_rejected():
@@ -87,68 +76,18 @@ def test_forbidden_tuple_must_fit_the_scope(forbidden):
         Constraint.from_forbidden(("x1", "x2"), (RGB, RGB), forbidden)
 
 
+def test_constraint_name_is_keyword_only():
+    for make, last in ((Constraint.from_predicate, lambda v: True),
+                       (Constraint.from_forbidden, [])):
+        with pytest.raises(TypeError):
+            make(("x1",), (RGB,), last, "u")
+        assert make(("x1",), (RGB,), last, name="u").name == "u"
+
+
 def test_constraint_graph_edges(fig1):
     assert ("x1", "x2") in fig1.edges()
     assert ("x2", "x5") not in fig1.edges()
     assert fig1.is_connected()
-
-
-# -- decomposition -------------------------------------------------------------
-
-def test_decompose_unary_pkc_two_agents():
-    c = Constraint.from_predicate(("x1",), (RGB,), lambda v: v != "R",
-                                  {"a1", "a2"}, name="pkc")
-    cons, new_vars = decompose_shared_constraint(c, {"x1": "a1"})
-    # a1 keeps its own variable, a2 constrains a copy tied back by equality.
-    assert set(new_vars) == {"x1__a2"}
-    assert new_vars["x1__a2"][0] == "a2"
-    privates = [k for k in cons if len(k.scope) == 1]
-    equalities = [k for k in cons if len(k.scope) == 2]
-    assert len(privates) == 2 and len(equalities) == 1
-    assert all(len(k.visibility) == 1 for k in privates)
-
-
-def test_decompose_single_agent_unchanged():
-    c = Constraint.from_predicate(("x1",), (RGB,), lambda v: v != "R", {"a1"})
-    cons, new_vars = decompose_shared_constraint(c, {"x1": "a1"})
-    assert cons == [c] and new_vars == {}
-
-
-def test_decompose_preserves_solutions():
-    c = Constraint.from_predicate(("x1", "x2"), (RGB, RGB),
-                                  lambda a, b: a != b, {"a1", "a2"}, name="ne")
-    base = tiny_problem((c,))
-    cons, new_vars = decompose_shared_constraint(c, dict(base.owner))
-    variables = base.variables + tuple(sorted(new_vars))
-    owner = dict(base.owner)
-    domains = dict(base.domains)
-    agents = set(base.agents)
-    for v, (ag, dom) in new_vars.items():
-        owner[v] = ag
-        domains[v] = dom
-        agents.add(ag)
-    decomposed = Problem(tuple(sorted(agents)), variables, owner, domains,
-                         tuple(cons))
-    originals = {}
-    for values in itertools.product(RGB, RGB):
-        originals[values] = c.cost(values) == 0
-    projected = set()
-    for values in itertools.product(*(domains[x] for x in variables)):
-        a = dict(zip(variables, values))
-        if evaluate(decomposed, a) == 0:
-            projected.add((a["x1"], a["x2"]))
-    assert projected == {v for v, ok in originals.items() if ok}
-
-
-def test_decompose_resource_copy_shape():
-    # A resource variable x_b shared with a bidder introduces one copy b_x
-    # and an equality tying them.
-    c = Constraint.from_predicate(("x_b",), ((0, 1),), lambda v: v <= 1,
-                                  {"airport", "airline"})
-    cons, new_vars = decompose_shared_constraint(c, {"x_b": "airport"})
-    assert list(new_vars) == ["x_b__airline"]
-    eqs = [k for k in cons if len(k.scope) == 2]
-    assert eqs and eqs[0].cost((0, 1)) == 1 and eqs[0].cost((1, 1)) == 0
 
 
 # -- padding --------------------------------------------------------------------
@@ -159,7 +98,7 @@ def test_pad_domains_sizes():
     agents = ("a1", "a2", "a3")
     owner = {"x1": "a1", "x2": "a2", "x3": "a3"}
     c = Constraint.from_predicate(("x1", "x2"), (domains["x1"], RGB),
-                                  lambda a, b: a != b, {"a1", "a2"})
+                                  lambda a, b: a != b)
     p = Problem(agents, variables, owner, domains, (c,))
     padded = pad_domains(p)
     assert all(len(padded.domains[x]) == 3 for x in variables)
@@ -170,7 +109,7 @@ def test_pad_domains_sizes():
 def test_pad_domains_keeps_real_values_with_the_pad_prefix():
     doms = {"x": ("!pad0", "a"), "y": ("!pad0", "a", "b")}
     c = Constraint.from_predicate(("x", "y"), (doms["x"], doms["y"]),
-                                  lambda u, v: u == v, {"a1", "a2"})
+                                  lambda u, v: u == v)
     p = Problem(("a1", "a2"), ("x", "y"), {"x": "a1", "y": "a2"}, doms, (c,))
     padded = pad_domains(p)
     assert padded.domains["x"] == ("!pad0", "a", "!pad1")
@@ -186,7 +125,7 @@ def test_pad_preserves_solution_set():
     domains = {"x1": ("R", "B"), "x2": RGB}
     owner = {"x1": "a1", "x2": "a2"}
     c = Constraint.from_predicate(("x1", "x2"), (domains["x1"], RGB),
-                                  lambda a, b: a != b, {"a1", "a2"})
+                                  lambda a, b: a != b)
     p = Problem(("a1", "a2"), ("x1", "x2"), owner, domains, (c,))
     padded = pad_domains(p)
     base = brute_force(p)

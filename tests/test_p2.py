@@ -199,7 +199,7 @@ def test_more_feasible_completions_than_decode_reads(solver):
     owner = {x: f"ag_{x}" for x in names}
     cons = tuple(
         Constraint.from_predicate((u, v), (dom, dom), lambda a, b: a != b,
-                                  {owner[u], owner[v]}, name=f"ne_{u}{v}")
+                                  name=f"ne_{u}{v}")
         for u, v in zip(names, names[1:]))
     p = Problem(tuple(owner.values()), names, owner,
                 {x: dom for x in names}, cons)
@@ -259,7 +259,7 @@ def test_single_variable():
     dom = RGB
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom},
                 (Constraint.from_predicate(("x1",), (dom,),
-                                           lambda v: v != "R", {"a1"}, "u"),))
+                                           lambda v: v != "R", name="u"),))
     r = run_solver("p2", p, seed=0, config=CFG)
     assert r.feasible and r.joint_assignment()["x1"] != "R"
     assert r.iterations == 1

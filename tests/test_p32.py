@@ -45,7 +45,7 @@ def test_single_variable_compound_is_own_product():
     dom = ("R", "B")
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom},
                 (Constraint.from_predicate(("x1",), (dom,),
-                                           lambda v: v == "B", {"a1"}, "u"),))
+                                           lambda v: v == "B", name="u"),))
     sim = simulate(p, solver_process("p32"), 3, CFG)
     assert outcome(sim) == (True, {"x1": "B"})
     assert sim.metrics.stats["iterations"] == 1

@@ -84,7 +84,7 @@ def test_root_table_exact_when_unobfuscated(fig1, fig2_views):
     sim = simulate(fig1, on_tree(PdpopProcess, fig2_views), 5,
                    RunConfig(b_bits=0))
     procs = sim.processes
-    assert procs["x2"].result["min_violations"] == 0
+    assert procs["x2"].result["feasible"] is True
     # Decode the final FEAS message (x3 -> x2) with the codename packages
     # the test can read off the process objects (shadow-auditor knowledge).
     final = [rec for rec in sim.transcript if rec.type == "FEAS"
@@ -111,7 +111,7 @@ def test_decision_chain_of_equalities(fig1):
     owner = {x: f"ag_{x}" for x in names}
     cons = tuple(
         Constraint.from_predicate((a, b), (RGB, RGB), lambda u, v: u == v,
-                                  {owner[a], owner[b]}, name=f"eq_{a}{b}")
+                                  name=f"eq_{a}{b}")
         for a, b in zip(names, names[1:]))
     p = Problem(tuple(owner.values()), names, owner,
                 {x: RGB for x in names}, cons)

@@ -19,7 +19,7 @@ def two_var_problem():
     dom = ("0", "1")
     owner = {"x1": "a1", "x2": "a2"}
     c = Constraint.from_predicate(("x1", "x2"), (dom, dom),
-                                  lambda a, b: a != b, {"a1", "a2"}, "ne")
+                                  lambda a, b: a != b, name="ne")
     return Problem(("a1", "a2"), ("x1", "x2"), owner,
                    {x: dom for x in owner}, (c,))
 
@@ -254,9 +254,9 @@ def test_channel_violation_rejected():
     owner = {"x1": "a1", "x2": "a2", "x3": "a3"}
     cons = (
         Constraint.from_predicate(("x1", "x2"), (dom, dom),
-                                  lambda a, b: True, {"a1", "a2"}, "c1"),
+                                  lambda a, b: True, name="c1"),
         Constraint.from_predicate(("x2", "x3"), (dom, dom),
-                                  lambda a, b: True, {"a2", "a3"}, "c2"),
+                                  lambda a, b: True, name="c2"),
     )
     p = Problem(("a1", "a2", "a3"), ("x1", "x2", "x3"), owner,
                 {x: dom for x in owner}, cons)
@@ -283,7 +283,7 @@ def test_self_and_same_agent_sends_are_delivered():
     owner = {"x1": "a1", "x2": "a1", "x3": "a2"}
     cons = tuple(
         Constraint.from_predicate((x, "x3"), (dom, dom), lambda a, b: True,
-                                  {"a1", "a2"}, f"c{x}")
+                                  name=f"c{x}")
         for x in ("x1", "x2"))
     p = Problem(("a1", "a2"), ("x1", "x2", "x3"), owner,
                 {x: dom for x in owner}, cons)
@@ -348,7 +348,7 @@ def test_simulated_time_parallel_branches_max_rule():
     owner = {x: x for x in ("a", "b", "j", "out")}
     cons = tuple(
         Constraint.from_predicate((u, v), (dom, dom), lambda *_: True,
-                                  {u, v}, f"{u}{v}")
+                                  name=f"{u}{v}")
         for u, v in (("a", "j"), ("b", "j"), ("j", "out")))
     p = Problem(tuple(owner), tuple(owner), owner,
                 {x: dom for x in owner}, cons)
@@ -588,7 +588,7 @@ def test_single_variable_zero_messages():
     dom = ("R", "B")
     p = Problem(("a1",), ("x1",), {"x1": "a1"}, {"x1": dom},
                 (Constraint.from_predicate(("x1",), (dom,),
-                                           lambda v: v == "B", {"a1"}, "u"),))
+                                           lambda v: v == "B", name="u"),))
     r = run_solver("dpop", p, seed=0)
     assert r.metrics.message_count == 0
     assert r.joint_assignment() == {"x1": "B"}

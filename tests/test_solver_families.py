@@ -6,6 +6,7 @@ than the back-edge leaf itself."""
 
 import pytest
 
+from discsp.experiments import instance_seed
 from discsp.generators import FAMILIES
 from discsp.model import evaluate
 from discsp.oracle import brute_force
@@ -33,3 +34,25 @@ def test_solver_matches_oracle(family, size, seed, solver):
         joint = result.joint_assignment()
         assert set(joint) == set(problem.variables)
         assert evaluate(problem, joint) == 0
+
+
+# Seeded instances of every family within the oracle cap; the coloring and
+# auction ones are infeasible, so their minimum count is 1, not 0.
+COUNT_CASES = [("coloring", 5, 1), ("coloring", 5, 3), ("meetings", 2, 0),
+               ("auction", 4, 12), ("party", 4, 0)]
+
+
+@pytest.mark.parametrize("family,size,index", COUNT_CASES)
+def test_only_dpop_reports_min_violations(family, size, index):
+    """dpop reports the oracle's minimum violation count.  The private
+    solvers report None: P-DPOP's root minimum is obfuscated, and the
+    others never compute a count."""
+    seed = instance_seed(0, family, size, index)
+    problem = FAMILIES[family](size, seed)
+    oracle = brute_force(problem)
+    cfg = RunConfig(key_bits=64, b_bits=16, incr_min=2)
+    for solver in sorted(SOLVERS):
+        result = run_solver(solver, problem, seed=seed, config=cfg)
+        assert result.feasible == oracle.feasible
+        expected = oracle.min_violations if solver == "dpop" else None
+        assert result.min_violations == expected, solver
