@@ -37,8 +37,13 @@ of 8-bit windows, with just the rows that exponents below ``exp_bound`` use
 walk over the digits of their shared exponent.  Up to 128 bits a walk
 reduces mod p once at the end; above, it reduces every row.  An exponent
 the rows do not cover, negative or too wide, goes to plain ``pow``; no
-solver draws one.  ``partial_decrypt`` and ``strip_share``, whose base
-varies, use plain ``pow``.
+solver draws one.
+
+Up to 128 bits ``strip_share`` raises a decryption ticket's beta through a
+cached table of its own, in 3-bit windows (22 rows of 8 at 64 bits): every
+share on the ring strips the same beta, so a ticket's table is built once
+and walked once per share.  Wider moduli, and ``partial_decrypt``, use
+plain ``pow``.
 """
 
 from __future__ import annotations
@@ -111,11 +116,17 @@ class GroupParams:
     def q(self) -> int:
         return (self.p - 1) // 2
 
-    @property
+    @functools.cached_property
     def exp_bound(self) -> int:
         """Exclusive upper bound of every secret exponent drawn in this
-        group: p - 1 up to EXP_BITS-bit groups, else 2**EXP_BITS."""
+        group: p - 1 up to EXP_BITS-bit groups, else 2**EXP_BITS.  Computed
+        once per group."""
         return _exp_bound(self.p)
+
+    @functools.cached_property
+    def _small_codes(self) -> dict[int, int]:
+        """{z**(v + 2): v} for the root-vector entries v in {-1, 0, 1}."""
+        return {pow(self.z, v + 2, self.p): v for v in (-1, 0, 1)}
 
     def validate(self):
         if not is_probable_prime(self.p) or not is_probable_prime(self.q):
@@ -204,25 +215,47 @@ _WINDOW = 8
 _NARROW_BITS = 128
 
 
+# Ticket tables index exponents by digits of this many bits.  A ticket's
+# table serves only the n strips of one ring pass, so its build must be
+# cheap: at 64 bits one build and 8 walks cost least with 3-bit windows.
+_TICKET_WINDOW = 3
+
+
+def _window_rows(base: int, p: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds base**(d * 2**(w*i)) mod p for every digit d < 2**w
+    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3), for just the
+    rows that exponents below exp_bound use."""
+    rows = []
+    step = base % p  # base**(2**(w*i))
+    for _ in range(-(-(_exp_bound(p) - 1).bit_length() // w)):
+        row = [1, step]
+        v = step
+        for _ in range(2, 1 << w):
+            v = v * step % p
+            row.append(v)
+        step = v * step % p
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @functools.lru_cache(maxsize=2)
 def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds base**(d * 2**(8*i)) mod p for every digit d < 256
-    (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3), for just the
-    rows that exponents below exp_bound use: 8 rows at 64 bits, and 32 rows,
+    """8-bit window rows of base: 8 rows of 256 at 64 bits, and 32 rows,
     about 0.8 MB, at 512 bits, where exponents are below 2**256.  So an
     exponentiation takes 8 or 32 multiplications where pow squares 63 or 255
     times.  Bases and moduli are public group values; the cache of 2 holds g
     and the current run's compound key y."""
     _pair_table.cache_clear()  # no pair may keep an evicted table alive
-    rows = []
-    step = base % p  # base**(2**(8*i))
-    for _ in range(-(-(_exp_bound(p) - 1).bit_length() // _WINDOW)):
-        row = [1]
-        for _ in range(1, 1 << _WINDOW):
-            row.append(row[-1] * step % p)
-        step = row[-1] * step % p
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _window_rows(base, p, _WINDOW)
+
+
+@functools.lru_cache(maxsize=64)
+def _ticket_table(beta: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """3-bit window rows of a decryption ticket's beta, for moduli up to
+    _NARROW_BITS: 22 rows of 8 at 64 bits, about 8 kB.  A variable has one
+    ticket on the ring at a time, so the 64 entries hold every live ticket
+    of a run of up to 64 variables."""
+    return _window_rows(beta, p, _TICKET_WINDOW)
 
 
 @functools.lru_cache(maxsize=2)
@@ -231,10 +264,10 @@ def _pair_table(y: int, g: int, p: int) -> tuple:
     return tuple(zip(_fixed_base_table(y, p), _fixed_base_table(g, p)))
 
 
-def _on_table(rows, e: int) -> bool:
-    """Whether the rows of a table cover exponent e: 0 <= e < 2**(8*rows).
-    A negative e shifts to -1, never to 0."""
-    return not e >> _WINDOW * len(rows)
+def _on_table(rows, e: int, w: int = _WINDOW) -> bool:
+    """Whether the rows of a table of w-bit windows cover exponent e:
+    0 <= e < 2**(w*rows).  A negative e shifts to -1, never to 0."""
+    return not e >> w * len(rows)
 
 
 def _pow_off_table(base: int, e: int, p: int) -> int:
@@ -323,19 +356,26 @@ def encode_bool(params: GroupParams, m: bool) -> int:
 def rerandomize_entries(params: GroupParams, key: int, cyphertexts,
                         rng: random.Random) -> list[dict]:
     """Re-randomize a vector of cyphertexts into new ones, drawing one
-    rng.randrange(1, exp_bound) per entry in entry order.
+    nonce r in [1, exp_bound) per entry in entry order.
+
+    Each r is the one rng.randrange(1, exp_bound) would return, taken
+    inline: 1 plus the first getrandbits(k) draw below exp_bound - 1, for
+    k = bitlen(exp_bound - 1), the rejection loop randrange runs (CPython
+    3.8-3.13).  So the draws and the rng's final state are randrange's.
 
     Each entry comes out as rerandomize(c, r), so {"alpha": e, "beta": 1}
     comes out as a fresh encryption of element e (1 * g**r == g**r), and
     {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
     once for the whole vector, whose draws it always covers."""
-    p, bound = params.p, params.exp_bound
+    p, width = params.p, params.exp_bound - 1
     rows = _pair_table(key, params.g, p)
-    randrange = rng.randrange
+    getrandbits, k = rng.getrandbits, width.bit_length()
     out = []
     for c in cyphertexts:
-        alpha, beta = _pair_walk(rows, randrange(1, bound), p,
-                                 c["alpha"], c["beta"])
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        alpha, beta = _pair_walk(rows, r + 1, p, c["alpha"], c["beta"])
         out.append({"alpha": alpha, "beta": beta})
     return out
 
@@ -383,10 +423,22 @@ def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
     short x (below exp_bound < p - 1) divides with pow(beta, -x, p): one
     inverse and a short exponentiation.  A full-width x does not: since
     beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x),
-    an exponentiation of the same width and no inverse."""
+    an exponentiation of the same width and no inverse.  Up to _NARROW_BITS
+    that one walks the ticket table of beta, reducing mod p once; an e the
+    rows do not cover (x outside [0, p - 1]) goes to plain pow."""
     p, beta, x = params.p, c["beta"], share.private
     e = -x if x < params.exp_bound < p - 1 else p - 1 - x
-    return {"alpha": c["alpha"] * pow(beta, e, p) % p, "beta": beta}
+    if p.bit_length() > _NARROW_BITS:
+        return {"alpha": c["alpha"] * pow(beta, e, p) % p, "beta": beta}
+    rows = _ticket_table(beta, p)
+    if not _on_table(rows, e, _TICKET_WINDOW):
+        return {"alpha": c["alpha"] * _pow_off_table(beta, e, p) % p,
+                "beta": beta}
+    w, mask, acc = _TICKET_WINDOW, (1 << _TICKET_WINDOW) - 1, c["alpha"]
+    for row in rows:
+        acc *= row[e & mask]
+        e >>= w
+    return {"alpha": acc % p, "beta": beta}
 
 
 # Small-integer encoding used by the rerooting vectors: value v in {-1, 0, 1}
@@ -399,8 +451,8 @@ def encode_small(params: GroupParams, v: int) -> int:
 
 
 def decode_small(params: GroupParams, element: int) -> int:
-    for v in (-1, 0, 1):
-        if element == encode_small(params, v):
-            return v
-    raise MalformedCyphertext("element is not an encoded vector entry")
+    v = params._small_codes.get(element)
+    if v is None:
+        raise MalformedCyphertext("element is not an encoded vector entry")
+    return v
 

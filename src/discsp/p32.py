@@ -108,24 +108,25 @@ class P32Process(PdpopProcess):
         own vector coming home is handed back as a local, unsent HOME."""
         vect = payload["vector"]
         vid, rnd = payload["id"], payload["round"]
-        overwrite: set[int] = set()
         if rnd == 1:
             if vid != self.my_vect_id:
-                overwrite = set(range(self.ids.id + 1, self.ids.next_bound + 1))
+                # The entries of the unassigned IDs we hold become fresh
+                # encryptions of -1; later rounds pass the vector as it is.
+                minus_one = {"alpha": crypto.encode_small(self.params, -1),
+                             "beta": 1}
+                vect = list(vect)
+                for j in range(self.ids.id + 1, self.ids.next_bound + 1):
+                    vect[j] = minus_one
             else:
                 rnd += 1
         if rnd > 1 and self.views[0].is_root:
             rnd += 1
         if rnd == 3:
-            vect = [vect[self.perm[j]] for j in range(len(vect))]
+            vect = [vect[j] for j in self.perm]
         if rnd == 4 and vid == self.my_vect_id:
             return Msg("HOME", {"vector": vect})
-        # Overwritten entries become fresh encryptions of -1.
-        minus_one = {"alpha": crypto.encode_small(self.params, -1), "beta": 1}
-        out = crypto.rerandomize_entries(
-            self.params, self.compound,
-            (minus_one if j in overwrite else e for j, e in enumerate(vect)),
-            self.crypto_rng)
+        out = crypto.rerandomize_entries(self.params, self.compound, vect,
+                                         self.crypto_rng)
         self.sim.stat("p32_shuffle_enc", len(out))
         self.charge_exps(2 * len(out))
         self.route_to_previous(0, "VECT", {

@@ -12,7 +12,8 @@ from discsp.crypto import (EXP_BITS, KeyPairShare,
                            generate_group, or_cipher, partial_decrypt,
                            recover_element, rerandomize, rerandomize_entries,
                            split_public_shares, strip_share)
-from discsp.generators import gen_graph_coloring
+from discsp.experiments import instance_seed
+from discsp.generators import FAMILIES, gen_graph_coloring
 from discsp.runtime import RunConfig
 from discsp.solvers import run_solver
 
@@ -102,14 +103,16 @@ def test_rerandomize_changes_representation():
     assert decrypts(TOY64, c2, [share]) is False
 
 
-@GROUPS
+@WALK_GROUPS
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_rerandomize_entries_matches_the_per_entry_sequence(params, data):
     """The vector kernel multiplies each entry by (y**r, g**r) for one
     r = randrange(1, exp_bound) per entry, drawn in entry order: plain pow from
     an equal-seeded rng gives the same dicts.  Entries are encryptions and
-    fresh {"alpha": z**k, "beta": 1} inputs; k = 0 is P2's AND with false."""
+    fresh {"alpha": z**k, "beta": 1} inputs; k = 0 is P2's AND with false.
+    In the 5-bit group about a third of the getrandbits(5) draws fall at or
+    above exp_bound - 1 = 21 and are drawn again, as randrange does."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     _share, key = keypair(params, rng)
     seed = data.draw(st.integers(0, 2 ** 32))
@@ -220,6 +223,14 @@ def test_small_value_encoding_roundtrip(params):
         assert crypto.decode_small(params, element) == v
 
 
+@GROUPS
+def test_decode_small_rejects_other_elements(params):
+    """1 (false), z**4 and g are no encoded vector entry."""
+    for element in (1, pow(params.z, 4, params.p), params.g):
+        with pytest.raises(MalformedCyphertext):
+            crypto.decode_small(params, element)
+
+
 class DrawLog(random.Random):
     """A Random that records the arguments and result of every randrange."""
 
@@ -234,24 +245,41 @@ class DrawLog(random.Random):
 
 
 def secret_draws(params, seed):
-    """The randrange draws of a key share, a split into 4 sub-shares and a
-    3-entry vector re-randomization, in that order."""
+    """A key share and a split into 4 sub-shares, whose draws the DrawLog
+    records, then a 3-entry vector re-randomization, which draws its nonces
+    inline; returns the rng, the key and the vector."""
     rng = DrawLog(seed)
     share, key = keypair(params, rng)
     split_public_shares(params, share, 4, rng)
-    rerandomize_entries(params, key, [ONE] * 3, rng)
-    return rng
+    return rng, key, rerandomize_entries(params, key, [ONE] * 3, rng)
+
+
+def replayed_nonces(params, seed, rng, key, vector):
+    """Replay secret_draws with randrange on an equal-seeded Random: the
+    logged draws, then one randrange(1, exp_bound) per vector entry.  Each
+    entry must be ONE re-randomized with its replayed r, and the two rngs
+    must end in the same state.  Returns the replayed nonces."""
+    replay = random.Random(seed)
+    for args, r in rng.draws:
+        assert replay.randrange(*args) == r
+    nonces = [replay.randrange(1, params.exp_bound) for _ in vector]
+    assert all(0 < r < params.exp_bound for r in nonces)
+    assert vector == [rerandomize(params, key, ONE, r) for r in nonces]
+    assert rng.getstate() == replay.getstate()
+    return nonces
 
 
 def test_secret_exponents_are_short_at_512_bits():
     bound = 1 << EXP_BITS
     assert G512.exp_bound == bound < G512.p - 1
     for seed in range(5):
-        draws = secret_draws(G512, seed).draws
-        assert [args for args, _r in draws] == (
-            [(1, bound)] + [(0, bound)] * 3 + [(1, bound)] * 3)
-        assert all(r < bound for _args, r in draws)
-        assert max(r for _args, r in draws).bit_length() > EXP_BITS - 8
+        rng, key, vector = secret_draws(G512, seed)
+        assert [args for args, _r in rng.draws] == (
+            [(1, bound)] + [(0, bound)] * 3)
+        draws = [r for _args, r in rng.draws] + replayed_nonces(
+            G512, seed, rng, key, vector)
+        assert all(r < bound for r in draws)
+        assert max(draws).bit_length() > EXP_BITS - 8
 
 
 @pytest.mark.parametrize("params", [TOY, TOY64], ids=["p23", "toy64"])
@@ -260,13 +288,10 @@ def test_small_groups_draw_across_the_whole_range(params):
     randrange(0, p - 1) it always was, so every 64-bit transcript holds."""
     assert params.exp_bound == params.p - 1
     for seed in range(5):
-        rng = secret_draws(params, seed)
-        assert len(rng.draws) == 7
-        replay = random.Random(seed)
-        for lo, (args, r) in zip([1, 0, 0, 0, 1, 1, 1], rng.draws):
-            assert args == (lo, params.p - 1)
-            assert replay.randrange(lo, params.p - 1) == r
-        assert rng.getstate() == replay.getstate()
+        rng, key, vector = secret_draws(params, seed)
+        assert [args for args, _r in rng.draws] == (
+            [(1, params.p - 1)] + [(0, params.p - 1)] * 3)
+        assert len(replayed_nonces(params, seed, rng, key, vector)) == 3
 
 
 def test_fixed_base_walks_match_pow_at_every_exponent_width():
@@ -411,6 +436,11 @@ def test_fixed_base_walks_match_pow_around_the_narrow_cut(bits, data):
     e = data.draw(in_range_exponents(params))
     assert fixed_base_pow(y, e, p) == pow(y, e, p)
     assert pair_pow(params, y, e) == (pow(y, e, p), pow(g, e, p))
+    # A strip raises beta = g to p - 1 - x: through a ticket table up to 128
+    # bits, with plain pow above.
+    share = KeyPairShare(private=e, public=0)
+    assert strip_share(params, {"alpha": y, "beta": g}, share) == {
+        "alpha": y * pow(g, p - 1 - e, p) % p, "beta": g}
 
 
 @WALK_GROUPS
@@ -427,6 +457,82 @@ def test_fixed_base_walks_fall_back_to_pow_off_the_table(params, data):
         assert fixed_base_pow(y, e, p) == pow(y, e, p)
         assert pair_pow(params, y, e) == (pow(y, e, p), pow(g, e, p))
     assert off_table.call_count == (0 if 0 <= e < table_limit(params) else 3)
+
+
+def ticket_limit(params):
+    """2**(3R) for the R rows of the group's ticket tables, 0 above 128
+    bits, where strips take pow and no ticket table exists."""
+    if params.p.bit_length() > crypto._NARROW_BITS:
+        return 0
+    return 1 << 3 * len(crypto._ticket_table(params.g, params.p))
+
+
+def private_keys(params):
+    """Any int private key: 0, negative, p - 1, past p - 1, and so far below
+    0 that the strip exponent p - 1 - x is past the ticket rows."""
+    p, limit = params.p, ticket_limit(params)
+    return st.one_of(
+        st.sampled_from([0, 1, -1, p - 2, p - 1, p, p - limit, p - 1 - limit]),
+        st.integers(),
+        st.integers(max_value=-1),
+        st.integers(min_value=0, max_value=p - 1),
+        st.integers(min_value=-(1 << 2 * p.bit_length()), max_value=-limit))
+
+
+@WALK_GROUPS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_strip_share_matches_pow_for_any_private_key(params, data):
+    """strip_share divides alpha by beta**x for every int x.  Up to 128 bits
+    it raises beta to e = p - 1 - x through the ticket table, and exactly
+    the e outside [0, 2**(3R)) take plain pow; wider groups never build a
+    ticket table."""
+    p = params.p
+    beta, alpha = data.draw(bases(params)), data.draw(bases(params))
+    x = data.draw(private_keys(params))
+    with mock.patch.object(crypto, "_pow_off_table",
+                           wraps=crypto._pow_off_table) as off_table:
+        got = strip_share(params, {"alpha": alpha, "beta": beta},
+                          KeyPairShare(private=x, public=0))
+    assert got == {"alpha": alpha * pow(beta, -x, p) % p, "beta": beta}
+    narrow = ticket_limit(params) > 0
+    assert off_table.call_count == (
+        1 if narrow and not 0 <= p - 1 - x < ticket_limit(params) else 0)
+
+
+def test_ticket_rows_follow_the_exponent_bound():
+    """3-bit windows, one row per 3 bits of the widest exponent below
+    exp_bound: 2 rows of 8 in the 5-bit group, 22 at 64 bits."""
+    for params, rows in ((TOY, 2), (TOY64, 22)):
+        table = crypto._ticket_table(params.g, params.p)
+        assert (len(table), {len(row) for row in table}) == (rows, {8})
+
+
+# ring64's instance: coloring n=8, instance index 1, at 64 bits.  Every
+# ticket meets all 8 strips, so one table per distinct ticket beta serves
+# them; 3 of p2_plus's 871 tickets repeat an earlier one's cyphertext.
+TICKET_COUNTS = {"p32_plus": (848, 6_784), "p2_plus": (868, 6_968)}
+
+
+@pytest.mark.parametrize("solver", sorted(TICKET_COUNTS))
+def test_one_ticket_table_per_ticket(solver, monkeypatch):
+    betas, strip = [], crypto.strip_share
+
+    def recording_strip(params, c, share):
+        betas.append(c["beta"])
+        return strip(params, c, share)
+
+    monkeypatch.setattr(crypto, "strip_share", recording_strip)
+    seed = instance_seed(0, "coloring", 8, 1)
+    crypto._ticket_table.cache_clear()
+    result = run_solver(solver, FAMILIES["coloring"](8, seed), seed=seed,
+                        config=RunConfig(key_bits=64))
+    info = crypto._ticket_table.cache_info()
+    assert result.feasible is True
+    builds, strips = TICKET_COUNTS[solver]
+    assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
+    assert len(set(betas)) == info.misses == builds
+    assert info.hits == strips - builds
 
 
 @pytest.mark.parametrize("solver", ["p32_plus", "p2_plus"])
@@ -460,7 +566,10 @@ def test_fixed_base_tables_stay_bounded():
             e = rng.randrange(params.p)
             pair_pow(params, y, e)
             fixed_base_pow(y, e, params.p)
-    for cache in (crypto._fixed_base_table, crypto._pair_table):
+            strip_share(params, {"alpha": 1, "beta": y},
+                        KeyPairShare(private=e, public=0))
+    for cache in (crypto._fixed_base_table, crypto._pair_table,
+                  crypto._ticket_table):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 

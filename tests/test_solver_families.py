@@ -4,11 +4,13 @@ Exercises multi-variable agents (meetings, auction, party) and constraints
 of arity >= 3, where a back-edge constraint can join deeper in the subtree
 than the back-edge leaf itself."""
 
+import dataclasses
+
 import pytest
 
 from discsp.experiments import instance_seed
 from discsp.generators import FAMILIES
-from discsp.model import evaluate
+from discsp.model import Constraint, evaluate
 from discsp.oracle import brute_force
 from discsp.runtime import RunConfig
 from discsp.solvers import SOLVERS, run_solver
@@ -56,3 +58,40 @@ def test_only_dpop_reports_min_violations(family, size, index):
         assert result.feasible == oracle.feasible
         expected = oracle.min_violations if solver == "dpop" else None
         assert result.min_violations == expected, solver
+
+
+def forbid_all(problem, agents):
+    """`problem` plus one unary constraint forbidding every value of the
+    first variable of each of the first `agents` agents in variable order.
+    Each such constraint costs one violation."""
+    firsts = {}
+    for x in problem.variables:
+        firsts.setdefault(problem.owner[x], x)
+    extra = tuple(
+        Constraint.from_predicate((x,), (problem.domains[x],),
+                                  lambda _v: False, name=f"forbid_{x}")
+        for x in list(firsts.values())[:agents])
+    return dataclasses.replace(problem,
+                               constraints=problem.constraints + extra)
+
+
+# The generators give no infeasible party or meetings instance at oracle
+# sizes, so these two are made infeasible by hand.
+INFEASIBLE_CASES = [("party", 4), ("meetings", 2)]
+
+
+@pytest.mark.parametrize("agents", [1, 2])
+@pytest.mark.parametrize("family,size", INFEASIBLE_CASES)
+def test_infeasible_instances_of_every_family(family, size, agents):
+    """Every solver says infeasible, and dpop counts the oracle's minimum:
+    one violation per unsatisfiable unary constraint."""
+    seed = instance_seed(0, family, size, 0)
+    problem = forbid_all(FAMILIES[family](size, seed), agents)
+    oracle = brute_force(problem)
+    assert (oracle.feasible, oracle.min_violations) == (False, agents)
+    cfg = RunConfig(key_bits=64, b_bits=16, incr_min=2)
+    for solver in sorted(SOLVERS):
+        result = run_solver(solver, problem, seed=seed, config=cfg)
+        assert result.feasible is False, solver
+        if solver == "dpop":
+            assert result.min_violations == oracle.min_violations
