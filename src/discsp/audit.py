@@ -75,22 +75,21 @@ def audit(transcript: Transcript, problem: Problem,
     def visible_to(receiver_agent: str, agent: str) -> bool:
         return agent in neighbors[receiver_agent]
 
-    for rec in transcript:
-        recv = rec.receiver_agent
-        if not visible_to(recv, rec.sender_agent):
+    for tick, rec in enumerate(transcript):
+        sender, recv = var_owner[rec.sender_var], var_owner[rec.receiver_var]
+        if not visible_to(recv, sender):
             findings.append(Finding(
-                "non-neighbor-delivery", rec.tick,
-                f"{rec.sender_agent} -> {recv}"))
+                "non-neighbor-delivery", tick, f"{sender} -> {recv}"))
         strings, tables, assignments = _scan(rec.payload)
         # Cleartext references to non-neighbors anywhere in the payload.
         for tok in strings:
             if tok in var_names and not visible_to(recv, var_owner[tok]):
                 findings.append(Finding(
-                    "agent-privacy", rec.tick,
+                    "agent-privacy", tick,
                     f"variable name {tok!r} visible to {recv}"))
             elif tok in agent_names and not visible_to(recv, tok):
                 findings.append(Finding(
-                    "agent-privacy", rec.tick,
+                    "agent-privacy", tick,
                     f"agent id {tok!r} visible to {recv}"))
         # Domain values attributed through real-name axis labels.
         for table in tables:
@@ -101,25 +100,25 @@ def audit(transcript: Transcript, problem: Problem,
                     real = set(problem.domains[label]) & set(ax["values"])
                     if real:
                         findings.append(Finding(
-                            "agent-privacy", rec.tick,
+                            "agent-privacy", tick,
                             f"domain values of {label!r} visible to {recv}"))
         if spec.encrypted_feas and _is_feas(rec):
             for table in tables:
                 if any(isinstance(e, (bool, int)) for e in table["entries"]):
                     findings.append(Finding(
-                        "constraint-privacy", rec.tick,
+                        "constraint-privacy", tick,
                         "plaintext feasibility value in FEAS payload"))
         if _is_decision(rec):
             if spec.forbid_decision:
                 findings.append(Finding(
-                    "decision-privacy", rec.tick,
+                    "decision-privacy", tick,
                     "DECISION message in a decision-private run"))
             else:
                 for pairs in assignments:
                     if any(isinstance(label, str) and label in var_names
                            for label, _v in pairs):
                         findings.append(Finding(
-                            "decision-privacy", rec.tick,
+                            "decision-privacy", tick,
                             "cleartext variable assignment in DECISION"))
     return findings
 

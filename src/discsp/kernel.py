@@ -153,8 +153,8 @@ class KernelProcess(Process):
                     return self.intercept(inner)
                 return inner
             # The same envelope with the encoding it was delivered with.
-            self.sim.post(self.var, dst, Msg("LAST", msg.payload,
-                                             sender=self.var, wire=msg.wire))
+            self.sim.post(dst, Msg("LAST", msg.payload, sender=self.var,
+                                   wire=msg.wire))
             return None
         if (msg.type == "TOKEN" and msg.payload.get("kind") == "visit"
                 and self._visited and msg.payload["epoch"] == self._visited[0]):
@@ -187,7 +187,7 @@ class KernelProcess(Process):
         for r in range(1, len(self.sim.problem.variables) + 1):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in neighbors:
-                self.sim.post(self.var, u, msg)
+                self.sim.post(u, msg)
             for m in (yield from self.get("SCORE", round=r,
                                           count=len(neighbors))):
                 best = max(best, m.payload["score"])

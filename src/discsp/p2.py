@@ -136,10 +136,6 @@ class P2Process(P32Process):
 
         return project(enc, self.var, reduce_or)
 
-    def _counted_decrypt(self, c):
-        self._dichotomy_count += 1
-        return (yield from self.ring_decrypt_bool(c))
-
     def iteration_propagate(self, view: PseudoTreeView):
         yield from self.exchange_codenames(view)
         x, epoch = self.var, view.epoch
@@ -174,9 +170,15 @@ class P2Process(P32Process):
         else:
             enc = self._encrypt_table(plain)
         domain = enc.scope[0].values
-        self._dichotomy_count = 0
+        decrypts = 0
+
+        def counted_decrypt(c):
+            nonlocal decrypts
+            decrypts += 1
+            return (yield from self.ring_decrypt_bool(c))
+
         value = yield from feasible_value(
-            domain, enc.entries, self._counted_decrypt,
+            domain, enc.entries, counted_decrypt,
             lambda a, b: crypto.or_cipher(self.params, a, b))
-        self.sim.note("p2_decrypt_counts", self._dichotomy_count)
+        self.sim.note("p2_decrypt_counts", decrypts)
         return value is not None, value

@@ -40,7 +40,6 @@ class P32Process(PdpopProcess):
         self.params = crypto.group_for_bits(sim.config.key_bits)
         self.key_share: crypto.KeyPairShare | None = None
         self.compound: int | None = None  # the compound public key y
-        self.vector: list[dict] = []
         self.my_vect_id: int | None = None
         self.perm: list[int] = []
         self.ticket: int | None = None  # codename of our DECR on the ring
@@ -134,9 +133,10 @@ class P32Process(PdpopProcess):
         }, log=False)
 
     def shuffle_vectors(self):
+        """Returns our root vector, shuffled by every variable."""
         self.start_shuffle()
         m = yield from self.get("HOME")
-        self.vector = list(m.payload["vector"])
+        return m.payload["vector"]
 
     # -- collaborative decryption ------------------------------------------------
 
@@ -206,11 +206,11 @@ class P32Process(PdpopProcess):
         yield from self.first_tree()
         yield from self.assign_ids()
         yield from self.setup_compound_key()
-        yield from self.shuffle_vectors()
+        vector = yield from self.shuffle_vectors()
 
         out = {}
         epoch = 0
-        for c in self.vector:
+        for c in vector:
             # Reroot: decrypt entries in turn, skipping unassigned-ID slots.
             entry = yield from self.ring_decrypt_small(c)
             if entry == -1:

@@ -11,13 +11,17 @@ directly; ``Sim.run`` makes every delivery in one loop.  A wait's terms
 (types, sender, payload fields, and a count when it waits for several
 messages) are data that a deadlock report names.  Payloads must be
 canonical (dicts with str keys, lists, ints, strs, bools and None); anything
-else raises TypeError at its first delivery.  Every delivered message is
-appended to the transcript with a copy of its payload and its wire size,
-both taken in one pass over the payload (a forwarded ring hop reuses the
-pass of the hop before); the envelope around a payload is sized once per
-message type and run.  Simulated time is tracked per variable with the
-usual dependency-max rule (a receiver's clock is at least the sender's clock
-at send time).
+else raises TypeError at its first delivery.  ``Sim.post(dst, msg)`` queues
+a message from ``msg.sender``.  Every delivered message is appended to the
+transcript as one ``Record`` of its sender and receiver variables, type,
+payload copy, wire size and the sender's clock at send time; copy and size
+are taken in one pass over the payload (a forwarded ring hop reuses the
+pass of the hop before), and the envelope around a payload is sized once per
+message type and run.  A record's tick is its index in the transcript, its
+agents are the owners of its variables, and the run's message count, bytes
+and per-type counts are read off the records.  Simulated time is tracked per
+variable with the usual dependency-max rule (a receiver's clock is at least
+the sender's clock at send time).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import hashlib
 import json
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .model import Problem
@@ -134,11 +138,9 @@ _ENVELOPE_SIZE = 4 + wire_size("type") + wire_size("payload")
 
 @dataclass(slots=True)
 class Record:
-    tick: int
+    """One delivery; its tick is its index in the transcript."""
     sender_var: str
-    sender_agent: str
     receiver_var: str
-    receiver_agent: str
     type: str
     payload: object  # canonical structure
     size: int
@@ -148,6 +150,7 @@ class Record:
 @dataclass
 class Transcript:
     records: list[Record] = field(default_factory=list)
+    owner: dict = field(default_factory=dict)  # variable -> agent
 
     def __iter__(self):
         return iter(self.records)
@@ -156,15 +159,17 @@ class Transcript:
         return len(self.records)
 
     def to_jsonl(self) -> str:
+        owner = self.owner
         return "\n".join(
             json.dumps({
-                "tick": r.tick, "sender_var": r.sender_var,
-                "sender_agent": r.sender_agent, "receiver_var": r.receiver_var,
-                "receiver_agent": r.receiver_agent, "type": r.type,
+                "tick": tick, "sender_var": r.sender_var,
+                "sender_agent": owner[r.sender_var],
+                "receiver_var": r.receiver_var,
+                "receiver_agent": owner[r.receiver_var], "type": r.type,
                 "size": r.size, "sent_clock": r.sent_clock,
                 "payload": r.payload,
             }, sort_keys=True)
-            for r in self.records
+            for tick, r in enumerate(self.records)
         ) + ("\n" if self.records else "")
 
 
@@ -235,7 +240,7 @@ class Process:
     # -- sending, computing and waiting -------------------------------------
 
     def send(self, dst: str, msg_type: str, payload: dict):
-        self.sim.post(self.var, dst, Msg(msg_type, payload, sender=self.var))
+        self.sim.post(dst, Msg(msg_type, payload, sender=self.var))
 
     def charge(self, units: int):
         """Advance this variable's simulated clock by `units`."""
@@ -326,7 +331,7 @@ class Sim:
         self.problem = problem
         self.seed = seed
         self.config = config
-        self.transcript = Transcript()
+        self.transcript = Transcript(owner=problem.owner)
         self.metrics = Metrics()
         self.clocks: dict[str, int] = {}
         self.processes: dict[str, Process] = {}
@@ -360,19 +365,15 @@ class Sim:
             step(var, gen, None)
         queue = self._queue
         popleft = queue.popleft
-        owner = self.problem.owner
         records = self.transcript.records
         clocks = self.clocks
         metrics = self.metrics
-        counts = metrics.physical_counts
         sizes = {}  # _ENVELOPE_SIZE + wire_size(type), per message type
-        tick = len(records)
-        info_bytes = metrics.info_bytes
         try:
             while queue:
                 if deadline is not None and time.monotonic() > deadline:
                     raise SimTimeout(f"simulation exceeded {timeout_secs}s")
-                src, dst, msg, sent_clock = popleft()
+                dst, msg, sent_clock = popleft()
                 gen = gens.get(dst)
                 if gen is None:
                     if dst in self.processes:
@@ -387,18 +388,15 @@ class Sim:
                 if size is None:
                     size = sizes[msg_type] = (_ENVELOPE_SIZE
                                               + wire_size(msg_type))
-                size += wire[1]
-                records.append(Record(tick, src, owner[src], dst, owner[dst],
-                                      msg_type, wire[0], size, sent_clock))
-                tick += 1
-                info_bytes += size
-                counts[msg_type] = counts.get(msg_type, 0) + 1
+                records.append(Record(msg.sender, dst, msg_type, wire[0],
+                                      size + wire[1], sent_clock))
                 if clocks.get(dst, -1) < sent_clock:  # sent clocks are >= 0
                     clocks[dst] = sent_clock
                 step(dst, gen, msg)
         finally:
-            metrics.message_count = tick
-            metrics.info_bytes = info_bytes
+            metrics.message_count = len(records)
+            metrics.info_bytes = sum(r.size for r in records)
+            metrics.physical_counts = dict(Counter(r.type for r in records))
         blocked = {v: {"waits": p.waiting, "stashed": [m.type for m in p.stash]}
                    for v, p in self.processes.items() if not p.done}
         if blocked:
@@ -419,11 +417,12 @@ class Sim:
             raise SimError(f"{var} yielded {waited!r}; a process suspends "
                            f"only in a wait")
 
-    def post(self, src: str, dst: str, msg: Msg):
-        """Queue `msg` from `src` to `dst`, stamped with `src`'s clock."""
+    def post(self, dst: str, msg: Msg):
+        """Queue `msg` to `dst`, stamped with the clock of `msg.sender`."""
+        src = msg.sender
         if dst != src and dst not in self.neighbor_vars[src]:
             self._check_channel(src, dst)
-        self._queue.append((src, dst, msg, self.clocks.get(src, 0)))
+        self._queue.append((dst, msg, self.clocks.get(src, 0)))
 
     def _check_channel(self, src: str, dst: str):
         """Allow a send to a variable of the same agent; reject any other

@@ -161,7 +161,7 @@ class ReferenceElection(_PhaseProcess):
         for r in range(1, len(self.sim.problem.variables) + 1):
             msg = Msg("SCORE", {"round": r, "score": best}, sender=self.var)
             for u in self.neighbors:
-                self.sim.post(self.var, u, msg)
+                self.sim.post(u, msg)
             for _ in self.neighbors:
                 m = yield from self.get("SCORE", round=r)
                 best = max(best, m.payload["score"])

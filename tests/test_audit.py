@@ -3,9 +3,10 @@ from discsp.runtime import Record, RunConfig, Transcript
 from discsp.solvers import run_solver
 
 
-def make_record(sender_agent, receiver_agent, msg_type, payload, tick=0):
-    return Record(tick=tick, sender_var=sender_agent, sender_agent=sender_agent,
-                  receiver_var=receiver_agent, receiver_agent=receiver_agent,
+def make_record(sender_var, receiver_var, msg_type, payload):
+    """A delivery between two variables of the figure 1 instance, where
+    agent a<i> owns variable x<i>."""
+    return Record(sender_var=sender_var, receiver_var=receiver_var,
                   type=msg_type, payload=payload, size=0, sent_clock=0)
 
 
@@ -48,11 +49,11 @@ def test_p_class_solvers_audit_clean(fig1):
 def test_handcrafted_leaks_flagged(fig1):
     # a1 and a5 share no constraint in the reference instance
     leak = Transcript([
-        make_record("a1", "a5", "CHAT", {"note": "hello"}),
-        make_record("a1", "a2", "GOSSIP", {"about": "x5"}, tick=1),
-        make_record("a1", "a2", "TAB", {
+        make_record("x1", "x5", "CHAT", {"note": "hello"}),
+        make_record("x1", "x2", "GOSSIP", {"about": "x5"}),
+        make_record("x1", "x2", "TAB", {
             "table": {"scope": [{"label": "x5", "values": ["R", "B", "G"]}],
-                      "entries": [0, 0, 1]}}, tick=2),
+                      "entries": [0, 0, 1]}}),
     ])
     findings = audit(leak, fig1, AuditSpec())
     counts = summarize(findings)
@@ -62,8 +63,17 @@ def test_handcrafted_leaks_flagged(fig1):
     assert counts["agent-privacy"] >= 2
 
 
+def test_finding_names_the_owners_and_the_index_of_its_delivery(fig1):
+    # A finding's agents are the owners of the record's variables and its
+    # tick is the record's index in the transcript.
+    transcript = Transcript([make_record("x1", "x2", "CHAT", {}),
+                             make_record("x1", "x3", "CHAT", {})])
+    assert audit(transcript, fig1, AuditSpec()) == [
+        Finding("non-neighbor-delivery", 1, "a1 -> a3")]
+
+
 def test_plaintext_feas_flagged_when_encryption_required(fig1):
-    rec = make_record("a1", "a2", "FEAS", {
+    rec = make_record("x1", "x2", "FEAS", {
         "table": {"scope": [{"label": 12345, "values": [1, 2, 3]}],
                   "entries": [True, False, True]}})
     findings = audit(Transcript([rec]), fig1,
@@ -74,7 +84,7 @@ def test_plaintext_feas_flagged_when_encryption_required(fig1):
 
 
 def test_decision_forbidden_flagged(fig1):
-    rec = make_record("a2", "a3", "DECISION",
+    rec = make_record("x2", "x3", "DECISION",
                       {"assignment": [[999, 888]]})
     findings = audit(Transcript([rec]), fig1, AuditSpec(forbid_decision=True))
     assert summarize(findings)["decision-privacy"] == 1

@@ -104,11 +104,11 @@ def early_scores(sim) -> int:
     """How many times a variable is delivered its first SCORE of round r + 1
     before its last SCORE of round r."""
     first, last = {}, {}
-    for rec in sim.transcript:
+    for tick, rec in enumerate(sim.transcript):
         if rec.type == "SCORE":
             key = (rec.receiver_var, rec.payload["round"])
-            first.setdefault(key, rec.tick)
-            last[key] = rec.tick
+            first.setdefault(key, tick)
+            last[key] = tick
     return sum(1 for (x, r), tick in first.items()
                if (x, r - 1) in last and tick < last[(x, r - 1)])
 

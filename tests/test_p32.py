@@ -57,8 +57,9 @@ class SnapshotP32(P32Process):
     """P32Process that keeps a copy of its shuffled root vector."""
 
     def shuffle_vectors(self):
-        yield from super().shuffle_vectors()
-        self.shuffled_snapshot = list(self.vector)
+        vector = yield from super().shuffle_vectors()
+        self.shuffled_snapshot = list(vector)
+        return vector
 
 
 def test_shuffled_vectors_instrumented(fig1):

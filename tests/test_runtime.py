@@ -1,16 +1,17 @@
 import dataclasses
 import enum
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import infeasible_triangle, simulate, solver_process
-from discsp.generators import figure1_instance, gen_graph_coloring
+from discsp.generators import (FAMILIES, figure1_instance,
+                               gen_graph_coloring, gen_party_game)
 from discsp.model import Constraint, Problem
 from discsp.runtime import (DeadlockError, Msg, Process, RunConfig, SimError,
-                            Sim, canonical, encode, wire_size)
+                            Sim, SimTimeout, canonical, encode, wire_size)
 from discsp.solvers import SOLVERS, run_solver
 from discsp.tables import Axis, FeasTable
 
@@ -231,6 +232,21 @@ def test_non_positive_timeout_is_rejected(timeout_secs):
     with pytest.raises(ValueError, match="timeout_secs must be positive"):
         sim.run()
     assert len(sim.transcript) == 0
+
+
+def test_a_run_past_its_deadline_raises_and_reports_its_deliveries():
+    # The counts a timed-out run reports are those of the records it made.
+    config = RunConfig(key_bits=64, timeout_secs=0.01)
+    sim = Sim(FAMILIES["coloring"](8, 0), seed=0, config=config)
+    for x in sim.problem.variables:
+        sim.add_process(solver_process("p2_plus")(x, sim))
+    with pytest.raises(SimTimeout, match=r"^simulation exceeded 0\.01s$"):
+        sim.run()
+    records = sim.transcript.records
+    assert records
+    assert sim.metrics.message_count == len(records)
+    assert sim.metrics.info_bytes == sum(r.size for r in records)
+    assert sim.metrics.physical_counts == Counter(r.type for r in records)
 
 
 def test_delivery_to_an_ended_process_raises():
@@ -601,11 +617,22 @@ def test_unconstrained_single_variable_zero_messages():
     assert r.feasible and r.joint_assignment() == {"x1": "R"}
 
 
-def test_transcript_jsonl_roundtrip_structure(fig1):
-    r = run_solver("dpop", fig1, seed=2)
-    lines = r.transcript.to_jsonl().strip().splitlines()
-    assert len(lines) == len(r.transcript)
-    import json
-    first = json.loads(lines[0])
-    assert {"tick", "sender_var", "receiver_var", "type", "size",
-            "payload"} <= set(first)
+def test_transcript_jsonl_roundtrip_structure():
+    # The run of the multi-variable pin in test_pdpop.py: a line's tick is
+    # its index and its agents are the owners of its variables.
+    problem = gen_party_game(6, seed=1)
+    r = run_solver("dpop", problem, seed=7, config=RunConfig(key_bits=64))
+    lines = r.transcript.to_jsonl().splitlines()
+    assert len(lines) == len(r.transcript) > 0
+    for tick, (line, rec) in enumerate(zip(lines, r.transcript)):
+        row = json.loads(line)
+        assert set(row) == {"tick", "sender_var", "sender_agent",
+                            "receiver_var", "receiver_agent", "type", "size",
+                            "sent_clock", "payload"}
+        assert row["tick"] == tick
+        assert row["sender_agent"] == problem.owner[row["sender_var"]]
+        assert row["receiver_agent"] == problem.owner[row["receiver_var"]]
+        assert ((row["sender_var"], row["receiver_var"], row["type"],
+                 row["size"], row["sent_clock"], row["payload"])
+                == (rec.sender_var, rec.receiver_var, rec.type, rec.size,
+                    rec.sent_clock, rec.payload))
