@@ -86,17 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "solvers, simulator and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    grid = ExperimentConfig()
     bench = sub.add_parser("bench", help="run a benchmark experiment grid")
-    bench.add_argument("--family", choices=sorted(FAMILIES), default="coloring")
-    bench.add_argument("--sizes", type=_sizes, default=(3, 4, 5),
+    bench.add_argument("--family", choices=sorted(FAMILIES), default=grid.family)
+    bench.add_argument("--sizes", type=_sizes, default=grid.sizes,
                        help="comma-separated instance sizes")
-    bench.add_argument("--instances", type=_size, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--solvers", type=_solvers,
-                       default=("dpop", "pdpop_plus"),
+    bench.add_argument("--instances", type=_size, default=grid.instances)
+    bench.add_argument("--seed", type=int, default=grid.seed)
+    bench.add_argument("--solvers", type=_solvers, default=grid.solvers,
                        help=f"comma-separated; known: {sorted(SOLVERS)}")
-    _add_run_options(bench, ExperimentConfig().run)
-    bench.add_argument("--workers", type=_size, default=1)
+    _add_run_options(bench, grid.run)
+    bench.add_argument("--workers", type=_size, default=grid.workers)
     bench.add_argument("--out", default="bench",
                        help="output prefix: writes <out>_runs.csv and "
                             "<out>_summary.csv")
@@ -159,6 +159,10 @@ def cmd_solve(args) -> int:
         return _error(err)
     except SimTimeout as err:
         print(f"timeout: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"out of memory: {args.solver} on {args.problem}",
+              file=sys.stderr)
         return 1
     print(f"solver: {args.solver}")
     print(f"feasible: {result.feasible}")

@@ -79,7 +79,7 @@ class DpopProcess(KernelProcess):
         if not view.is_root:
             m_out, best = project_min(m, x)
             self.charge(m.size())
-            self.sim.log_logical("FEAS", sep=len(m_out.scope))
+            self.sim.note("sep", len(m_out.scope))
             self.send(view.parent, "FEAS", table_to_payload(m_out))
             dm = yield from self.get("DECISION", sender=view.parent)
             decided = assignment_from_pairs(dm.payload["assignment"])
@@ -96,7 +96,6 @@ class DpopProcess(KernelProcess):
 
         for c in view.children:
             payload = {v: decided[v] for v in seps[c]}
-            self.sim.log_logical("DECISION")
             self.send(c, "DECISION",
                       {"assignment": assignment_to_pairs(payload)})
         out = {"value": my_value}

@@ -126,15 +126,10 @@ class KernelProcess(Process):
 
     # -- routing -------------------------------------------------------------
 
-    def route_to_previous(self, epoch: int, inner_type: str, inner_payload: dict,
-                          sep: int | None = None, log: bool = True):
+    def route_to_previous(self, epoch: int, inner_type: str, inner_payload: dict):
         """Send a logical message to the previous variable in the circular
-        order of the given tree epoch.  `log=False` marks a forwarding hop
-        rather than a fresh logical send."""
-        view = self.views[epoch]
-        kind, dst = to_previous_hop(view)
-        if log:
-            self.sim.log_logical(inner_type, sep)
+        order of the given tree epoch."""
+        kind, dst = to_previous_hop(self.views[epoch])
         self.send(dst, kind, {
             "epoch": epoch, "inner_type": inner_type, "inner": inner_payload,
         })

@@ -155,7 +155,8 @@ class P2Process(P32Process):
                 out = self._rerandomized(self.encrypted_project(enc))
             payload = table_to_payload(out)
             payload["epoch"] = epoch
-            self.route_to_previous(epoch, "FEAS", payload, sep=len(out.scope))
+            self.sim.note("sep", len(out.scope))
+            self.route_to_previous(epoch, "FEAS", payload)
             return None, None
 
         # Root: trigger the chain, collect the final table, decrypt a value.

@@ -70,7 +70,7 @@ class P32Process(PdpopProcess):
             share = m.payload["share"]
             collected.append(share)
             if share not in mine:
-                self.route_to_previous(0, "SHARE", {"share": share}, log=False)
+                self.route_to_previous(0, "SHARE", {"share": share})
         self.compound = crypto.combine_public(self.params, sorted(collected))
         return self.compound
 
@@ -130,7 +130,7 @@ class P32Process(PdpopProcess):
         self.charge_exps(2 * len(out))
         self.route_to_previous(0, "VECT", {
             "id": vid, "round": rnd, "vector": out,
-        }, log=False)
+        })
 
     def shuffle_vectors(self):
         """Returns our root vector, shuffled by every variable."""
@@ -173,7 +173,7 @@ class P32Process(PdpopProcess):
             self.sim.stat("decrypt_partials")
             self.charge_exps(1)
             self.route_to_previous(0, "DECR", {
-                "codename": msg.payload["codename"], **partial}, log=False)
+                "codename": msg.payload["codename"], **partial})
             return None
         if msg.type == "ABORT":
             view = self.views[msg.payload["epoch"]]
@@ -221,7 +221,6 @@ class P32Process(PdpopProcess):
             feasible, root_value = yield from self.iteration_propagate(view)
             if not i_am_root:
                 continue
-            self.sim.stat("iterations")
             self.sim.note("roots", self.var)
             if not feasible:
                 if epoch != 1:

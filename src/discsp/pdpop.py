@@ -111,7 +111,6 @@ class PdpopProcess(KernelProcess):
             pkg = shared if shared is not None else make_codename_package(
                 rng, len(domain))
             self.own_codes[pkg.var_code] = pkg
-            self.sim.log_logical("CODES")
             self.send(z, "CODES", {
                 "epoch": view.epoch, "var_code": pkg.var_code,
                 "codes": list(pkg.domain_codes), "sigma": list(pkg.sigma),
@@ -139,7 +138,6 @@ class PdpopProcess(KernelProcess):
             key = [rng.randrange(0, 1 << b) if b else 0 for _ in domain]
             self.keys.append(FeasTable([Axis(self.var, domain)],
                                        [-k for k in key]))
-            self.sim.log_logical("KEY")
             self.send(z, "KEY", {"epoch": view.epoch, "key": key})
         for y in view.pseudo_parents:
             m = yield from self.get("KEY", sender=y, epoch=view.epoch)
@@ -233,7 +231,7 @@ class PdpopProcess(KernelProcess):
             out = join(out, key)
         payload = table_to_payload(out)
         payload["epoch"] = epoch
-        self.sim.log_logical("FEAS", sep=len(out.scope))
+        self.sim.note("sep", len(out.scope))
         self.send(view.parent, "FEAS", payload)
         return (None, None, best, seps)
 
@@ -261,7 +259,6 @@ class PdpopProcess(KernelProcess):
                 else:
                     raise PdpopError(
                         f"{x}: no coded assignment for separator label {label}")
-            self.sim.log_logical("DECISION")
             self.send(c, "DECISION", {
                 "epoch": view.epoch, "assignment": assignment_to_pairs(payload)})
         return my_value

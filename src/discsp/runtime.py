@@ -18,10 +18,16 @@ payload copy, wire size and the sender's clock at send time; copy and size
 are taken in one pass over the payload (a forwarded ring hop reuses the
 pass of the hop before), and the envelope around a payload is sized once per
 message type and run.  A record's tick is its index in the transcript, its
-agents are the owners of its variables, and the run's message count, bytes
-and per-type counts are read off the records.  Simulated time is tracked per
+agents are the owners of its variables.  Simulated time is tracked per
 variable with the usual dependency-max rule (a receiver's clock is at least
 the sender's clock at send time).
+
+Each ``Metrics`` figure has one source: the message count, bytes and
+per-type counts are read off the records (also after a timeout), simulated
+time is the latest clock, ``stats`` holds the protocols' ``Sim.stat`` tallies
+of crypto operations and ``notes`` their per-event ``Sim.note`` values, such
+as the roots of P3/2 and each FEAS table's width ("sep", whose largest is
+``sep_max``).  The runtime never parses a payload for them.
 """
 
 from __future__ import annotations
@@ -180,14 +186,14 @@ class Metrics:
     simulated_time: int = 0
     message_count: int = 0
     info_bytes: int = 0
-    logical_counts: dict = field(default_factory=dict)
     physical_counts: dict = field(default_factory=dict)
-    sep_max: int = 0
-    stats: dict = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
     notes: dict = field(default_factory=dict)
 
-    def bump(self, counter: dict, key: str, n: int = 1):
-        counter[key] = counter.get(key, 0) + n
+    @property
+    def sep_max(self) -> int:
+        """The widest FEAS table's scope, from the "sep" notes (0 if none)."""
+        return max(self.notes.get("sep", ()), default=0)
 
 
 # ------------------------------------------------------------------ config
@@ -437,15 +443,10 @@ class Sim:
             f"neighbors"
         )
 
-    # -- logical accounting (used by protocols) ------------------------------
-
-    def log_logical(self, msg_type: str, sep: int | None = None):
-        self.metrics.bump(self.metrics.logical_counts, msg_type)
-        if sep is not None:
-            self.metrics.sep_max = max(self.metrics.sep_max, sep)
+    # -- protocol figures -----------------------------------------------------
 
     def stat(self, key: str, n: int = 1):
-        self.metrics.bump(self.metrics.stats, key, n)
+        self.metrics.stats[key] += n
 
     def note(self, key: str, value):
         self.metrics.notes.setdefault(key, []).append(value)

@@ -76,7 +76,7 @@ def run_solver(name: str, problem: Problem, seed: int,
     per_agent: dict = {}
     feasible = None
     min_violations = None
-    iterations = sim.metrics.stats.get("iterations", 1)
+    iterations = len(sim.metrics.notes.get("roots", ())) or 1
     for x, r in results.items():
         if "value" in r:
             per_agent.setdefault(run_problem.owner[x], {})[x] = r["value"]

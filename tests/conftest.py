@@ -114,6 +114,14 @@ def outcome(sim: Sim) -> tuple:
     return feasible, {x: r["value"] for x, r in results.items() if "value" in r}
 
 
+def feas_sends(transcript) -> int:
+    """The FEAS tables sent in a run: a direct FEAS is one record, and a
+    FEAS that P2 routes starts with one PREV record (its forwards are LAST)."""
+    return sum(r.type == "FEAS" or (r.type == "PREV"
+                                    and r.payload["inner_type"] == "FEAS")
+               for r in transcript)
+
+
 # ------------------------------------------------ standalone kernel drivers
 
 class _PhaseProcess(KernelProcess):

@@ -8,17 +8,18 @@ import math
 import random
 import time
 
-from conftest import run_gen, simulate, solve_dpop, solver_process, tables_equal
+from conftest import (feas_sends, run_gen, simulate, solve_dpop,
+                      solver_process, tables_equal)
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
 from discsp.experiments import (ExperimentConfig, run_experiment, summarize
                                 as summarize_rows, trend_check)
-from discsp.generators import gen_graph_coloring
+from discsp.generators import FAMILIES, gen_graph_coloring
 from discsp.model import evaluate
 from discsp.oracle import brute_force
 from discsp.p2 import feasible_value, shadow_linear_tables
 from discsp.runtime import RunConfig
-from discsp.solvers import run_solver
+from discsp.solvers import SOLVERS, run_solver
 from discsp.tables import Axis, FeasTable
 
 RGB = ("R", "B", "G")
@@ -135,22 +136,24 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_message_count_laws():
     cfg = RunConfig(key_bits=64, b_bits=128, incr_min=2)
     failures = []
-    # (a) exactly n-1 FEAS per feasibility propagation
-    for i in range(6):
-        p = gen_graph_coloring(3 + i, seed=40_000 + i)
+    # (a) exactly n-1 FEAS per feasibility propagation, read off the
+    # records; P3/2 and P2 propagate once per root and send no DECISION
+    instances = [gen_graph_coloring(3 + i, seed=40_000 + i) for i in range(6)]
+    instances += [FAMILIES[family](size, 40_100) for family, size in
+                  (("party", 3), ("meetings", 2), ("auction", 2))]
+    for i, p in enumerate(instances):
         n = len(p.variables)
-        o = brute_force(p)
-        for solver in ("dpop", "pdpop", "pdpop_plus"):
+        feasible = brute_force(p).feasible
+        for solver, spec in SOLVERS.items():
             r = run_solver(solver, p, seed=i, config=cfg)
-            if r.metrics.logical_counts.get("FEAS", 0) != n - 1:
-                failures.append((solver, i, "feas-count"))
-        for solver in ("p32", "p32_plus", "p2", "p2_plus"):
-            r = run_solver(solver, p, seed=i, config=cfg)
-            iters = n if o.feasible else 1
+            iters = n if spec.privacy >= 2 and feasible else 1
             if r.iterations != iters:
                 failures.append((solver, i, "iterations"))
-            if r.metrics.logical_counts.get("FEAS", 0) != iters * (n - 1):
+            if feas_sends(r.transcript) != iters * (n - 1):
                 failures.append((solver, i, "feas-count"))
+            decisions = n - 1 if spec.privacy < 2 else 0
+            if r.metrics.physical_counts.get("DECISION", 0) != decisions:
+                failures.append((solver, i, "decision-count"))
     # (b) dichotomy decryption bounds for |D| in 1..8 (exhaustive patterns)
     for size in range(1, 9):
         lo = math.ceil(math.log2(size)) if size > 1 else 0

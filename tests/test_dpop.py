@@ -62,9 +62,14 @@ def test_local_join_examples(fig1, fig2_views):
 
 
 def test_message_count_law(fig1, fig2_views):
-    _a, _m, metrics, _t = solve_dpop(fig1, fig2_views, seed=0)
-    assert metrics.logical_counts["FEAS"] == 4
-    assert metrics.logical_counts["DECISION"] == 4
+    _a, _m, metrics, transcript = solve_dpop(fig1, fig2_views, seed=0)
+    # One FEAS up and one DECISION down each tree edge.
+    edges = sorted((x, v.parent) for x, v in fig2_views.items()
+                   if v.parent is not None)
+    assert sorted((r.sender_var, r.receiver_var) for r in transcript
+                  if r.type == "FEAS") == edges
+    assert sorted((r.receiver_var, r.sender_var) for r in transcript
+                  if r.type == "DECISION") == edges
     assert metrics.physical_counts["FEAS"] == 4
     assert metrics.physical_counts["DECISION"] == 4
 

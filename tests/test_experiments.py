@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 
 import pytest
 
-from discsp import experiments, problemio
+from discsp import cli, experiments, problemio
 from discsp.cli import build_parser, main
 from discsp.experiments import (ExperimentConfig, RUN_FIELDS, instance_seed,
                                 median_ci, run_experiment, summarize,
@@ -181,6 +182,22 @@ def test_cli_solve_reports_a_timeout_without_a_traceback(tmp_path, capsys):
     assert captured.err.splitlines() == ["timeout: simulation exceeded 0.01s"]
 
 
+def test_cli_solve_reports_out_of_memory_without_a_traceback(
+        tmp_path, capsys, monkeypatch):
+    def run_solver(*args):
+        raise MemoryError()
+
+    out = tmp_path / "instance.discsp"
+    assert main(["gen", "--size", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_solver", run_solver)
+    assert main(["solve", str(out), "--solver", "p2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("out of memory")
+
+
 def test_cli_solve_reports_a_malformed_or_missing_file_in_one_line(
         tmp_path, capsys):
     bad = tmp_path / "bad.discsp"
@@ -337,6 +354,12 @@ def test_cli_commands_keep_their_own_timeout_defaults():
     for args in (solve, bench):
         assert (args.key_bits, args.b_bits, args.incr_min) == (
             defaults.key_bits, defaults.b_bits, defaults.incr_min)
+    # bench defaults to every field of the grid config
+    grid = ExperimentConfig()
+    for f in dataclasses.fields(grid):
+        got = (cli._run_config(bench) if f.name == "run"
+               else getattr(bench, f.name))
+        assert got == getattr(grid, f.name), f.name
 
 
 def test_cli_bench_row_is_the_run_of_its_run_config(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_single_variable_compound_is_own_product():
                                            lambda v: v == "B", name="u"),))
     sim = simulate(p, solver_process("p32"), 3, CFG)
     assert outcome(sim) == (True, {"x1": "B"})
-    assert sim.metrics.stats["iterations"] == 1
+    assert sim.metrics.notes["roots"] == ["x1"]
     proc = sim.processes["x1"]
     assert proc.compound == proc.key_share.public
 

@@ -596,8 +596,8 @@ def test_determinism_same_seed_identical_transcript():
 def test_dpop_message_count_at_least_2n_minus_2(fig1):
     r = run_solver("dpop", fig1, seed=1)
     assert r.metrics.message_count >= 2 * (len(fig1.variables) - 1)
-    assert r.metrics.logical_counts["FEAS"] == 4
-    assert r.metrics.logical_counts["DECISION"] == 4
+    assert r.metrics.physical_counts["FEAS"] == 4
+    assert r.metrics.physical_counts["DECISION"] == 4
 
 
 def test_single_variable_zero_messages():
