@@ -44,7 +44,7 @@ def table_to_payload(t: FeasTable) -> dict:
 def table_from_payload(payload: dict) -> FeasTable:
     struct = payload["table"]
     axes = [Axis(ax["label"], tuple(ax["values"])) for ax in struct["scope"]]
-    return FeasTable(axes, list(struct["entries"]))
+    return FeasTable(axes, struct["entries"])
 
 
 def assignment_to_pairs(assignment: dict) -> list:

@@ -64,13 +64,9 @@ def _run_one(task: dict) -> dict:
     solver = task["solver"]
     seed = task["seed"]
     problem = FAMILIES[family](size, seed)
-    row = {
-        "family": family, "size": size, "instance": index, "seed": seed,
-        "solver": solver, "status": "ok", "feasible": "",
-        "oracle_feasible": "", "oracle_ok": "", "solution_valid": "",
-        "simulated_time": "", "message_count": "", "info_bytes": "",
-        "sep_max": "", "iterations": "", "wall_ms": "",
-    }
+    row = dict.fromkeys(RUN_FIELDS, "")
+    row.update(family=family, size=size, instance=index, seed=seed,
+               solver=solver, status="ok")
     t0 = time.perf_counter()
     try:
         result = run_solver(solver, problem, seed, task["run"])

@@ -143,13 +143,13 @@ class KernelProcess(Process):
                     f"{self.var}: routed envelope for unknown epoch {epoch}")
             dst = route_hop(view, msg.type, msg.sender)
             if dst is None:
-                inner = Msg(msg.payload["inner_type"], dict(msg.payload["inner"]))
+                inner = Msg(msg.payload["inner_type"], msg.payload["inner"])
                 if inner.type in self.INTERCEPTS:
                     return self.intercept(inner)
                 return inner
-            # The same envelope with the encoding it was delivered with.
+            # The same envelope with the size it was delivered with.
             self.sim.post(dst, Msg("LAST", msg.payload, sender=self.var,
-                                   wire=msg.wire))
+                                   size=msg.size))
             return None
         if (msg.type == "TOKEN" and msg.payload.get("kind") == "visit"
                 and self._visited and msg.payload["epoch"] == self._visited[0]):
@@ -171,7 +171,7 @@ class KernelProcess(Process):
         variables; returns True iff this variable wins.
 
         Each round sends one SCORE message object to every neighbour, so it
-        is encoded once, and takes the round's scores with one counted wait:
+        is sized once, and takes the round's scores with one counted wait:
         each neighbour sends exactly one per round.  A score of the next
         round that arrives early is stashed for that round's wait.
         """

@@ -111,6 +111,8 @@ class P32Process(PdpopProcess):
             if vid != self.my_vect_id:
                 # The entries of the unassigned IDs we hold become fresh
                 # encryptions of -1; later rounds pass the vector as it is.
+                # The received vector is a posted payload, which no process
+                # may change, so the slots are overwritten in a copy.
                 minus_one = {"alpha": crypto.encode_small(self.params, -1),
                              "beta": 1}
                 vect = list(vect)
@@ -178,7 +180,7 @@ class P32Process(PdpopProcess):
         if msg.type == "ABORT":
             view = self.views[msg.payload["epoch"]]
             for c in view.children:
-                self.send(c, "ABORT", dict(msg.payload))
+                self.send(c, "ABORT", msg.payload)
             self.aborted = True
             return None
         return super().intercept(msg)

@@ -14,13 +14,19 @@ canonical (dicts with str keys, lists, ints, strs, bools and None); anything
 else raises TypeError at its first delivery.  ``Sim.post(dst, msg)`` queues
 a message from ``msg.sender``.  Every delivered message is appended to the
 transcript as one ``Record`` of its sender and receiver variables, type,
-payload copy, wire size and the sender's clock at send time; copy and size
-are taken in one pass over the payload (a forwarded ring hop reuses the
-pass of the hop before), and the envelope around a payload is sized once per
-message type and run.  A record's tick is its index in the transcript, its
-agents are the owners of its variables.  Simulated time is tracked per
-variable with the usual dependency-max rule (a receiver's clock is at least
-the sender's clock at send time).
+payload, wire size and the sender's clock at send time.
+
+A payload is a value once posted: no process changes it afterwards, neither
+its sender nor any receiver, and a process that wants a changed version
+builds a new object.  So the transcript holds the delivered payload objects
+themselves, not copies; the size is one walk over the payload that copies
+nothing (a forwarded ring hop reuses the size of the hop before), and the
+envelope around a payload is sized once per message type and run.
+
+A record's tick is its index in the transcript, its agents are the owners
+of its variables.  Simulated time is tracked per variable with the usual
+dependency-max rule (a receiver's clock is at least the sender's clock at
+send time).
 
 Each ``Metrics`` figure has one source: the message count, bytes and
 per-type counts are read off the records (also after a timeout), simulated
@@ -59,80 +65,64 @@ class Msg:
     type: str
     payload: dict
     sender: "str | None" = None  # variable name; None for unwrapped routed payloads
-    # encode(payload), set on first delivery; a forwarded hop that carries
-    # the same payload carries this too, so it is not encoded again.
-    wire: "tuple | None" = field(default=None, repr=False, compare=False)
+    # wire_size(payload), set on first delivery; a forwarded hop that
+    # carries the same payload carries this too, so it is sized once.  The
+    # size stays true because no process changes a payload once posted.
+    size: "int | None" = field(default=None, repr=False, compare=False)
 
 
 # ------------------------------------------------------- canonical encoding
 
-def encode(obj):
-    """Return ``(copy, size)`` of a canonical payload in one walk.
+def _size(obj) -> int:
+    """Length of the canonical byte encoding of a payload, in one walk that
+    copies nothing.
 
-    The size is the length of the canonical byte encoding: strings are utf-8
-    with a 4-byte length prefix, integers big-endian with a 4-byte length
-    prefix, containers prefix their item count.
-
-    A payload must already be canonical: dicts with ``str`` keys, lists,
-    ints, strs, bools and None, matched on their exact type.  Anything else
-    (tuples, floats, subclasses, objects such as tables) raises TypeError.
-    The copy has new containers, so the transcript keeps a snapshot that
-    later changes to the sent payload do not reach.
+    Strings are utf-8 with a 4-byte length prefix, integers big-endian with
+    a 4-byte length prefix, containers prefix their item count.  A payload
+    must be canonical: dicts with ``str`` keys, lists, ints, strs, bools and
+    None, matched on their exact type.  Anything else (tuples, floats,
+    subclasses, objects such as tables) raises TypeError.
     """
     t = type(obj)
     if t is int:
-        return obj, 5 + ((obj.bit_length() + 7) // 8 or 1)
+        return 5 + ((obj.bit_length() + 7) // 8 or 1)
     if t is str:
-        return obj, 4 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
+        return 4 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
     if t is dict:
-        return _encode_dict(obj)
+        size = 4
+        for k, v in obj.items():
+            if type(k) is not str:
+                raise TypeError(f"payload key {k!r} is not a str")
+            size += 4 + (len(k) if k.isascii() else len(k.encode("utf-8")))
+            if type(v) is int:  # e.g. the alpha and beta of a cyphertext
+                size += 5 + ((v.bit_length() + 7) // 8 or 1)
+            else:
+                size += _size(v)
+        return size
     if t is list:
-        return _encode_list(obj)
+        size = 4
+        for v in obj:
+            if type(v) is int:  # the common leaf (table entries, group elements)
+                size += 5 + ((v.bit_length() + 7) // 8 or 1)
+            else:
+                size += _size(v)
+        return size
     if t is bool or obj is None:
-        return obj, 1
+        return 1
     raise TypeError(f"payload value {obj!r} is not canonical")
 
 
-def _encode_dict(obj):
-    out = {}
-    size = 4
-    for k, v in obj.items():
-        if type(k) is not str:
-            raise TypeError(f"payload key {k!r} is not a str")
-        size += 4 + (len(k) if k.isascii() else len(k.encode("utf-8")))
-        if type(v) is int:  # e.g. the alpha and beta of a cyphertext
-            out[k] = v
-            size += 5 + ((v.bit_length() + 7) // 8 or 1)
-        else:
-            out[k], n = encode(v)
-            size += n
-    return out, size
-
-
-def _encode_list(obj):
-    out = []
-    size = 4
-    for v in obj:
-        if type(v) is int:  # the common leaf (table entries, group elements)
-            out.append(v)
-            size += 5 + ((v.bit_length() + 7) // 8 or 1)
-        else:
-            struct, n = encode(v)
-            out.append(struct)
-            size += n
-    return out, size
-
-
 def canonical(obj):
-    """The copy of a canonical payload that ``encode`` makes."""
-    return encode(obj)[0]
+    """`obj` itself, once the size walk has accepted it as canonical (it
+    raises TypeError otherwise).  Nothing is copied: a posted payload is
+    never changed, so the transcript keeps it as it is."""
+    _size(obj)
+    return obj
 
 
-def wire_size(struct) -> int:
-    """Length of the canonical byte encoding, by ``encode``'s rules."""
-    if type(struct) is str:  # every delivery sizes its type string here
-        return 4 + (len(struct) if struct.isascii() else len(struct.encode("utf-8")))
-    return encode(struct)[1]
+def wire_size(obj) -> int:
+    """Length of the canonical byte encoding of a canonical payload."""
+    return _size(obj)
 
 
 # A delivery is sized as {"type": msg.type, "payload": msg.payload}: the
@@ -148,7 +138,7 @@ class Record:
     sender_var: str
     receiver_var: str
     type: str
-    payload: object  # canonical structure
+    payload: object  # the delivered payload object itself, never changed
     size: int
     sent_clock: int
 
@@ -386,16 +376,16 @@ class Sim:
                         raise SimError(f"message {msg.type} to {dst}, whose "
                                        f"process has ended")
                     raise SimError(f"message to unknown variable {dst}")
-                wire = msg.wire
-                if wire is None:
-                    wire = msg.wire = encode(msg.payload)
+                payload_size = msg.size
+                if payload_size is None:
+                    payload_size = msg.size = _size(msg.payload)
                 msg_type = msg.type
                 size = sizes.get(msg_type)
                 if size is None:
                     size = sizes[msg_type] = (_ENVELOPE_SIZE
                                               + wire_size(msg_type))
-                records.append(Record(msg.sender, dst, msg_type, wire[0],
-                                      size + wire[1], sent_clock))
+                records.append(Record(msg.sender, dst, msg_type, msg.payload,
+                                      size + payload_size, sent_clock))
                 if clocks.get(dst, -1) < sent_clock:  # sent clocks are >= 0
                     clocks[dst] = sent_clock
                 step(dst, gen, msg)

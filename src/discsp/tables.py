@@ -90,7 +90,7 @@ class FeasTable:
         """JSON-able structure used for wire encoding and audits."""
         return {
             "scope": [{"label": a.label, "values": list(a.values)} for a in self.scope],
-            "entries": list(self.entries),
+            "entries": self.entries,
         }
 
 

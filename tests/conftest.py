@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -72,18 +73,41 @@ def run_gen(gen):
 # ------------------------------------------------------------ the test driver
 
 def simulate(problem: Problem, process, seed: int = 0,
-             config: RunConfig | None = None) -> Sim:
+             config: RunConfig | None = None, sim_class=Sim) -> Sim:
     """Run one process per variable, built as ``process(var, sim)``, and
     return the finished Sim: its ``processes`` hold each variable's result
     and internal state, its ``metrics`` and ``transcript`` the run's.
 
     Unlike ``run_solver`` it runs `problem` as given, never padded."""
     config = config or RunConfig()
-    sim = Sim(problem, seed, config)
+    sim = sim_class(problem, seed, config)
     for x in problem.variables:
         sim.add_process(process(x, sim))
     sim.run()
     return sim
+
+
+class PostingSnapshots(Sim):
+    """A Sim that keeps each posted message as it was at posting time:
+    (sender, receiver, type, payload as sorted-key JSON), in posting order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.posted: list[tuple] = []
+
+    def post(self, dst, msg):
+        self.posted.append((msg.sender, dst, msg.type,
+                            json.dumps(msg.payload, sort_keys=True)))
+        super().post(dst, msg)
+
+    def changed_payloads(self) -> list[int]:
+        """Ticks whose record no longer matches its message as posted.
+        Delivery order is posting order, so tick i is the i-th post."""
+        assert len(self.posted) == len(self.transcript)
+        return [tick for tick, (rec, posted) in
+                enumerate(zip(self.transcript, self.posted))
+                if (rec.sender_var, rec.receiver_var, rec.type,
+                    json.dumps(rec.payload, sort_keys=True)) != posted]
 
 
 def solver_process(name: str):
