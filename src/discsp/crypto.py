@@ -39,11 +39,16 @@ reduces mod p once at the end; above, it reduces every row.  An exponent
 the rows do not cover, negative or too wide, goes to plain ``pow``; no
 solver draws one.
 
-Up to 128 bits ``strip_share`` raises a decryption ticket's beta through a
-cached table of its own, in 3-bit windows (22 rows of 8 at 64 bits): every
-share on the ring strips the same beta, so a ticket's table is built once
-and walked once per share.  Wider moduli, and ``partial_decrypt``, use
-plain ``pow``.
+``strip_share`` raises a decryption ticket's beta through a cached table of
+its own: every share on the ring strips the same beta, so a ticket's table
+is built once and walked once per share.  Up to 128 bits the table holds
+3-bit windows of beta (22 rows of 8 at 64 bits) and a walk reduces once;
+above, it holds beta**-1 and its squarings, one row per bit of
+exp_bound - 1 (256 at 512 bits), and a walk takes one reduced product per
+set bit of the share's private key.  Its owner drops a wide table when
+the ticket comes home (``drop_ticket``), so the wide tables held, about
+26 kB each at 512 bits, are those of the tickets on the ring, and never
+more than 64.  ``partial_decrypt`` uses plain ``pow``.
 """
 
 from __future__ import annotations
@@ -254,8 +259,44 @@ def _ticket_table(beta: int, p: int) -> tuple[tuple[int, ...], ...]:
     """3-bit window rows of a decryption ticket's beta, for moduli up to
     _NARROW_BITS: 22 rows of 8 at 64 bits, about 8 kB.  A variable has one
     ticket on the ring at a time, so the 64 entries hold every live ticket
-    of a run of up to 64 variables."""
+    of a run of up to 64 variables.  Wider moduli take _wide_ticket_table."""
     return _window_rows(beta, p, _TICKET_WINDOW)
+
+
+# Wide ticket tables by (beta, p), oldest first.  drop_ticket removes a
+# table when its ticket comes home, so these are the tickets on the ring;
+# the bound only caps what tickets that never come home leave behind.
+_WIDE_TICKETS = 64
+_wide_tickets: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _wide_ticket_table(beta: int, p: int) -> tuple[int, ...]:
+    """The table of a decryption ticket's beta for moduli above
+    _NARROW_BITS, built on its first strip and kept until drop_ticket.  A
+    variable has one ticket on the ring at a time, so the 64 entries hold
+    every live ticket of a run of up to 64 variables."""
+    rows = _wide_tickets.get((beta, p))
+    if rows is None:
+        rows = _wide_ticket_rows(beta, p)
+        if len(_wide_tickets) >= _WIDE_TICKETS:
+            del _wide_tickets[next(iter(_wide_tickets))]
+        _wide_tickets[beta, p] = rows
+    return rows
+
+
+def _wide_ticket_rows(beta: int, p: int) -> tuple[int, ...]:
+    """Row i is beta**-(2**i) mod p, one row per bit of exp_bound - 1: at
+    512 bits 256 rows, about 26 kB, built with one inverse and 255
+    squarings in a little less time than one pow(beta, -x, p).  A strip
+    then takes one multiplication per set bit of x, in less than half that
+    time.  Rows of one bit cost least per ticket for rings of up to 4
+    variables."""
+    v = pow(beta, -1, p)
+    rows = [v]
+    for _ in range((_exp_bound(p) - 1).bit_length() - 1):
+        v = v * v % p
+        rows.append(v)
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=2)
@@ -406,8 +447,18 @@ def or_cipher(params: GroupParams, c1: dict, c2: dict) -> dict:
             "beta": c1["beta"] * c2["beta"] % params.p}
 
 
+def drop_ticket(params: GroupParams, c: dict) -> None:
+    """Forget the wide table of a decryption ticket that came home, once its
+    owner has stripped the last share.  Up to _NARROW_BITS ticket tables
+    are 8 kB and an LRU cache of 64 keeps them, so there is none to drop."""
+    _wide_tickets.pop((c["beta"], params.p), None)
+
+
 def partial_decrypt(params: GroupParams, c: dict, share: KeyPairShare) -> int:
-    """This share's decryption contribution beta**x_i mod p."""
+    """This share's decryption contribution beta**x_i mod p, by plain pow.
+
+    No solver calls it: they decrypt on the ring with strip_share.  Only
+    perfbench's micro-probe times it, and tests use it as the reference."""
     return pow(c["beta"], share.private, params.p)
 
 
@@ -419,17 +470,27 @@ def recover_element(params: GroupParams, c: dict, decryption_shares) -> int:
 def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
     """Fold one partial decryption into alpha, leaving beta untouched.
 
-    After all shares are stripped, alpha holds the plaintext element.  A
-    short x (below exp_bound < p - 1) divides with pow(beta, -x, p): one
-    inverse and a short exponentiation.  A full-width x does not: since
-    beta**(p-1) == 1, dividing by beta**x is multiplying by beta**(p-1-x),
-    an exponentiation of the same width and no inverse.  Up to _NARROW_BITS
-    that one walks the ticket table of beta, reducing mod p once; an e the
-    rows do not cover (x outside [0, p - 1]) goes to plain pow."""
+    After all shares are stripped, alpha holds the plaintext element.  Up to
+    _NARROW_BITS, where x is drawn from all of [1, p - 1), dividing by
+    beta**x is multiplying by beta**(p-1-x), since beta**(p-1) == 1: a walk
+    of the ticket table of beta, reducing mod p once.  Above, the walk takes
+    the rows of the wide ticket table of beta**-1 at the set bits of x,
+    reducing at each: at 512 bits about 128 products, where
+    pow(beta, -x, p) takes an inverse and about 300.  Either way the value
+    is alpha * beta**-x mod p, and an exponent the rows do not cover goes
+    to plain pow; no solver draws one, since every x is in [1, exp_bound)."""
     p, beta, x = params.p, c["beta"], share.private
-    e = -x if x < params.exp_bound < p - 1 else p - 1 - x
     if p.bit_length() > _NARROW_BITS:
-        return {"alpha": c["alpha"] * pow(beta, e, p) % p, "beta": beta}
+        rows = _wide_ticket_table(beta, p)
+        if not _on_table(rows, x, 1):
+            return {"alpha": c["alpha"] * _pow_off_table(beta, -x, p) % p,
+                    "beta": beta}
+        acc = c["alpha"]
+        for row, bit in zip(rows, bin(x)[:1:-1]):
+            if bit == "1":
+                acc = acc * row % p
+        return {"alpha": acc, "beta": beta}
+    e = p - 1 - x
     rows = _ticket_table(beta, p)
     if not _on_table(rows, e, _TICKET_WINDOW):
         return {"alpha": c["alpha"] * _pow_off_table(beta, e, p) % p,

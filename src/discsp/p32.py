@@ -150,6 +150,7 @@ class P32Process(PdpopProcess):
             "codename": self.ticket, "alpha": c["alpha"], "beta": c["beta"]})
         m = yield from self.get("DECR", codename=self.ticket)
         final = crypto.strip_share(self.params, m.payload, self.key_share)
+        crypto.drop_ticket(self.params, m.payload)
         self.sim.stat("decrypt_partials")
         self.charge_exps(1)
         return final["alpha"]

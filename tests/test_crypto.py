@@ -436,8 +436,15 @@ def test_fixed_base_walks_match_pow_around_the_narrow_cut(bits, data):
     e = data.draw(in_range_exponents(params))
     assert fixed_base_pow(y, e, p) == pow(y, e, p)
     assert pair_pow(params, y, e) == (pow(y, e, p), pow(g, e, p))
-    # A strip raises beta = g to p - 1 - x: through a ticket table up to 128
-    # bits, with plain pow above.
+    # A strip divides by beta**x = g**x.  Up to 128 bits it raises g to
+    # p - 1 - x through the 3-bit ticket table of g, on the drawn odd p.
+    # Above it walks the one-bit rows of g**-1, which give the asserted
+    # g**(p-1-x) only where g**(p-1) == 1, so there the strip's modulus is
+    # the first prime from p up, as wide as p or wider.
+    if p.bit_length() > crypto._NARROW_BITS:
+        while not crypto.is_probable_prime(p):
+            p += 2
+        params = crypto.make_group(p, g)
     share = KeyPairShare(private=e, public=0)
     assert strip_share(params, {"alpha": y, "beta": g}, share) == {
         "alpha": y * pow(g, p - 1 - e, p) % p, "beta": g}
@@ -460,23 +467,34 @@ def test_fixed_base_walks_fall_back_to_pow_off_the_table(params, data):
 
 
 def ticket_limit(params):
-    """2**(3R) for the R rows of the group's ticket tables, 0 above 128
-    bits, where strips take pow and no ticket table exists."""
+    """2**(3R) for the R rows of the group's ticket tables up to 128 bits,
+    and 2**R for the R one-bit rows of its wide ticket tables above."""
     if params.p.bit_length() > crypto._NARROW_BITS:
-        return 0
+        return 1 << len(crypto._wide_ticket_rows(params.g, params.p))
     return 1 << 3 * len(crypto._ticket_table(params.g, params.p))
 
 
+def ticket_exponent(params, x):
+    """The exponent a strip with private key x walks its ticket's rows
+    with: p - 1 - x up to 128 bits, and x itself above."""
+    if params.p.bit_length() > crypto._NARROW_BITS:
+        return x
+    return params.p - 1 - x
+
+
 def private_keys(params):
-    """Any int private key: 0, negative, p - 1, past p - 1, and so far below
-    0 that the strip exponent p - 1 - x is past the ticket rows."""
+    """Any int private key: 0, negative, p - 1, past p - 1, and far enough
+    below 0 or above it that the strip exponent is past the ticket rows."""
     p, limit = params.p, ticket_limit(params)
+    width = 2 * max(p.bit_length(), limit.bit_length())
     return st.one_of(
-        st.sampled_from([0, 1, -1, p - 2, p - 1, p, p - limit, p - 1 - limit]),
+        st.sampled_from([0, 1, -1, p - 2, p - 1, p, p - limit, p - 1 - limit,
+                         limit - 1, limit]),
         st.integers(),
         st.integers(max_value=-1),
         st.integers(min_value=0, max_value=p - 1),
-        st.integers(min_value=-(1 << 2 * p.bit_length()), max_value=-limit))
+        st.integers(min_value=-(1 << width), max_value=-limit),
+        st.integers(min_value=limit, max_value=1 << width))
 
 
 @WALK_GROUPS
@@ -484,9 +502,9 @@ def private_keys(params):
 @given(data=st.data())
 def test_strip_share_matches_pow_for_any_private_key(params, data):
     """strip_share divides alpha by beta**x for every int x.  Up to 128 bits
-    it raises beta to e = p - 1 - x through the ticket table, and exactly
-    the e outside [0, 2**(3R)) take plain pow; wider groups never build a
-    ticket table."""
+    it raises beta to e = p - 1 - x through the ticket table; above, it
+    walks the wide ticket table of beta**-1 at the set bits of e = x.  Either
+    way exactly the e outside [0, ticket_limit) take plain pow."""
     p = params.p
     beta, alpha = data.draw(bases(params)), data.draw(bases(params))
     x = data.draw(private_keys(params))
@@ -495,34 +513,48 @@ def test_strip_share_matches_pow_for_any_private_key(params, data):
         got = strip_share(params, {"alpha": alpha, "beta": beta},
                           KeyPairShare(private=x, public=0))
     assert got == {"alpha": alpha * pow(beta, -x, p) % p, "beta": beta}
-    narrow = ticket_limit(params) > 0
-    assert off_table.call_count == (
-        1 if narrow and not 0 <= p - 1 - x < ticket_limit(params) else 0)
+    on_rows = 0 <= ticket_exponent(params, x) < ticket_limit(params)
+    assert off_table.call_count == (0 if on_rows else 1)
 
 
 def test_ticket_rows_follow_the_exponent_bound():
-    """3-bit windows, one row per 3 bits of the widest exponent below
-    exp_bound: 2 rows of 8 in the 5-bit group, 22 at 64 bits."""
+    """3-bit windows up to 128 bits, one row per 3 bits of the widest
+    exponent below exp_bound: 2 rows of 8 in the 5-bit group, 22 at 64 bits.
+    Above, one row per bit: 160 in the 160-bit group, 256 at 512 bits."""
     for params, rows in ((TOY, 2), (TOY64, 22)):
         table = crypto._ticket_table(params.g, params.p)
         assert (len(table), {len(row) for row in table}) == (rows, {8})
+    for params, rows in ((crypto.group_for_bits(160), 160), (G512, 256)):
+        p = params.p
+        table = crypto._wide_ticket_rows(params.g, p)
+        assert len(table) == rows
+        assert table == tuple(pow(params.g, -(1 << i), p) for i in range(rows))
 
 
-# ring64's instance: coloring n=8, instance index 1, at 64 bits.  Every
-# ticket meets all 8 strips, so one table per distinct ticket beta serves
-# them; 3 of p2_plus's 871 tickets repeat an earlier one's cyphertext.
+# Per solver, (ticket tables built, strips) on ring64's instance: coloring
+# n=8, instance index 1, at 64 bits.  Every ticket meets all 8 strips, so
+# one table per distinct ticket beta serves them; 3 of p2_plus's 871
+# tickets repeat an earlier one's cyphertext.
 TICKET_COUNTS = {"p32_plus": (848, 6_784), "p2_plus": (868, 6_968)}
 
 
 @pytest.mark.parametrize("solver", sorted(TICKET_COUNTS))
 def test_one_ticket_table_per_ticket(solver, monkeypatch):
-    betas, strip = [], crypto.strip_share
+    """One table build per distinct ticket beta, a cache hit for every other
+    strip, and no strip exponent past the rows."""
+    betas, off_table, strip = [], [], crypto.strip_share
+    pow_off_table = crypto._pow_off_table
 
     def recording_strip(params, c, share):
         betas.append(c["beta"])
         return strip(params, c, share)
 
+    def recording_pow(base, e, p):
+        off_table.append(e)
+        return pow_off_table(base, e, p)
+
     monkeypatch.setattr(crypto, "strip_share", recording_strip)
+    monkeypatch.setattr(crypto, "_pow_off_table", recording_pow)
     seed = instance_seed(0, "coloring", 8, 1)
     crypto._ticket_table.cache_clear()
     result = run_solver(solver, FAMILIES["coloring"](8, seed), seed=seed,
@@ -533,6 +565,57 @@ def test_one_ticket_table_per_ticket(solver, monkeypatch):
     assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
     assert len(set(betas)) == info.misses == builds
     assert info.hits == strips - builds
+    assert off_table == []
+
+
+# Per solver, (tickets, distinct ticket betas, strips) on enc512's instance:
+# coloring n=3, instance index 0, at 512 bits.  2 of p2_plus's 96 tickets
+# repeat the cyphertext of one that has come home, so its table is gone and
+# they build their own.
+WIDE_TICKET_COUNTS = {"p32_plus": (87, 87, 261), "p2_plus": (96, 94, 288)}
+
+
+@pytest.mark.parametrize("solver", sorted(WIDE_TICKET_COUNTS))
+def test_one_wide_ticket_table_per_ticket(solver, monkeypatch):
+    """At 512 bits one table build per ticket, a hit for every other strip,
+    no strip exponent past the rows, and no table left once every ticket
+    has come home."""
+    betas, lookups, builds, off_table = [], [], [], []
+    strip, table = crypto.strip_share, crypto._wide_ticket_table
+    rows, pow_off_table = crypto._wide_ticket_rows, crypto._pow_off_table
+
+    def recording_strip(params, c, share):
+        betas.append(c["beta"])
+        return strip(params, c, share)
+
+    def recording_table(beta, p):
+        lookups.append(beta)
+        return table(beta, p)
+
+    def recording_rows(beta, p):
+        builds.append(beta)
+        return rows(beta, p)
+
+    def recording_pow(base, e, p):
+        off_table.append(e)
+        return pow_off_table(base, e, p)
+
+    monkeypatch.setattr(crypto, "strip_share", recording_strip)
+    monkeypatch.setattr(crypto, "_wide_ticket_table", recording_table)
+    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
+    monkeypatch.setattr(crypto, "_pow_off_table", recording_pow)
+    seed = instance_seed(0, "coloring", 3, 0)
+    crypto._wide_tickets.clear()
+    result = run_solver(solver, FAMILIES["coloring"](3, seed), seed=seed,
+                        config=RunConfig(key_bits=512))
+    assert result.feasible is True
+    tickets, distinct, strips = WIDE_TICKET_COUNTS[solver]
+    assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
+    assert len(set(betas)) == len(set(builds)) == distinct
+    assert len(builds) == tickets == strips // 3
+    assert len(lookups) - len(builds) == strips - tickets
+    assert off_table == []
+    assert crypto._wide_tickets == {}
 
 
 @pytest.mark.parametrize("solver", ["p32_plus", "p2_plus"])
@@ -572,6 +655,65 @@ def test_fixed_base_tables_stay_bounded():
                   crypto._ticket_table):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert len(crypto._wide_tickets) <= crypto._WIDE_TICKETS
+
+
+def test_more_live_wide_tickets_than_the_cache_holds(monkeypatch):
+    """Three shares strip 2m + 1 live 512-bit tickets in turn, as on a ring,
+    where the wide cache holds m tables: each strip rebuilds its ticket's
+    evicted table, keeps pow's value and leaves the cache bounded, and no
+    table is left once every ticket has come home."""
+    p, rng, builds = G512.p, random.Random(23), []
+    rows = crypto._wide_ticket_rows
+
+    def recording_rows(beta, p):
+        builds.append(beta)
+        return rows(beta, p)
+
+    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
+    live = 2 * crypto._WIDE_TICKETS + 1
+    tickets = [{"alpha": rng.randrange(1, p),
+                "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
+               for _ in range(live)]
+    shares = [crypto.generate_share(G512, rng) for _ in range(3)]
+    crypto._wide_tickets.clear()
+    for share in shares:
+        for i, c in enumerate(tickets):
+            tickets[i] = strip_share(G512, c, share)
+            assert tickets[i] == {
+                "alpha": c["alpha"] * pow(c["beta"], -share.private, p) % p,
+                "beta": c["beta"]}
+            assert len(crypto._wide_tickets) <= crypto._WIDE_TICKETS
+    assert len(builds) == len(shares) * live
+    for c in tickets:
+        crypto.drop_ticket(G512, c)
+    assert crypto._wide_tickets == {}
+
+
+def test_a_ticket_on_the_ring_keeps_its_table(monkeypatch):
+    """A 512-bit ticket keeps its table while twice as many tickets as the
+    cache holds go around the ring and come home behind it."""
+    p, rng, builds = G512.p, random.Random(29), []
+    rows = crypto._wide_ticket_rows
+
+    def recording_rows(beta, p):
+        builds.append(beta)
+        return rows(beta, p)
+
+    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
+    share = crypto.generate_share(G512, rng)
+    waiting = {"alpha": 1, "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
+    crypto._wide_tickets.clear()
+    waiting = strip_share(G512, waiting, share)
+    for _ in range(2 * crypto._WIDE_TICKETS):
+        c = {"alpha": 1, "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
+        strip_share(G512, c, share)
+        crypto.drop_ticket(G512, c)
+    assert strip_share(G512, waiting, share) == {
+        "alpha": pow(waiting["beta"], -2 * share.private, p),
+        "beta": waiting["beta"]}
+    assert builds.count(waiting["beta"]) == 1
+    assert list(crypto._wide_tickets) == [(waiting["beta"], p)]
 
 
 def test_table_rows_follow_the_exponent_bound():
