@@ -33,22 +33,25 @@ needs against a 512-bit p.
 
 Exponentiations to g and to the compound key y use cached fixed-base tables
 of 8-bit windows, with just the rows that exponents below ``exp_bound`` use
-(1 in TOY_GROUP, 8 at 64 bits, 32 at 512 bits), and raise y and g in one
-walk over the digits of their shared exponent.  Up to 128 bits a walk
-reduces mod p once at the end; above, it reduces every row.  An exponent
-the rows do not cover, negative or too wide, goes to plain ``pow``; no
-solver draws one.
+(1 in TOY_GROUP, 8 at 64 bits, 32 at 512 bits).  Re-randomization raises y
+and g in one walk over the digits of their shared exponent, through the
+rows of the two tables zipped once per call; up to 128 bits that walk
+reduces mod p once at the end, above it every row.  ``fixed_base_pow``,
+which only key set-up calls, reduces every row at every width.  An
+exponent the rows do not cover, negative or too wide, goes to plain
+``pow``; no solver draws one.
 
-``strip_share`` raises a decryption ticket's beta through a cached table of
-its own: every share on the ring strips the same beta, so a ticket's table
-is built once and walked once per share.  Up to 128 bits the table holds
-3-bit windows of beta (22 rows of 8 at 64 bits) and a walk reduces once;
-above, it holds beta**-1 and its squarings, one row per bit of
-exp_bound - 1 (256 at 512 bits), and a walk takes one reduced product per
-set bit of the share's private key.  Its owner drops a wide table when
-the ticket comes home (``drop_ticket``), so the wide tables held, about
-26 kB each at 512 bits, are those of the tickets on the ring, and never
-more than 64.  ``partial_decrypt`` uses plain ``pow``.
+``strip_share`` raises a decryption ticket's beta through a table of its
+own: every share on the ring strips the same beta, so a ticket's table is
+built on its first strip and walked once per share.  Up to 128 bits the
+table holds 3-bit windows of beta (22 rows of 8 at 64 bits) and a walk
+reduces once; above, it holds beta**-1 and its squarings, one row per bit
+of exp_bound - 1 (256 at 512 bits), and a walk takes one reduced product
+per set bit of the share's private key.  At every width the owner drops a
+ticket's table when the ticket comes home (``drop_ticket``), so the tables
+held, about 8 kB each at 64 bits and 26 kB at 512, are those of the
+tickets on the ring, and never more than 64.  ``partial_decrypt`` uses
+plain ``pow``.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class GroupParams:
         if pow(self.g, 2, self.p) == 1 or pow(self.g, self.q, self.p) == 1:
             raise CryptoError("g does not generate Z_p^*")
         if self.z == 1 or pow(self.z, self.q, self.p) != 1:
-            raise CryptoError("z must be a non-identity element of the order-q subgroup")
+            raise CryptoError(
+                "z must be a non-identity element of the order-q subgroup")
 
     def decode(self, element: int) -> int:
         """Return k >= 0 such that element == z**k, else raise.
@@ -160,7 +164,8 @@ class GroupParams:
             self._z_powers[cur] = acc
             if cur == element:
                 return acc
-        raise MalformedCyphertext("recovered element is not a small power of z")
+        raise MalformedCyphertext(
+            "recovered element is not a small power of z")
 
 
 def make_group(p: int, g: int) -> GroupParams:
@@ -212,17 +217,19 @@ def group_for_bits(bits: int) -> GroupParams:
 # Fixed-base tables index exponents by digits of this many bits.
 _WINDOW = 8
 
-# Moduli up to this width have their walks multiply the row entries together
-# and reduce mod p once at the end.  At 64 bits that makes a pair walk about
-# a quarter faster; near 128 bits the two ways cost about the same.  Above it
-# every row is reduced as it is taken: at 512 bits the product of 32 rows
-# makes a lazy walk about four times slower.
+# The cut between narrow and wide moduli.  Up to this width the pair walk
+# and the strip multiply their row entries together and reduce mod p once at
+# the end (at 64 bits a pair walk is about a quarter faster; near 128 bits
+# the two ways cost about the same), and a ticket's table holds 3-bit windows
+# of beta.  Above it every row is reduced as it is taken (at 512 bits the
+# product of 32 rows makes a lazy walk about four times slower), and a
+# ticket's table holds one-bit rows of beta**-1.
 _NARROW_BITS = 128
 
 
-# Ticket tables index exponents by digits of this many bits.  A ticket's
-# table serves only the n strips of one ring pass, so its build must be
-# cheap: at 64 bits one build and 8 walks cost least with 3-bit windows.
+# Narrow ticket tables index exponents by digits of this many bits.  A
+# ticket's table serves only the n strips of one ring pass, so its build must
+# be cheap: at 64 bits one build and 8 walks cost least with 3-bit windows.
 _TICKET_WINDOW = 3
 
 
@@ -249,60 +256,39 @@ def _fixed_base_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
     about 0.8 MB, at 512 bits, where exponents are below 2**256.  So an
     exponentiation takes 8 or 32 multiplications where pow squares 63 or 255
     times.  Bases and moduli are public group values; the cache of 2 holds g
-    and the current run's compound key y."""
-    _pair_table.cache_clear()  # no pair may keep an evicted table alive
+    and the current run's compound key y, whose rows a pair walk takes
+    zipped."""
     return _window_rows(base, p, _WINDOW)
 
 
-@functools.lru_cache(maxsize=64)
-def _ticket_table(beta: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """3-bit window rows of a decryption ticket's beta, for moduli up to
-    _NARROW_BITS: 22 rows of 8 at 64 bits, about 8 kB.  A variable has one
-    ticket on the ring at a time, so the 64 entries hold every live ticket
-    of a run of up to 64 variables.  Wider moduli take _wide_ticket_table."""
-    return _window_rows(beta, p, _TICKET_WINDOW)
+# Ticket tables by (beta, p), oldest first: strip_share adds a ticket's
+# table on its first strip and drop_ticket removes it when the ticket comes
+# home, so these are the tickets on the ring.  A variable has one ticket on
+# the ring at a time, so 64 tables hold every live ticket of a run of up to
+# 64 variables; the bound also caps what tickets that never come home (a run
+# past its deadline) leave behind.
+_TICKETS = 64
+_tickets: dict[tuple[int, int], tuple] = {}
 
 
-# Wide ticket tables by (beta, p), oldest first.  drop_ticket removes a
-# table when its ticket comes home, so these are the tickets on the ring;
-# the bound only caps what tickets that never come home leave behind.
-_WIDE_TICKETS = 64
-_wide_tickets: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _wide_ticket_table(beta: int, p: int) -> tuple[int, ...]:
-    """The table of a decryption ticket's beta for moduli above
-    _NARROW_BITS, built on its first strip and kept until drop_ticket.  A
-    variable has one ticket on the ring at a time, so the 64 entries hold
-    every live ticket of a run of up to 64 variables."""
-    rows = _wide_tickets.get((beta, p))
-    if rows is None:
-        rows = _wide_ticket_rows(beta, p)
-        if len(_wide_tickets) >= _WIDE_TICKETS:
-            del _wide_tickets[next(iter(_wide_tickets))]
-        _wide_tickets[beta, p] = rows
-    return rows
-
-
-def _wide_ticket_rows(beta: int, p: int) -> tuple[int, ...]:
-    """Row i is beta**-(2**i) mod p, one row per bit of exp_bound - 1: at
-    512 bits 256 rows, about 26 kB, built with one inverse and 255
-    squarings in a little less time than one pow(beta, -x, p).  A strip
-    then takes one multiplication per set bit of x, in less than half that
-    time.  Rows of one bit cost least per ticket for rings of up to 4
+def _ticket_rows(beta: int, p: int) -> tuple:
+    """The table of a decryption ticket's beta.  Up to _NARROW_BITS, 3-bit
+    window rows of beta, walked with p - 1 - x: 22 rows of 8 at 64 bits,
+    about 8 kB.  Above, row i is beta**-(2**i) mod p, one row per bit of
+    exp_bound - 1: at 512 bits 256 rows, about 26 kB, built with one inverse
+    and 255 squarings in a little less time than one pow(beta, -x, p).  A
+    strip then takes one multiplication per set bit of x, in less than half
+    that time.  Each layout costs least per ticket on its side of the cut:
+    at 64 bits with 8 strips, and at 512 bits for rings of up to 4
     variables."""
+    if p.bit_length() <= _NARROW_BITS:
+        return _window_rows(beta, p, _TICKET_WINDOW)
     v = pow(beta, -1, p)
     rows = [v]
     for _ in range((_exp_bound(p) - 1).bit_length() - 1):
         v = v * v % p
         rows.append(v)
     return tuple(rows)
-
-
-@functools.lru_cache(maxsize=2)
-def _pair_table(y: int, g: int, p: int) -> tuple:
-    """Rows (y row i, g row i), shared with the single-base tables."""
-    return tuple(zip(_fixed_base_table(y, p), _fixed_base_table(g, p)))
 
 
 def _on_table(rows, e: int, w: int = _WINDOW) -> bool:
@@ -318,27 +304,23 @@ def _pow_off_table(base: int, e: int, p: int) -> int:
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
     """pow(base, e, p) via a cached table for the base: one lookup and one
-    multiplication per row for an exponent the rows cover (every one below
-    exp_bound), plain pow for any other e."""
+    reduced multiplication per row for an exponent the rows cover (every
+    one below exp_bound), plain pow for any other e."""
     rows = _fixed_base_table(base, p)
     if not _on_table(rows, e):
         return _pow_off_table(base, e, p)
-    w, mask, acc = _WINDOW, (1 << _WINDOW) - 1, 1
-    if p.bit_length() <= _NARROW_BITS:
-        for row in rows:
-            acc *= row[e & mask]
-            e >>= w
-        return acc % p
+    mask, acc = (1 << _WINDOW) - 1, 1
     for row in rows:
         acc = acc * row[e & mask] % p
-        e >>= w
+        e >>= _WINDOW
     return acc
 
 
 def _pair_walk(rows, e: int, p: int, acc_y: int,
                acc_g: int) -> tuple[int, int]:
     """(acc_y * y**e mod p, acc_g * g**e mod p) in one walk over the digits
-    of an exponent the rows of _pair_table(y, g, p) cover."""
+    of e, where rows zips the rows of _fixed_base_table(y, p) and
+    _fixed_base_table(g, p) and covers e."""
     w, mask = _WINDOW, (1 << _WINDOW) - 1
     if p.bit_length() <= _NARROW_BITS:
         for row_y, row_g in rows:
@@ -365,7 +347,8 @@ class KeyPairShare:
 
 def generate_share(params: GroupParams, rng: random.Random) -> KeyPairShare:
     x = rng.randrange(1, params.exp_bound)
-    return KeyPairShare(private=x, public=fixed_base_pow(params.g, x, params.p))
+    return KeyPairShare(private=x,
+                        public=fixed_base_pow(params.g, x, params.p))
 
 
 def combine_public(params: GroupParams, publics) -> int:
@@ -406,10 +389,11 @@ def rerandomize_entries(params: GroupParams, key: int, cyphertexts,
 
     Each entry comes out as rerandomize(c, r), so {"alpha": e, "beta": 1}
     comes out as a fresh encryption of element e (1 * g**r == g**r), and
-    {"alpha": 1, "beta": 1} as one of false.  The pair table is looked up
-    once for the whole vector, whose draws it always covers."""
-    p, width = params.p, params.exp_bound - 1
-    rows = _pair_table(key, params.g, p)
+    {"alpha": 1, "beta": 1} as one of false.  The rows of the key's and
+    g's tables are zipped once for the whole vector, whose draws they
+    always cover."""
+    p, g, width = params.p, params.g, params.exp_bound - 1
+    rows = tuple(zip(_fixed_base_table(key, p), _fixed_base_table(g, p)))
     getrandbits, k = rng.getrandbits, width.bit_length()
     out = []
     for c in cyphertexts:
@@ -432,7 +416,7 @@ def rerandomize(params: GroupParams, key: int, c: dict, r: int) -> dict:
     r the rows cover (every one below exp_bound), plain pow for any other r.
     r == 0 leaves c unchanged."""
     p, g = params.p, params.g
-    rows = _pair_table(key, g, p)
+    rows = tuple(zip(_fixed_base_table(key, p), _fixed_base_table(g, p)))
     if _on_table(rows, r):
         alpha, beta = _pair_walk(rows, r, p, c["alpha"], c["beta"])
     else:
@@ -448,10 +432,9 @@ def or_cipher(params: GroupParams, c1: dict, c2: dict) -> dict:
 
 
 def drop_ticket(params: GroupParams, c: dict) -> None:
-    """Forget the wide table of a decryption ticket that came home, once its
-    owner has stripped the last share.  Up to _NARROW_BITS ticket tables
-    are 8 kB and an LRU cache of 64 keeps them, so there is none to drop."""
-    _wide_tickets.pop((c["beta"], params.p), None)
+    """Forget the table of a decryption ticket that came home, once its
+    owner has stripped the last share or has stopped waiting for it."""
+    _tickets.pop((c["beta"], params.p), None)
 
 
 def partial_decrypt(params: GroupParams, c: dict, share: KeyPairShare) -> int:
@@ -470,18 +453,24 @@ def recover_element(params: GroupParams, c: dict, decryption_shares) -> int:
 def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
     """Fold one partial decryption into alpha, leaving beta untouched.
 
-    After all shares are stripped, alpha holds the plaintext element.  Up to
-    _NARROW_BITS, where x is drawn from all of [1, p - 1), dividing by
-    beta**x is multiplying by beta**(p-1-x), since beta**(p-1) == 1: a walk
-    of the ticket table of beta, reducing mod p once.  Above, the walk takes
-    the rows of the wide ticket table of beta**-1 at the set bits of x,
-    reducing at each: at 512 bits about 128 products, where
-    pow(beta, -x, p) takes an inverse and about 300.  Either way the value
-    is alpha * beta**-x mod p, and an exponent the rows do not cover goes
-    to plain pow; no solver draws one, since every x is in [1, exp_bound)."""
+    The ticket's table is built on its first strip and kept in _tickets
+    until drop_ticket; once 64 are held, the oldest goes.  After all shares
+    are stripped, alpha holds the plaintext element.  Up to _NARROW_BITS,
+    where x is drawn from all of [1, p - 1), dividing by beta**x is
+    multiplying by beta**(p-1-x), since beta**(p-1) == 1: a walk of the
+    3-bit windows of beta, reducing mod p once.  Above, the walk takes the
+    rows of beta**-1 and its squarings at the set bits of x, reducing at
+    each: at 512 bits about 128 products, where pow(beta, -x, p) takes an
+    inverse and about 300.  Either way the value is alpha * beta**-x mod p,
+    and an exponent the rows do not cover goes to plain pow; no solver
+    draws one, since every x is in [1, exp_bound)."""
     p, beta, x = params.p, c["beta"], share.private
+    rows = _tickets.get((beta, p))
+    if rows is None:
+        if len(_tickets) >= _TICKETS:
+            del _tickets[next(iter(_tickets))]
+        rows = _tickets[beta, p] = _ticket_rows(beta, p)
     if p.bit_length() > _NARROW_BITS:
-        rows = _wide_ticket_table(beta, p)
         if not _on_table(rows, x, 1):
             return {"alpha": c["alpha"] * _pow_off_table(beta, -x, p) % p,
                     "beta": beta}
@@ -491,7 +480,6 @@ def strip_share(params: GroupParams, c: dict, share: KeyPairShare) -> dict:
                 acc = acc * row % p
         return {"alpha": acc, "beta": beta}
     e = p - 1 - x
-    rows = _ticket_table(beta, p)
     if not _on_table(rows, e, _TICKET_WINDOW):
         return {"alpha": c["alpha"] * _pow_off_table(beta, e, p) % p,
                 "beta": beta}

@@ -170,7 +170,12 @@ class P32Process(PdpopProcess):
             return self._handle_vect(msg.payload)
         if msg.type == "DECR":
             if msg.payload["codename"] == self.ticket:
-                return msg  # our ticket coming home: let the waiter match it
+                # Our ticket coming home: let the waiter match it, or, once
+                # an ABORT has ended our run and nothing waits, forget its
+                # table.
+                if self.done:
+                    crypto.drop_ticket(self.params, msg.payload)
+                return msg
             partial = crypto.strip_share(self.params, msg.payload,
                                          self.key_share)
             self.sim.stat("decrypt_partials")

@@ -22,6 +22,10 @@ TOY64 = crypto.TOY64_GROUP
 G512 = crypto.GROUP_512
 GROUPS = pytest.mark.parametrize("params", [TOY, TOY64, G512],
                                  ids=["p23", "toy64", "g512"])
+# The two ticket-table layouts: 3-bit windows of beta at 64 bits, one-bit
+# rows of beta**-1 at 512.
+TICKET_GROUPS = pytest.mark.parametrize("params", [TOY64, G512],
+                                        ids=["toy64", "g512"])
 # The published groups and a generated 160-bit one, whose walks reduce every
 # row (above 128 bits) and whose rows cover all of [0, p - 1).
 WALK_GROUPS = pytest.mark.parametrize(
@@ -467,11 +471,12 @@ def test_fixed_base_walks_fall_back_to_pow_off_the_table(params, data):
 
 
 def ticket_limit(params):
-    """2**(3R) for the R rows of the group's ticket tables up to 128 bits,
-    and 2**R for the R one-bit rows of its wide ticket tables above."""
+    """2**(3R) for the R rows of 3-bit windows of the group's ticket tables
+    up to 128 bits, and 2**R for their R one-bit rows above."""
+    rows = len(crypto._ticket_rows(params.g, params.p))
     if params.p.bit_length() > crypto._NARROW_BITS:
-        return 1 << len(crypto._wide_ticket_rows(params.g, params.p))
-    return 1 << 3 * len(crypto._ticket_table(params.g, params.p))
+        return 1 << rows
+    return 1 << 3 * rows
 
 
 def ticket_exponent(params, x):
@@ -503,7 +508,7 @@ def private_keys(params):
 def test_strip_share_matches_pow_for_any_private_key(params, data):
     """strip_share divides alpha by beta**x for every int x.  Up to 128 bits
     it raises beta to e = p - 1 - x through the ticket table; above, it
-    walks the wide ticket table of beta**-1 at the set bits of e = x.  Either
+    walks the ticket table of beta**-1 at the set bits of e = x.  Either
     way exactly the e outside [0, ticket_limit) take plain pow."""
     p = params.p
     beta, alpha = data.draw(bases(params)), data.draw(bases(params))
@@ -522,75 +527,49 @@ def test_ticket_rows_follow_the_exponent_bound():
     exponent below exp_bound: 2 rows of 8 in the 5-bit group, 22 at 64 bits.
     Above, one row per bit: 160 in the 160-bit group, 256 at 512 bits."""
     for params, rows in ((TOY, 2), (TOY64, 22)):
-        table = crypto._ticket_table(params.g, params.p)
+        table = crypto._ticket_rows(params.g, params.p)
         assert (len(table), {len(row) for row in table}) == (rows, {8})
     for params, rows in ((crypto.group_for_bits(160), 160), (G512, 256)):
         p = params.p
-        table = crypto._wide_ticket_rows(params.g, p)
+        table = crypto._ticket_rows(params.g, p)
         assert len(table) == rows
         assert table == tuple(pow(params.g, -(1 << i), p) for i in range(rows))
 
 
-# Per solver, (ticket tables built, strips) on ring64's instance: coloring
-# n=8, instance index 1, at 64 bits.  Every ticket meets all 8 strips, so
-# one table per distinct ticket beta serves them; 3 of p2_plus's 871
-# tickets repeat an earlier one's cyphertext.
-TICKET_COUNTS = {"p32_plus": (848, 6_784), "p2_plus": (868, 6_968)}
+# Per (key bits, coloring size, instance index) and solver, (tickets,
+# distinct ticket betas, strips): ring64's instance at 64 bits and enc512's
+# at 512 bits.  Every ticket meets every strip of the ring.  3 of p2_plus's
+# tickets at 64 bits and 2 at 512 repeat the cyphertext of one that has
+# come home, so its table is gone and they build their own.
+TICKET_COUNTS = {
+    (64, 8, 1): {"p32_plus": (848, 848, 6_784), "p2_plus": (871, 868, 6_968)},
+    (512, 3, 0): {"p32_plus": (87, 87, 261), "p2_plus": (96, 94, 288)},
+}
 
 
-@pytest.mark.parametrize("solver", sorted(TICKET_COUNTS))
+class CountingDict(dict):
+    """A dict that counts the lookups `get` answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
+@pytest.mark.parametrize("solver", ["p2_plus", "p32_plus"])
 def test_one_ticket_table_per_ticket(solver, monkeypatch):
-    """One table build per distinct ticket beta, a cache hit for every other
-    strip, and no strip exponent past the rows."""
-    betas, off_table, strip = [], [], crypto.strip_share
+    """At 64 and at 512 bits, one table build per ticket, a hit for every
+    other strip, no strip exponent past the rows, and no table left once
+    every ticket has come home."""
+    betas, builds, off_table = [], [], []
+    strip, rows = crypto.strip_share, crypto._ticket_rows
     pow_off_table = crypto._pow_off_table
 
     def recording_strip(params, c, share):
         betas.append(c["beta"])
         return strip(params, c, share)
-
-    def recording_pow(base, e, p):
-        off_table.append(e)
-        return pow_off_table(base, e, p)
-
-    monkeypatch.setattr(crypto, "strip_share", recording_strip)
-    monkeypatch.setattr(crypto, "_pow_off_table", recording_pow)
-    seed = instance_seed(0, "coloring", 8, 1)
-    crypto._ticket_table.cache_clear()
-    result = run_solver(solver, FAMILIES["coloring"](8, seed), seed=seed,
-                        config=RunConfig(key_bits=64))
-    info = crypto._ticket_table.cache_info()
-    assert result.feasible is True
-    builds, strips = TICKET_COUNTS[solver]
-    assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
-    assert len(set(betas)) == info.misses == builds
-    assert info.hits == strips - builds
-    assert off_table == []
-
-
-# Per solver, (tickets, distinct ticket betas, strips) on enc512's instance:
-# coloring n=3, instance index 0, at 512 bits.  2 of p2_plus's 96 tickets
-# repeat the cyphertext of one that has come home, so its table is gone and
-# they build their own.
-WIDE_TICKET_COUNTS = {"p32_plus": (87, 87, 261), "p2_plus": (96, 94, 288)}
-
-
-@pytest.mark.parametrize("solver", sorted(WIDE_TICKET_COUNTS))
-def test_one_wide_ticket_table_per_ticket(solver, monkeypatch):
-    """At 512 bits one table build per ticket, a hit for every other strip,
-    no strip exponent past the rows, and no table left once every ticket
-    has come home."""
-    betas, lookups, builds, off_table = [], [], [], []
-    strip, table = crypto.strip_share, crypto._wide_ticket_table
-    rows, pow_off_table = crypto._wide_ticket_rows, crypto._pow_off_table
-
-    def recording_strip(params, c, share):
-        betas.append(c["beta"])
-        return strip(params, c, share)
-
-    def recording_table(beta, p):
-        lookups.append(beta)
-        return table(beta, p)
 
     def recording_rows(beta, p):
         builds.append(beta)
@@ -601,21 +580,38 @@ def test_one_wide_ticket_table_per_ticket(solver, monkeypatch):
         return pow_off_table(base, e, p)
 
     monkeypatch.setattr(crypto, "strip_share", recording_strip)
-    monkeypatch.setattr(crypto, "_wide_ticket_table", recording_table)
-    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
+    monkeypatch.setattr(crypto, "_ticket_rows", recording_rows)
     monkeypatch.setattr(crypto, "_pow_off_table", recording_pow)
-    seed = instance_seed(0, "coloring", 3, 0)
-    crypto._wide_tickets.clear()
-    result = run_solver(solver, FAMILIES["coloring"](3, seed), seed=seed,
-                        config=RunConfig(key_bits=512))
-    assert result.feasible is True
-    tickets, distinct, strips = WIDE_TICKET_COUNTS[solver]
-    assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
-    assert len(set(betas)) == len(set(builds)) == distinct
-    assert len(builds) == tickets == strips // 3
-    assert len(lookups) - len(builds) == strips - tickets
-    assert off_table == []
-    assert crypto._wide_tickets == {}
+    for (bits, size, index), counts in TICKET_COUNTS.items():
+        betas.clear()
+        builds.clear()
+        tables = CountingDict()
+        monkeypatch.setattr(crypto, "_tickets", tables)
+        seed = instance_seed(0, "coloring", size, index)
+        result = run_solver(solver, FAMILIES["coloring"](size, seed),
+                            seed=seed, config=RunConfig(key_bits=bits))
+        assert result.feasible is True
+        tickets, distinct, strips = counts[solver]
+        assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
+        assert len(set(betas)) == len(set(builds)) == distinct
+        assert len(builds) == tickets == strips // size
+        assert tables.hits == strips - tickets
+        assert off_table == []
+        assert tables == {}
+
+
+@pytest.mark.parametrize("solver, bits", [
+    ("p32", 64), ("p32_plus", 64), ("p2", 64), ("p2_plus", 64),
+    ("p32_plus", 512)])
+def test_an_aborted_run_leaves_no_ticket_table(solver, bits):
+    """An infeasible run stops its variables with ABORT while their last
+    tickets are still on the ring; each owner drops its ticket's table when
+    the ticket comes home all the same."""
+    crypto._tickets.clear()
+    result = run_solver(solver, FAMILIES["coloring"](6, 0), seed=0,
+                        config=RunConfig(key_bits=bits))
+    assert result.feasible is False
+    assert crypto._tickets == {}
 
 
 @pytest.mark.parametrize("solver", ["p32_plus", "p2_plus"])
@@ -651,69 +647,69 @@ def test_fixed_base_tables_stay_bounded():
             fixed_base_pow(y, e, params.p)
             strip_share(params, {"alpha": 1, "beta": y},
                         KeyPairShare(private=e, public=0))
-    for cache in (crypto._fixed_base_table, crypto._pair_table,
-                  crypto._ticket_table):
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert len(crypto._wide_tickets) <= crypto._WIDE_TICKETS
+    info = crypto._fixed_base_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert len(crypto._tickets) <= crypto._TICKETS
 
 
-def test_more_live_wide_tickets_than_the_cache_holds(monkeypatch):
-    """Three shares strip 2m + 1 live 512-bit tickets in turn, as on a ring,
-    where the wide cache holds m tables: each strip rebuilds its ticket's
-    evicted table, keeps pow's value and leaves the cache bounded, and no
-    table is left once every ticket has come home."""
-    p, rng, builds = G512.p, random.Random(23), []
-    rows = crypto._wide_ticket_rows
+@TICKET_GROUPS
+def test_more_live_tickets_than_the_cache_holds(params, monkeypatch):
+    """Three shares strip 2m + 1 live tickets in turn, as on a ring, where
+    the cache holds m tables: each strip rebuilds its ticket's evicted table,
+    keeps pow's value and leaves the cache bounded, and no table is left
+    once every ticket has come home."""
+    p, rng, builds = params.p, random.Random(23), []
+    rows = crypto._ticket_rows
 
     def recording_rows(beta, p):
         builds.append(beta)
         return rows(beta, p)
 
-    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
-    live = 2 * crypto._WIDE_TICKETS + 1
+    monkeypatch.setattr(crypto, "_ticket_rows", recording_rows)
+    live = 2 * crypto._TICKETS + 1
     tickets = [{"alpha": rng.randrange(1, p),
-                "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
+                "beta": pow(params.g, rng.randrange(1, p - 1), p)}
                for _ in range(live)]
-    shares = [crypto.generate_share(G512, rng) for _ in range(3)]
-    crypto._wide_tickets.clear()
+    shares = [crypto.generate_share(params, rng) for _ in range(3)]
+    crypto._tickets.clear()
     for share in shares:
         for i, c in enumerate(tickets):
-            tickets[i] = strip_share(G512, c, share)
+            tickets[i] = strip_share(params, c, share)
             assert tickets[i] == {
                 "alpha": c["alpha"] * pow(c["beta"], -share.private, p) % p,
                 "beta": c["beta"]}
-            assert len(crypto._wide_tickets) <= crypto._WIDE_TICKETS
+            assert len(crypto._tickets) <= crypto._TICKETS
     assert len(builds) == len(shares) * live
     for c in tickets:
-        crypto.drop_ticket(G512, c)
-    assert crypto._wide_tickets == {}
+        crypto.drop_ticket(params, c)
+    assert crypto._tickets == {}
 
 
-def test_a_ticket_on_the_ring_keeps_its_table(monkeypatch):
-    """A 512-bit ticket keeps its table while twice as many tickets as the
-    cache holds go around the ring and come home behind it."""
-    p, rng, builds = G512.p, random.Random(29), []
-    rows = crypto._wide_ticket_rows
+@TICKET_GROUPS
+def test_a_ticket_on_the_ring_keeps_its_table(params, monkeypatch):
+    """A ticket keeps its table while twice as many tickets as the cache
+    holds go around the ring and come home behind it."""
+    p, rng, builds = params.p, random.Random(29), []
+    rows = crypto._ticket_rows
 
     def recording_rows(beta, p):
         builds.append(beta)
         return rows(beta, p)
 
-    monkeypatch.setattr(crypto, "_wide_ticket_rows", recording_rows)
-    share = crypto.generate_share(G512, rng)
-    waiting = {"alpha": 1, "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
-    crypto._wide_tickets.clear()
-    waiting = strip_share(G512, waiting, share)
-    for _ in range(2 * crypto._WIDE_TICKETS):
-        c = {"alpha": 1, "beta": pow(G512.g, rng.randrange(1, p - 1), p)}
-        strip_share(G512, c, share)
-        crypto.drop_ticket(G512, c)
-    assert strip_share(G512, waiting, share) == {
+    monkeypatch.setattr(crypto, "_ticket_rows", recording_rows)
+    share = crypto.generate_share(params, rng)
+    waiting = {"alpha": 1, "beta": pow(params.g, rng.randrange(1, p - 1), p)}
+    crypto._tickets.clear()
+    waiting = strip_share(params, waiting, share)
+    for _ in range(2 * crypto._TICKETS):
+        c = {"alpha": 1, "beta": pow(params.g, rng.randrange(1, p - 1), p)}
+        strip_share(params, c, share)
+        crypto.drop_ticket(params, c)
+    assert strip_share(params, waiting, share) == {
         "alpha": pow(waiting["beta"], -2 * share.private, p),
         "beta": waiting["beta"]}
     assert builds.count(waiting["beta"]) == 1
-    assert list(crypto._wide_tickets) == [(waiting["beta"], p)]
+    assert list(crypto._tickets) == [(waiting["beta"], p)]
 
 
 def test_table_rows_follow_the_exponent_bound():
@@ -723,21 +719,6 @@ def test_table_rows_follow_the_exponent_bound():
     for params, rows in ((TOY, 1), (TOY64, 8), (G512, 32)):
         table = crypto._fixed_base_table(params.g, params.p)
         assert (len(table), {len(row) for row in table}) == (rows, {256})
-
-
-def test_pair_tables_share_the_single_base_rows():
-    """A pair table holds the rows of the single-base tables, never a copy,
-    even after the single-base cache has evicted both of its bases."""
-    p, g = TOY64.p, TOY64.g
-    rng = random.Random(5)
-    y = pow(g, rng.randrange(1, p - 1), p)
-    pair_pow(TOY64, y, rng.randrange(p))
-    for _ in range(crypto._fixed_base_table.cache_info().maxsize):
-        fixed_base_pow(pow(g, rng.randrange(1, p - 1), p), rng.randrange(p), p)
-    pair = crypto._pair_table(y, g, p)
-    singles = zip(crypto._fixed_base_table(y, p), crypto._fixed_base_table(g, p))
-    assert all(row_y is single_y and row_g is single_g
-               for (row_y, row_g), (single_y, single_g) in zip(pair, singles))
 
 
 @GROUPS
