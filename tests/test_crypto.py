@@ -536,15 +536,13 @@ def test_ticket_rows_follow_the_exponent_bound():
         assert table == tuple(pow(params.g, -(1 << i), p) for i in range(rows))
 
 
-# Per (key bits, coloring size, instance index) and solver, (tickets,
-# distinct ticket betas, strips): ring64's instance at 64 bits and enc512's
-# at 512 bits.  Every ticket meets every strip of the ring.  3 of p2_plus's
-# tickets at 64 bits and 2 at 512 repeat the cyphertext of one that has
-# come home, so its table is gone and they build their own.
-TICKET_COUNTS = {
-    (64, 8, 1): {"p32_plus": (848, 848, 6_784), "p2_plus": (871, 868, 6_968)},
-    (512, 3, 0): {"p32_plus": (87, 87, 261), "p2_plus": (96, 94, 288)},
-}
+# Per solver, (tickets, distinct ticket betas, strips) on ring64's instance
+# at 64 bits and on enc512's at 512 bits.  Every ticket meets every strip of
+# the ring.  3 of p2_plus's tickets at 64 bits and 2 at 512 repeat the
+# cyphertext of one that has come home, so its table is gone and they build
+# their own.
+TICKET_COUNTS = {"p32_plus": (848, 848, 6_784), "p2_plus": (871, 868, 6_968)}
+WIDE_TICKET_COUNTS = {"p32_plus": (87, 87, 261), "p2_plus": (96, 94, 288)}
 
 
 class CountingDict(dict):
@@ -558,11 +556,11 @@ class CountingDict(dict):
         return value
 
 
-@pytest.mark.parametrize("solver", ["p2_plus", "p32_plus"])
-def test_one_ticket_table_per_ticket(solver, monkeypatch):
-    """At 64 and at 512 bits, one table build per ticket, a hit for every
-    other strip, no strip exponent past the rows, and no table left once
-    every ticket has come home."""
+def check_one_table_per_ticket(monkeypatch, solver, bits, size, index,
+                               counts):
+    """One table build per ticket, a hit for every other strip, no strip
+    exponent past the rows, and no table left once every ticket has come
+    home."""
     betas, builds, off_table = [], [], []
     strip, rows = crypto.strip_share, crypto._ticket_rows
     pow_off_table = crypto._pow_off_table
@@ -582,22 +580,33 @@ def test_one_ticket_table_per_ticket(solver, monkeypatch):
     monkeypatch.setattr(crypto, "strip_share", recording_strip)
     monkeypatch.setattr(crypto, "_ticket_rows", recording_rows)
     monkeypatch.setattr(crypto, "_pow_off_table", recording_pow)
-    for (bits, size, index), counts in TICKET_COUNTS.items():
-        betas.clear()
-        builds.clear()
-        tables = CountingDict()
-        monkeypatch.setattr(crypto, "_tickets", tables)
-        seed = instance_seed(0, "coloring", size, index)
-        result = run_solver(solver, FAMILIES["coloring"](size, seed),
-                            seed=seed, config=RunConfig(key_bits=bits))
-        assert result.feasible is True
-        tickets, distinct, strips = counts[solver]
-        assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
-        assert len(set(betas)) == len(set(builds)) == distinct
-        assert len(builds) == tickets == strips // size
-        assert tables.hits == strips - tickets
-        assert off_table == []
-        assert tables == {}
+    tables = CountingDict()
+    monkeypatch.setattr(crypto, "_tickets", tables)
+    seed = instance_seed(0, "coloring", size, index)
+    result = run_solver(solver, FAMILIES["coloring"](size, seed), seed=seed,
+                        config=RunConfig(key_bits=bits))
+    assert result.feasible is True
+    tickets, distinct, strips = counts[solver]
+    assert len(betas) == result.metrics.stats["decrypt_partials"] == strips
+    assert len(set(betas)) == len(set(builds)) == distinct
+    assert len(builds) == tickets == strips // size
+    assert tables.hits == strips - tickets
+    assert off_table == []
+    assert tables == {}
+
+
+@pytest.mark.parametrize("solver", sorted(TICKET_COUNTS))
+def test_one_ticket_table_per_ticket(solver, monkeypatch):
+    """At 64 bits, one table of 3-bit windows per ticket."""
+    check_one_table_per_ticket(monkeypatch, solver, 64, 8, 1, TICKET_COUNTS)
+
+
+@pytest.mark.parametrize("solver", sorted(WIDE_TICKET_COUNTS))
+def test_one_wide_ticket_table_per_ticket(solver, monkeypatch):
+    """At 512 bits, one table of one-bit rows per ticket, from the same
+    cache as at 64 bits."""
+    check_one_table_per_ticket(monkeypatch, solver, 512, 3, 0,
+                               WIDE_TICKET_COUNTS)
 
 
 @pytest.mark.parametrize("solver, bits", [
