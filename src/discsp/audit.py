@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Problem
-from .runtime import Record, Transcript
+from .runtime import Transcript
 from .solvers import SOLVERS
 
 
@@ -81,6 +81,9 @@ def audit(transcript: Transcript, problem: Problem,
             findings.append(Finding(
                 "non-neighbor-delivery", tick, f"{sender} -> {recv}"))
         strings, tables, assignments = _scan(rec.payload)
+        # A routed envelope is audited as the message it carries.
+        kind = (rec.payload["inner_type"] if rec.type in ("PREV", "LAST")
+                else rec.type)
         # Cleartext references to non-neighbors anywhere in the payload.
         for tok in strings:
             if tok in var_names and not visible_to(recv, var_owner[tok]):
@@ -102,13 +105,13 @@ def audit(transcript: Transcript, problem: Problem,
                         findings.append(Finding(
                             "agent-privacy", tick,
                             f"domain values of {label!r} visible to {recv}"))
-        if spec.encrypted_feas and _is_feas(rec):
+        if spec.encrypted_feas and kind == "FEAS":
             for table in tables:
                 if any(isinstance(e, (bool, int)) for e in table["entries"]):
                     findings.append(Finding(
                         "constraint-privacy", tick,
                         "plaintext feasibility value in FEAS payload"))
-        if _is_decision(rec):
+        if kind == "DECISION":
             if spec.forbid_decision:
                 findings.append(Finding(
                     "decision-privacy", tick,
@@ -121,20 +124,6 @@ def audit(transcript: Transcript, problem: Problem,
                             "decision-privacy", tick,
                             "cleartext variable assignment in DECISION"))
     return findings
-
-
-def _inner_type(rec: Record) -> str:
-    if rec.type in ("PREV", "LAST") and isinstance(rec.payload, dict):
-        return rec.payload.get("inner_type", rec.type)
-    return rec.type
-
-
-def _is_feas(rec: Record) -> bool:
-    return _inner_type(rec) == "FEAS"
-
-
-def _is_decision(rec: Record) -> bool:
-    return _inner_type(rec) == "DECISION"
 
 
 def summarize(findings: list[Finding]) -> dict:

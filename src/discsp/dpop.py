@@ -37,24 +37,6 @@ def local_join(problem: Problem, view: PseudoTreeView,
     return t
 
 
-def table_to_payload(t: FeasTable) -> dict:
-    return {"table": t.canonical()}
-
-
-def table_from_payload(payload: dict) -> FeasTable:
-    struct = payload["table"]
-    axes = [Axis(ax["label"], tuple(ax["values"])) for ax in struct["scope"]]
-    return FeasTable(axes, struct["entries"])
-
-
-def assignment_to_pairs(assignment: dict) -> list:
-    return [[k, v] for k, v in assignment.items()]
-
-
-def assignment_from_pairs(pairs) -> dict:
-    return dict(pairs)
-
-
 class DpopProcess(KernelProcess):
     """DPOP state machine for one variable."""
 
@@ -70,7 +52,7 @@ class DpopProcess(KernelProcess):
         seps: dict[str, list] = {}
         for c in view.children:
             msg = yield from self.get("FEAS", sender=c)
-            t = table_from_payload(msg.payload)
+            t = FeasTable.from_canonical(msg.payload["table"])
             seps[c] = t.labels()
             m = join(m, t)
             self.charge(m.size())
@@ -80,9 +62,9 @@ class DpopProcess(KernelProcess):
             m_out, best = project_min(m, x)
             self.charge(m.size())
             self.sim.note("sep", len(m_out.scope))
-            self.send(view.parent, "FEAS", table_to_payload(m_out))
+            self.send(view.parent, "FEAS", {"table": m_out.canonical()})
             dm = yield from self.get("DECISION", sender=view.parent)
-            decided = assignment_from_pairs(dm.payload["assignment"])
+            decided = dict(dm.payload["assignment"])
             my_value = best.get(decided)
             feasible = None
             min_count = None
@@ -95,11 +77,9 @@ class DpopProcess(KernelProcess):
         decided[x] = my_value
 
         for c in view.children:
-            payload = {v: decided[v] for v in seps[c]}
             self.send(c, "DECISION",
-                      {"assignment": assignment_to_pairs(payload)})
+                      {"assignment": [[v, decided[v]] for v in seps[c]]})
         out = {"value": my_value}
         if feasible is not None:
-            out.update({"feasible": feasible, "min_violations": min_count,
-                        "root": True})
+            out.update({"feasible": feasible, "min_violations": min_count})
         return out

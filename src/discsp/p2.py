@@ -16,7 +16,7 @@ grounding and early termination are inherited from the P^3/2 machinery.
 from __future__ import annotations
 
 from . import crypto
-from .dpop import local_join, table_from_payload, table_to_payload
+from .dpop import local_join
 from .kernel import PseudoTreeView, circular_order
 from .model import Problem
 from .p32 import P32Process
@@ -149,21 +149,20 @@ class P2Process(P32Process):
             if m.type == "START":
                 out = self._encrypt_table(project_or(plain, x))
             else:
-                enc = table_from_payload(m.payload)
+                enc = FeasTable.from_canonical(m.payload["table"])
                 enc = self.resolve_own_codes(enc)
                 enc = self._rerandomized(self.encrypted_join(enc, plain))
                 out = self._rerandomized(self.encrypted_project(enc))
-            payload = table_to_payload(out)
-            payload["epoch"] = epoch
             self.sim.note("sep", len(out.scope))
-            self.route_to_previous(epoch, "FEAS", payload)
+            self.route_to_previous(epoch, "FEAS",
+                                   {"table": out.canonical(), "epoch": epoch})
             return None, None
 
         # Root: trigger the chain, collect the final table, decrypt a value.
         if view.children:
             self.route_to_previous(epoch, "START", {"epoch": epoch})
             m = yield from self.get("FEAS", epoch=epoch)
-            enc = table_from_payload(m.payload)
+            enc = FeasTable.from_canonical(m.payload["table"])
             enc = self.resolve_own_codes(enc)
             if enc.labels() != [x]:
                 raise P2Error(f"root table has unresolved labels {enc.labels()}")

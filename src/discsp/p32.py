@@ -236,10 +236,10 @@ class P32Process(PdpopProcess):
                         f"infeasibility surfaced at iteration {epoch}")
                 for child in view.children:
                     self.send(child, "ABORT", {"epoch": epoch})
-                return {"feasible": False, "root": True}
+                return {"feasible": False}
             out["value"] = root_value
             if epoch == 1:
-                out.update({"feasible": True, "root": True})
+                out["feasible"] = True
             self.ground(root_value)
         if "value" not in out:
             raise P32Error(f"{self.var} never became root")

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dpop import (assignment_from_pairs, assignment_to_pairs, local_join,
-                   table_from_payload, table_to_payload)
+from .dpop import local_join
 from .kernel import KernelProcess, PseudoTreeView
 from .model import Constraint
 from .runtime import Sim
@@ -207,7 +206,7 @@ class PdpopProcess(KernelProcess):
         seps: dict[str, list] = {}
         for c in view.children:
             msg = yield from self.get("FEAS", sender=c, epoch=epoch)
-            t = table_from_payload(msg.payload)
+            t = FeasTable.from_canonical(msg.payload["table"])
             seps[c] = t.labels()
             t = self.resolve_own_codes(t)
             m = join(m, t)
@@ -229,10 +228,9 @@ class PdpopProcess(KernelProcess):
             # unconditionally.  Joined before the children's tables, the
             # broadcast axis would come earlier in the FEAS scope.
             out = join(out, key)
-        payload = table_to_payload(out)
-        payload["epoch"] = epoch
         self.sim.note("sep", len(out.scope))
-        self.send(view.parent, "FEAS", payload)
+        self.send(view.parent, "FEAS",
+                  {"table": out.canonical(), "epoch": epoch})
         return (None, None, best, seps)
 
     # -- coded decision propagation --------------------------------------------
@@ -246,21 +244,22 @@ class PdpopProcess(KernelProcess):
         else:
             dm = yield from self.get("DECISION", sender=view.parent,
                                      epoch=view.epoch)
-            decided = assignment_from_pairs(dm.payload["assignment"])
+            decided = dict(dm.payload["assignment"])
             my_value = best.get(decided)
         own_codes = self.own_codes
         for c in view.children:
-            payload = {}
+            assignment = []
             for label in seps[c]:
                 if label in own_codes:
-                    payload[label] = own_codes[label].code_of(my_value, domain)
+                    value = own_codes[label].code_of(my_value, domain)
                 elif label in decided:
-                    payload[label] = decided[label]
+                    value = decided[label]
                 else:
                     raise PdpopError(
                         f"{x}: no coded assignment for separator label {label}")
-            self.send(c, "DECISION", {
-                "epoch": view.epoch, "assignment": assignment_to_pairs(payload)})
+                assignment.append([label, value])
+            self.send(c, "DECISION",
+                      {"epoch": view.epoch, "assignment": assignment})
         return my_value
 
     # -- overall P-DPOP(+) ------------------------------------------------------
@@ -274,5 +273,5 @@ class PdpopProcess(KernelProcess):
         my_value = yield from self.decision_phase(view, best, seps, root_value)
         out = {"value": my_value}
         if view.is_root:
-            out.update({"feasible": feasible, "root": True})
+            out["feasible"] = feasible
         return out

@@ -21,7 +21,8 @@ its sender nor any receiver, and a process that wants a changed version
 builds a new object.  So the transcript holds the delivered payload objects
 themselves, not copies; the size is one walk over the payload that copies
 nothing (a forwarded ring hop reuses the size of the hop before), and the
-envelope around a payload is sized once per message type and run.
+envelope around a payload is ``_ENVELOPE_SIZE + len(msg.type)`` bytes, as
+message types are ASCII literals of the package.
 
 A record's tick is its index in the transcript, its agents are the owners
 of its variables.  Simulated time is tracked per variable with the usual
@@ -120,14 +121,15 @@ def canonical(obj):
     return obj
 
 
-def wire_size(obj) -> int:
-    """Length of the canonical byte encoding of a canonical payload."""
-    return _size(obj)
+# Deliveries size payloads by this public name, so a tracer that wraps it
+# spans each payload's size walk; the walk recurses by its private name.
+wire_size = _size
 
 
 # A delivery is sized as {"type": msg.type, "payload": msg.payload}: the
-# item count and the two key strings, plus the type and payload sizes.
-_ENVELOPE_SIZE = 4 + wire_size("type") + wire_size("payload")
+# item count, the two key strings and the type's length prefix, plus one byte
+# per character of the (ASCII) type and the payload size.
+_ENVELOPE_SIZE = 4 + wire_size("type") + wire_size("payload") + wire_size("")
 
 
 # --------------------------------------------------------------- transcript
@@ -364,28 +366,21 @@ class Sim:
         records = self.transcript.records
         clocks = self.clocks
         metrics = self.metrics
-        sizes = {}  # _ENVELOPE_SIZE + wire_size(type), per message type
         try:
             while queue:
                 if deadline is not None and time.monotonic() > deadline:
                     raise SimTimeout(f"simulation exceeded {timeout_secs}s")
                 dst, msg, sent_clock = popleft()
                 gen = gens.get(dst)
-                if gen is None:
-                    if dst in self.processes:
-                        raise SimError(f"message {msg.type} to {dst}, whose "
-                                       f"process has ended")
-                    raise SimError(f"message to unknown variable {dst}")
+                if gen is None:  # dst is a problem variable: post checks it
+                    raise SimError(f"message {msg.type} to {dst}, whose "
+                                   f"process has ended")
                 payload_size = msg.size
                 if payload_size is None:
-                    payload_size = msg.size = _size(msg.payload)
-                msg_type = msg.type
-                size = sizes.get(msg_type)
-                if size is None:
-                    size = sizes[msg_type] = (_ENVELOPE_SIZE
-                                              + wire_size(msg_type))
-                records.append(Record(msg.sender, dst, msg_type, msg.payload,
-                                      size + payload_size, sent_clock))
+                    payload_size = msg.size = wire_size(msg.payload)
+                records.append(Record(
+                    msg.sender, dst, msg.type, msg.payload,
+                    _ENVELOPE_SIZE + len(msg.type) + payload_size, sent_clock))
                 if clocks.get(dst, -1) < sent_clock:  # sent clocks are >= 0
                     clocks[dst] = sent_clock
                 step(dst, gen, msg)

@@ -93,6 +93,12 @@ class FeasTable:
             "entries": self.entries,
         }
 
+    @classmethod
+    def from_canonical(cls, struct) -> "FeasTable":
+        """The table `canonical` encoded as `struct`."""
+        return cls([Axis(ax["label"], ax["values"]) for ax in struct["scope"]],
+                   struct["entries"])
+
 
 def zero_table(label, values) -> FeasTable:
     return FeasTable([Axis(label, tuple(values))], [0] * len(tuple(values)))

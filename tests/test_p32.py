@@ -1,13 +1,15 @@
 import hashlib
 
+import pytest
+
 from conftest import infeasible_triangle, outcome, simulate, solver_process
 from discsp import crypto
 from discsp.audit import SPEC_BY_SOLVER, audit, summarize
-from discsp.generators import gen_graph_coloring
+from discsp.generators import FAMILIES, gen_graph_coloring
 from discsp.model import Constraint, Problem, evaluate
 from discsp.oracle import brute_force
 from discsp.p32 import P32Process
-from discsp.runtime import RunConfig
+from discsp.runtime import DeadlockError, RunConfig
 from discsp.solvers import run_solver
 
 CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2)
@@ -169,3 +171,14 @@ def test_oracle_equivalence_sample():
                 assert r.iterations == len(p.variables)
             else:
                 assert r.iterations == 1
+
+
+@pytest.mark.xfail(raises=DeadlockError, strict=True, reason=(
+    "each variable tells its own key sub-shares by value, so in a small "
+    "group two variables that draw equal shares stop the share ring"))
+@pytest.mark.parametrize("solver", ["p32", "p2"])
+def test_equal_key_sub_shares_in_a_small_group(solver):
+    # discsp gen --family coloring --size 4 --seed 2, solved with --key-bits 5
+    problem = FAMILIES["coloring"](4, 2)
+    result = run_solver(solver, problem, 0, RunConfig(key_bits=5))
+    assert result.feasible == brute_force(problem).feasible

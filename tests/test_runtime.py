@@ -294,6 +294,27 @@ def test_channel_violation_rejected():
         sim.run()
 
 
+def test_post_to_a_name_that_is_no_problem_variable_raises_at_once():
+    # The run loop delivers only to problem variables, because post rejects
+    # any other destination before the message is queued.
+    class Stray(Process):
+        def main(self):
+            if self.var == "x1":
+                self.send("x2", "PING", {})
+                self.send("ghost", "PING", {})
+            yield from ()  # a generator that never waits
+            return {}
+
+    p = two_var_problem()
+    sim = Sim(p, seed=0, config=RunConfig())
+    for x in p.variables:
+        sim.add_process(Stray(x, sim))
+    with pytest.raises(SimError, match=r"^x1 sent to 'ghost', which is not a "
+                                       r"problem variable$"):
+        sim.run()
+    assert len(sim.transcript) == 0  # raised before the PING to x2 went out
+
+
 def test_self_and_same_agent_sends_are_delivered():
     # x1 and x2 belong to one agent and share no constraint; each reaches
     # the other and itself without being graph neighbours.

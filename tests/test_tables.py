@@ -467,3 +467,42 @@ def test_gather_builds_no_index_per_output_cell(monkeypatch):
     assert joined.entries == [i + i % 27 for i in range(3 ** 8)]
     # Each block start covers at least a 27-cell block of the output.
     assert lengths and all(n * 27 <= 3 ** 8 for n in lengths)
+
+
+# -- wire encoding --------------------------------------------------------------
+
+ENTRY_KINDS = (
+    st.integers(0, 1 << 130),
+    st.booleans(),
+    st.fixed_dictionaries({"alpha": st.integers(1, 1 << 130),
+                           "beta": st.integers(1, 1 << 130)}),
+)
+
+
+@st.composite
+def wire_tables(draw):
+    """A table as a FEAS payload carries one: entries of one kind (counts,
+    booleans or cyphertext dicts), real-name axes over str values and
+    codename axes over int codes; or the one-axis `__unit__` table of a full
+    projection."""
+    entry = draw(st.sampled_from(ENTRY_KINDS))
+    scope = []
+    for i in range(draw(st.integers(1, 3))):
+        coded = draw(st.booleans())
+        values = draw(st.lists(st.integers(0, 1 << 128) if coded
+                               else st.text("abc", min_size=1, max_size=2),
+                               min_size=1, max_size=3, unique=True))
+        scope.append(Axis(100 + i if coded else f"x{i}", values))
+    n = math.prod(len(a.values) for a in scope)
+    t = FeasTable(scope, draw(st.lists(entry, min_size=n, max_size=n)))
+    if len(scope) == 1 and draw(st.booleans()):
+        return project(t, scope[0].label, lambda col: col[0])
+    return t
+
+
+@PROPS
+@given(wire_tables())
+def test_from_canonical_decodes_what_canonical_encodes(t):
+    back = FeasTable.from_canonical(t.canonical())
+    assert back == t
+    assert repr(back) == repr(t)  # also tells 1 from True and "1" from 1
