@@ -57,29 +57,25 @@ class DpopProcess(KernelProcess):
             m = join(m, t)
             self.charge(m.size())
 
+        mins = project_min(m, x)
+        self.charge(m.size())
         decided: dict = {}
         if not view.is_root:
-            m_out, best = project_min(m, x)
-            self.charge(m.size())
-            self.sim.note("sep", len(m_out.scope))
-            self.send(view.parent, "FEAS", {"table": m_out.canonical()})
+            self.sim.note("sep", len(mins.scope))
+            self.send(view.parent, "FEAS", {"table": mins.canonical()})
             dm = yield from self.get("DECISION", sender=view.parent)
             decided = dict(dm.payload["assignment"])
-            my_value = best.get(decided)
             feasible = None
             min_count = None
         else:
-            final, best = project_min(m, x)
-            self.charge(m.size())
-            min_count = final.entries[0]
-            my_value = best.entries[0]
+            min_count = mins.entries[0]
             feasible = min_count == 0
-        decided[x] = my_value
+        decided[x] = m.argmin(x, decided)
 
         for c in view.children:
             self.send(c, "DECISION",
                       {"assignment": [[v, decided[v]] for v in seps[c]]})
-        out = {"value": my_value}
+        out = {"value": decided[x]}
         if feasible is not None:
             out.update({"feasible": feasible, "min_violations": min_count})
         return out

@@ -197,8 +197,7 @@ class P32Process(PdpopProcess):
         """Returns (feasible, root_value) at the root, (None, None) elsewhere."""
         yield from self.exchange_codenames(view)
         yield from self.exchange_keys(view)
-        feasible, root_value, _best, _seps = (
-            yield from self.feas_phase(view))
+        feasible, root_value, _m, _seps = yield from self.feas_phase(view)
         return feasible, root_value
 
     def ground(self, value):

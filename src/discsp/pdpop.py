@@ -181,13 +181,15 @@ class PdpopProcess(KernelProcess):
         onto the projected table.  Entries are ints, so the sums are exact
         and their order is free, and a received key is constant along this
         variable's axis, so it moves no column's first minimum: for a key
-        whose axis the local join holds, the payload and best response are
-        the same whichever of the two tables it joins.
+        whose axis the local join holds, the payload and the value
+        `decision_phase` reads are the same whichever of the two tables it
+        joins.  That value is read from the joined table `m`, which no late
+        key reaches.
 
-        Returns (feasible, root_value, best, seps); the first two are None
-        at non-root variables, `best` is None at the root.  The root's
-        minimum is obfuscated, so it tells feasibility (zero or not) and
-        never the number of violated constraints."""
+        Returns (feasible, root_value, m, seps); the first two are None at
+        non-root variables, `m` is None at the root.  The root's minimum is
+        obfuscated, so it tells feasibility (zero or not) and never the
+        number of violated constraints."""
         x, epoch = self.var, view.epoch
         b = self.sim.config.b_bits
         m = self.apply_ancestor_codes(
@@ -215,10 +217,10 @@ class PdpopProcess(KernelProcess):
             if m.labels() != [x]:
                 raise PdpopError(
                     f"root table has unresolved labels {m.labels()}")
-            final, best = project_min(m, x)
+            final = project_min(m, x)
             self.charge(m.size())
-            return (final.entries[0] == 0, best.entries[0], None, seps)
-        out, best = project_min(m, x)
+            return (final.entries[0] == 0, m.argmin(x, {}), None, seps)
+        out = project_min(m, x)
         self.charge(m.size())
         for key in late:
             # The back-edge constraint joined deeper in the subtree.  If no
@@ -231,11 +233,14 @@ class PdpopProcess(KernelProcess):
         self.sim.note("sep", len(out.scope))
         self.send(view.parent, "FEAS",
                   {"table": out.canonical(), "epoch": epoch})
-        return (None, None, best, seps)
+        return (None, None, m, seps)
 
     # -- coded decision propagation --------------------------------------------
 
-    def decision_phase(self, view: PseudoTreeView, best, seps, root_value):
+    def decision_phase(self, view: PseudoTreeView, m, seps, root_value):
+        """Take this variable's value, at a non-root the first minimum of
+        the joined table `m` at the cell the parent's DECISION names, and
+        send each child its separator's coded assignment."""
         x = self.var
         domain = self.sim.problem.domains[x]
         decided: dict = {}
@@ -245,7 +250,7 @@ class PdpopProcess(KernelProcess):
             dm = yield from self.get("DECISION", sender=view.parent,
                                      epoch=view.epoch)
             decided = dict(dm.payload["assignment"])
-            my_value = best.get(decided)
+            my_value = m.argmin(x, decided)
         own_codes = self.own_codes
         for c in view.children:
             assignment = []
@@ -268,9 +273,8 @@ class PdpopProcess(KernelProcess):
         view = yield from self.first_tree()
         yield from self.exchange_codenames(view)
         yield from self.exchange_keys(view)
-        feasible, root_value, best, seps = (
-            yield from self.feas_phase(view))
-        my_value = yield from self.decision_phase(view, best, seps, root_value)
+        feasible, root_value, m, seps = yield from self.feas_phase(view)
+        my_value = yield from self.decision_phase(view, m, seps, root_value)
         out = {"value": my_value}
         if view.is_root:
             out["feasible"] = feasible

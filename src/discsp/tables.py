@@ -10,10 +10,15 @@ Axes are labelled either by a real variable name (str) or by a codename
 for coded axes are value-codes in an arbitrary (permuted) order.  Layout is
 row-major over the scope list: the last axis varies fastest.  Every
 structural operation reads its input through one gather kernel (`_gather`),
-then combines or reduces.  The kernel copies the trailing axes in blocks --
-contiguous runs of the source as slices, broadcast axes as repeats -- and
-builds a flat index map from per-axis strides and value remaps
-(`_index_map`) only over the axes in front of them, one index per block.
+then combines or reduces; a projection of the leading axis reads its rows in
+place.  The kernel copies the trailing axes in blocks -- contiguous runs of
+the source as slices, broadcast axes as repeats -- and builds a flat index
+map from per-axis strides and value remaps (`_index_map`) only over the axes
+in front of them, one index per block.
+
+`project_min` returns the table of minima only.  The minimizing value a
+variable needs is read at the one cell its DECISION names, with
+`FeasTable.argmin` on the table it projected.
 """
 
 from __future__ import annotations
@@ -70,21 +75,32 @@ class FeasTable:
                 return i
         raise TableError(f"label {label!r} not in scope {self.labels()}")
 
-    def index_of(self, positions) -> int:
+    def index_of(self, assignment: dict) -> int:
+        """Flat index of the cell {label: value} `assignment` names on
+        every axis (labels outside the scope are ignored)."""
         idx = 0
-        for a, p in zip(self.scope, positions):
+        for a in self.scope:
+            try:
+                p = a.values.index(assignment[a.label])
+            except (KeyError, ValueError):
+                raise TableError(f"no value for axis {a.label!r}") from None
             idx = idx * len(a.values) + p
         return idx
 
     def get(self, assignment: dict):
         """Entry for {label: value} covering the whole scope."""
-        pos = []
-        for a in self.scope:
-            try:
-                pos.append(a.values.index(assignment[a.label]))
-            except (KeyError, ValueError):
-                raise TableError(f"no value for axis {a.label!r}") from None
-        return self.entries[self.index_of(pos)]
+        return self.entries[self.index_of(assignment)]
+
+    def argmin(self, label, assignment: dict):
+        """The first value of `label` with the least entry at the cell
+        `assignment` names on the other axes (ties go to the lowest index),
+        read from the entries along `label` there."""
+        k = self.axis(label)
+        values = self.scope[k].values
+        start = self.index_of({**assignment, label: values[0]})
+        step = math.prod(len(a.values) for a in self.scope[k + 1:])
+        column = self.entries[start:start + step * len(values):step]
+        return values[column.index(min(column))]
 
     def canonical(self):
         """JSON-able structure used for wire encoding and audits."""
@@ -206,10 +222,10 @@ def join(t1: FeasTable, t2: FeasTable, combine=None) -> FeasTable:
 def _columns(t: FeasTable, label):
     """The scope left after eliminating `label` (the unit axis if none is
     left), and per cell of it, row-major, the tuple of entries along
-    `label` in its listed order."""
+    `label` in its listed order.  A leading `label` is read in place."""
     k = t.axis(label)
     rest = t.scope[:k] + t.scope[k + 1:]
-    flat = _gather(t, [t.scope[k]] + rest)
+    flat = t.entries if k == 0 else _gather(t, [t.scope[k]] + rest)
     m = math.prod(len(a.values) for a in rest)
     rows = [flat[i * m:(i + 1) * m] for i in range(len(t.scope[k].values))]
     return rest or [Axis("__unit__", ("*",))], zip(*rows)
@@ -225,20 +241,11 @@ def project(t: FeasTable, label, reduce_fn) -> FeasTable:
     return FeasTable(scope, [reduce_fn(list(col)) for col in columns])
 
 
-def project_min(t: FeasTable, label) -> tuple[FeasTable, FeasTable]:
-    """Minimize out `label`: the table of minima, and over the same scope
-    the table of minimizing values of `label` (the best response).
-
-    Ties break toward the lowest domain index.
-    """
-    values = t.scope[t.axis(label)].values
+def project_min(t: FeasTable, label) -> FeasTable:
+    """Minimize out `label`: the table of minima.  The minimizing value at
+    one cell is `t.argmin(label, assignment)`."""
     scope, columns = _columns(t, label)
-    mins, choices = [], []
-    for col in columns:
-        c = min(col)  # the first minimal entry; index() finds its position
-        mins.append(c)
-        choices.append(values[col.index(c)])
-    return FeasTable(scope, mins), FeasTable(list(scope), choices)
+    return FeasTable(scope, list(map(min, columns)))
 
 
 def resolve_codename(t: FeasTable, label, new_label, mapping,

@@ -6,7 +6,8 @@ import pytest
 from discsp.dpop import DpopProcess
 from discsp.generators import figure1_instance, figure2_tree_hints
 from discsp.kernel import KernelError, KernelProcess, PseudoTreeView
-from discsp.model import Constraint, Problem
+from discsp.model import Constraint, Problem, evaluate
+from discsp.oracle import OracleResult
 from discsp.runtime import Msg, RunConfig, Sim
 from discsp.solvers import SOLVERS
 from discsp.tables import FeasTable, TableError, _gather
@@ -298,3 +299,20 @@ def tree_from_parents(problem: Problem, parents: dict,
         )
         views[x].validate(problem)
     return views
+
+
+def evaluating_brute_force(problem: Problem) -> OracleResult:
+    """The oracle by `evaluate` on every assignment, in product order: the
+    reference `oracle.brute_force` is checked against."""
+    best = witness = None
+    solutions = 0
+    for values in itertools.product(*(problem.domains[x]
+                                      for x in problem.variables)):
+        assignment = dict(zip(problem.variables, values))
+        count = evaluate(problem, assignment)
+        if best is None or count < best:
+            best, witness = count, assignment
+        if count == 0:
+            solutions += 1
+    return OracleResult(min_violations=best, witness=witness,
+                        solution_count=solutions)

@@ -1,15 +1,18 @@
 import hashlib
 import itertools
+import math
+import random
 
 import pytest
 
+from conftest import evaluating_brute_force
 from discsp import problemio
 from discsp.experiments import instance_seed
 from discsp.generators import (FAMILIES, figure1_instance, gen_graph_coloring,
                                gen_meeting_scheduling, gen_party_game,
                                gen_resource_allocation, party_game_from_graph,
                                resource_allocation_from_bids)
-from discsp.model import evaluate
+from discsp.model import Constraint, Problem, evaluate
 from discsp.oracle import OracleCapExceeded, brute_force
 
 
@@ -41,6 +44,45 @@ def test_oracle_all_forbidden_unary():
 def test_oracle_cap(fig1):
     with pytest.raises(OracleCapExceeded):
         brute_force(fig1, cap=10)
+
+
+ORACLE_SIZES = {"coloring": (1, 4, 7), "meetings": (1, 2), "auction": (2, 3),
+                "party": (2, 4)}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_SIZES))
+def test_oracle_equals_the_evaluating_reference(family):
+    # Same minimum, same first witness in product order, same solution
+    # count; also with one variable's every value forbidden.
+    for size in ORACLE_SIZES[family]:
+        for index in range(3):
+            p = FAMILIES[family](size, instance_seed(0, family, size, index))
+            x = p.variables[-1]
+            forbid = Constraint.from_predicate((x,), (p.domains[x],),
+                                               lambda _v: False)
+            for q in (p, Problem(p.agents, p.variables, p.owner, p.domains,
+                                 p.constraints + (forbid,))):
+                assert brute_force(q) == evaluating_brute_force(q)
+
+
+def test_oracle_equals_the_evaluating_reference_on_mixed_scopes():
+    # Domains of 1-4 values and constraints of arity 1-3 over any variables
+    # in any order, so strides differ per constraint and minima reach 2+.
+    rng = random.Random(7)
+    for _ in range(40):
+        variables = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+        domains = {x: tuple(range(rng.randint(1, 4))) for x in variables}
+        constraints = []
+        for _ in range(rng.randint(0, 6)):
+            scope = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+            doms = [domains[x] for x in scope]
+            n = math.prod(len(d) for d in doms)
+            constraints.append(Constraint(
+                tuple(scope), tuple(doms),
+                tuple(int(rng.random() < 0.6) for _ in range(n))))
+        p = Problem(("a",), variables, {x: "a" for x in variables}, domains,
+                    tuple(constraints))
+        assert brute_force(p) == evaluating_brute_force(p)
 
 
 # -- graph coloring -----------------------------------------------------------------

@@ -8,12 +8,14 @@ import dataclasses
 
 import pytest
 
+from discsp import dpop, pdpop
 from discsp.experiments import instance_seed
 from discsp.generators import FAMILIES
 from discsp.model import Constraint, evaluate
 from discsp.oracle import brute_force
 from discsp.runtime import RunConfig
 from discsp.solvers import SOLVERS, run_solver
+from discsp.tables import FeasTable
 
 CFG = RunConfig(key_bits=64, b_bits=128, incr_min=2)
 
@@ -95,3 +97,44 @@ def test_infeasible_instances_of_every_family(family, size, agents):
         assert result.feasible is False, solver
         if solver == "dpop":
             assert result.min_violations == oracle.min_violations
+
+
+LOOKUP_CASES = [("coloring", 4, 0), ("meetings", 2, 0), ("auction", 2, 0),
+                ("party", 3, 1)]
+
+
+@pytest.mark.parametrize("family,size,seed", LOOKUP_CASES)
+def test_only_the_value_read_is_computed(family, size, seed, monkeypatch):
+    """A variable reads its value with one `FeasTable.argmin` lookup, at the
+    cell its DECISION names (the root at the empty cell): one lookup per
+    variable in dpop and pdpop(+), one per iteration, by its root, in
+    p32(+), and none in p2(+), which never projects a minimum.
+    `project_min` builds the table of minima only."""
+    lookups, projections = [], []
+    argmin = FeasTable.argmin
+
+    def counting_argmin(self, label, assignment):
+        lookups.append(label)
+        return argmin(self, label, assignment)
+
+    def checked(project_min):
+        def spy(t, label):
+            out = project_min(t, label)
+            projections.append(type(out))
+            return out
+        return spy
+
+    monkeypatch.setattr(FeasTable, "argmin", counting_argmin)
+    for module in (dpop, pdpop):
+        monkeypatch.setattr(module, "project_min", checked(module.project_min))
+    problem = FAMILIES[family](size, seed)
+    cfg = RunConfig(key_bits=64, b_bits=16, incr_min=2)
+    for solver, spec in sorted(SOLVERS.items()):
+        lookups.clear()
+        result = run_solver(solver, problem, seed=seed, config=cfg)
+        expected = {0: len(problem.variables), 1: len(problem.variables),
+                    2: result.iterations, 3: 0}[spec.privacy]
+        assert len(lookups) == expected, solver
+        if spec.privacy < 2:
+            assert sorted(lookups) == sorted(problem.variables), solver
+    assert projections and set(projections) == {FeasTable}

@@ -51,20 +51,36 @@ def test_duplicate_labels_rejected():
 def test_project_min_records_lowest_index_tie():
     # row-major over (x, y): (R,u)=0 (R,v)=5 (B,u)=0 (B,v)=1 (G,u)=2 (G,v)=0
     t = table([("x", RGB), ("y", ("u", "v"))], [0, 5, 0, 1, 2, 0])
-    out, best = project_min(t, "x")
+    out = project_min(t, "x")
+    assert isinstance(out, FeasTable)
     assert out.labels() == ["y"]
     assert out.entries == [0, 0]
     # u-column ties (R and B both 0) break toward the lowest domain index
-    assert best.labels() == ["y"]
-    assert best.entries == ["R", "G"]
-    assert best.get({"y": "u", "x": "G"}) == "R"
+    assert t.argmin("x", {"y": "u"}) == "R"
+    assert t.argmin("x", {"y": "v"}) == "G"
+    # a value for the minimized axis itself, or for an axis not in the
+    # scope, is ignored
+    assert t.argmin("x", {"y": "u", "x": "G", "z": 1}) == "R"
+
+
+def test_argmin_needs_a_value_on_every_other_axis():
+    t = table([("x", RGB), ("y", ("u", "v"))], [0, 5, 0, 1, 2, 0])
+    for cell in ({}, {"y": "w"}):
+        with pytest.raises(TableError):
+            t.argmin("x", cell)
+    with pytest.raises(TableError):
+        t.argmin("z", {"x": "R", "y": "u"})
 
 
 def test_project_full_reduction_scalar():
     t = table([("x", RGB)], [4, 2, 7])
-    out, best = project_min(t, "x")
+    out = project_min(t, "x")
     assert out.labels() == ["__unit__"]
-    assert out.entries == [2] and best.entries == ["B"]
+    assert out.entries == [2] and t.argmin("x", {}) == "B"
+    # entries as large as obfuscated sums, tied at the minimum
+    t = table([("x", RGB)], [2 ** 129, 2 ** 129 - 1, 2 ** 129 - 1])
+    assert project_min(t, "x").entries == [2 ** 129 - 1]
+    assert t.argmin("x", {}) == "B"
 
 
 def test_project_generic_reduce():
@@ -207,16 +223,51 @@ def test_project_min_of_join_is_brute_force_min(pair, data):
         return
     label = data.draw(st.sampled_from(m.labels()))
     values = m.scope[m.axis(label)].values
-    out, best = project_min(m, label)
+    out = project_min(m, label)
     rest = [lbl for lbl in m.labels() if lbl != label]
     assert out.labels() == (rest or ["__unit__"])
-    assert best.scope == out.scope
     cells = list(assignments(out)) if rest else [{}]
     for i, cell in enumerate(cells):
         costs = [m.get({**cell, label: v}) for v in values]
         assert out.entries[i] == min(costs)
         # ties go to the lowest index on the axis's listed order
-        assert best.entries[i] == values[costs.index(min(costs))]
+        assert m.argmin(label, cell) == values[costs.index(min(costs))]
+
+
+def per_column_project_min(t, label):
+    """Reference: the minima and, over the same scope, the first
+    minimizing value of `label` per cell, from one loop over the columns."""
+    values = t.scope[t.axis(label)].values
+    scope, columns = tables._columns(t, label)
+    mins, choices = [], []
+    for col in columns:
+        c = min(col)  # the first minimal entry; index() finds its position
+        mins.append(c)
+        choices.append(values[col.index(c)])
+    return FeasTable(scope, mins), FeasTable(list(scope), choices)
+
+
+@PROPS
+@given(st.data())
+def test_argmin_reads_the_per_column_best_response(data):
+    # Entries as large as obfuscated sums, with ties drawn often.
+    doms = data.draw(domains())
+    labels = data.draw(st.permutations(LABELS))[:data.draw(st.integers(1, 5))]
+    scope = [Axis(lbl, data.draw(st.permutations(doms[lbl]))) for lbl in labels]
+    n = math.prod(len(a.values) for a in scope)
+    t = FeasTable(scope, data.draw(st.lists(
+        st.one_of(st.integers(0, 2), st.integers(2 ** 129 - 2, 2 ** 129)),
+        min_size=n, max_size=n)))
+    label = data.draw(st.sampled_from(t.labels()))
+    mins, best = per_column_project_min(t, label)
+    out = project_min(t, label)
+    assert out.scope == mins.scope and out.entries == mins.entries
+    if len(t.scope) == 1:
+        assert out.labels() == ["__unit__"]
+        assert t.argmin(label, {}) == best.entries[0]
+    for pos, choice in iter_cells(best):
+        cell = {a.label: a.values[p] for a, p in zip(best.scope, pos)}
+        assert t.argmin(label, cell) == choice
 
 
 @PROPS
@@ -368,13 +419,14 @@ def test_key_off_the_projected_axis_joins_before_or_after_project_min(data):
     m = tables_over(data.draw, data.draw(domains()), min_axes=2)
     x, a = data.draw(st.permutations(m.labels()))[:2]
     key = key_on(data, m.scope[m.axis(a)])
-    mins, best = project_min(m, x)
-    keyed_mins, keyed_best = project_min(join(m, key), x)
+    keyed = join(m, key)
+    mins = project_min(m, x)
+    keyed_mins = project_min(keyed, x)
     after = join(mins, key)
     assert keyed_mins.scope == after.scope
     assert keyed_mins.entries == after.entries
-    assert keyed_best.scope == best.scope
-    assert keyed_best.entries == best.entries
+    for cell in assignments(mins):
+        assert keyed.argmin(x, cell) == m.argmin(x, cell)
 
 
 # -- the blocked gather kernel --------------------------------------------------
@@ -460,7 +512,7 @@ def test_gather_builds_no_index_per_output_cell(monkeypatch):
 
     monkeypatch.setattr(tables, "_index_map", recording)
     t = table([(f"x{i}", RGB) for i in range(8)], range(3 ** 8))
-    out, _ = project_min(t, "x0")
+    out = project_min(t, "x0")
     assert out.entries == list(range(3 ** 7))
     suffix = table([(f"x{i}", RGB) for i in (5, 6, 7)], range(27))
     joined = join(t, suffix)
