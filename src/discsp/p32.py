@@ -56,20 +56,30 @@ class P32Process(PdpopProcess):
     def setup_compound_key(self):
         """Circulate public key shares, one per ID this variable holds (its
         own and the unassigned ones up to next_bound); every variable ends
-        with the same compound key built from all n+ shares."""
+        with the same compound key built from all n+ shares.
+
+        A variable forwards every share but its own, which it tells by
+        position, not by value: in a small group two variables can draw
+        equal shares.  Each variable sends all its own shares before it
+        forwards any, and the epoch-0 ring is FIFO (every hop forwards in
+        arrival order).  So the shares arrive in ring order: those of the
+        variable whose previous this one is, then those of the variable
+        before that, and so on round the ring, and this variable's own come
+        back as the last ``len(publics)`` of its ``total_bound`` arrivals.
+        """
         ids, rng = self.ids, self.crypto_rng
         self.key_share = crypto.generate_share(self.params, rng)
         publics = crypto.split_public_shares(
             self.params, self.key_share, ids.next_bound - ids.id + 1, rng)
-        mine = set(publics)
         for share in publics:
             self.route_to_previous(0, "SHARE", {"share": share})
         collected = []
-        for _ in range(ids.total_bound):
+        others = ids.total_bound - len(publics)
+        for i in range(ids.total_bound):
             m = yield from self.get("SHARE")
             share = m.payload["share"]
             collected.append(share)
-            if share not in mine:
+            if i < others:
                 self.route_to_previous(0, "SHARE", {"share": share})
         self.compound = crypto.combine_public(self.params, sorted(collected))
         return self.compound

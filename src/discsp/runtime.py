@@ -157,18 +157,43 @@ class Transcript:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        owner = self.owner
-        return "\n".join(
-            json.dumps({
+        """One JSON object per record, in delivery order, each line ended by
+        a newline ("" for no records).  A line holds nine keys in sorted
+        order, as ``json.dumps(..., sort_keys=True)`` writes them: the record's
+        six fields, its ``tick`` (its index) and the ``sender_agent`` and
+        ``receiver_agent`` that own its variables."""
+        owner, encode = self.owner, _encode_line
+        chunks, lines = [], []
+        for tick, r in enumerate(self.records):
+            lines.append(encode({
                 "tick": tick, "sender_var": r.sender_var,
                 "sender_agent": owner[r.sender_var],
                 "receiver_var": r.receiver_var,
                 "receiver_agent": owner[r.receiver_var], "type": r.type,
                 "size": r.size, "sent_clock": r.sent_clock,
                 "payload": r.payload,
-            }, sort_keys=True)
-            for tick, r in enumerate(self.records)
-        ) + ("\n" if self.records else "")
+            }))
+            if len(lines) == _JSONL_CHUNK:
+                chunks.append("\n".join(lines))
+                lines.clear()
+        # The closing "" ends the last line with its newline, so the whole
+        # text is built by this one join and never copied again.
+        chunks.extend(lines)
+        if chunks:
+            chunks.append("")
+        return "\n".join(chunks)
+
+
+# to_jsonl joins its lines in chunks of this many records, so no list of
+# every line and no second copy of the text live beside the whole text.  On
+# the benchmark's ring64 workload (p32_plus and p2_plus, coloring n=8, 64-bit
+# group; Python 3.11, glibc malloc) peak RSS read 54.4-54.7 MB with one join
+# of every line and then `+ "\n"`, and 47.2-47.6 MB with chunks of 1,024.
+# The figure follows the allocator's layout more than the live data: chunks
+# of 256, 512, 2,048 and 4,096 read 53.9, 47.5, 47.6 and 54.0 MB.
+_JSONL_CHUNK = 1024
+# One encoder for every line: the bytes of json.dumps(obj, sort_keys=True).
+_encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
 # ----------------------------------------------------------------- metrics

@@ -316,3 +316,20 @@ def evaluating_brute_force(problem: Problem) -> OracleResult:
             solutions += 1
     return OracleResult(min_violations=best, witness=witness,
                         solution_count=solutions)
+
+
+def reference_to_jsonl(transcript) -> str:
+    """`Transcript.to_jsonl` as one join of every line plus the final
+    newline: the reference the chunked writer is checked against."""
+    owner = transcript.owner
+    return "\n".join(
+        json.dumps({
+            "tick": tick, "sender_var": r.sender_var,
+            "sender_agent": owner[r.sender_var],
+            "receiver_var": r.receiver_var,
+            "receiver_agent": owner[r.receiver_var], "type": r.type,
+            "size": r.size, "sent_clock": r.sent_clock,
+            "payload": r.payload,
+        }, sort_keys=True)
+        for tick, r in enumerate(transcript.records)
+    ) + ("\n" if transcript.records else "")

@@ -6,14 +6,15 @@ from collections import Counter, OrderedDict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (PostingSnapshots, infeasible_triangle, simulate,
-                      solver_process)
+from conftest import (PostingSnapshots, infeasible_triangle,
+                      reference_to_jsonl, simulate, solver_process)
 from discsp.experiments import instance_seed
 from discsp.generators import (FAMILIES, figure1_instance,
                                gen_graph_coloring, gen_party_game)
 from discsp.model import Constraint, Problem, pad_domains
-from discsp.runtime import (DeadlockError, Msg, Process, RunConfig, SimError,
-                            Sim, SimTimeout, canonical, wire_size)
+from discsp.runtime import (DeadlockError, Msg, Process, Record, RunConfig,
+                            SimError, Sim, SimTimeout, Transcript, canonical,
+                            wire_size)
 from discsp.solvers import SOLVERS, run_solver
 from discsp.tables import Axis, FeasTable
 
@@ -665,3 +666,50 @@ def test_transcript_jsonl_roundtrip_structure():
                  row["size"], row["sent_clock"], row["payload"])
                 == (rec.sender_var, rec.receiver_var, rec.type, rec.size,
                     rec.sent_clock, rec.payload))
+
+
+def synthetic_transcript(n: int) -> Transcript:
+    """`n` records between three variables of two agents, with payloads of
+    every canonical kind (non-ASCII strings and 2**129-sized ints too)."""
+    owner = {"x1": "a1", "x2": "a2", "x3": "a1"}
+    names = sorted(owner)
+    records = [
+        Record(names[i % 3], names[(i + 1) % 3], f"T{i % 5}",
+               {"i": i, "big": 2**129 - i, "s": "é" * (i % 4),
+                "flags": [True, False, None], "nested": {"v": [i, -i]}},
+               100 + i, i // 2)
+        for i in range(n)
+    ]
+    return Transcript(records=records, owner=owner)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3077])
+def test_to_jsonl_matches_one_join_at_every_chunk_edge(n):
+    # Around and across the 1,024-record chunks the writer joins.
+    transcript = synthetic_transcript(n)
+    text = transcript.to_jsonl()
+    assert text == reference_to_jsonl(transcript)
+    if n == 0:
+        assert text == ""
+
+
+@pytest.mark.parametrize("family,size,seed", [
+    ("coloring", 4, 0), ("meetings", 2, 0), ("auction", 2, 0),
+    ("party", 3, 1)])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_to_jsonl_of_a_run_matches_one_join(solver, family, size, seed):
+    result = run_solver(solver, FAMILIES[family](size, seed), seed=seed,
+                        config=RunConfig(key_bits=64, b_bits=16, incr_min=2))
+    assert len(result.transcript) > 0
+    assert result.transcript.to_jsonl() == reference_to_jsonl(result.transcript)
+
+
+def test_to_jsonl_of_a_timed_out_run_matches_one_join():
+    sim = Sim(FAMILIES["coloring"](8, 0), seed=0,
+              config=RunConfig(key_bits=64, timeout_secs=0.01))
+    for x in sim.problem.variables:
+        sim.add_process(solver_process("p2_plus")(x, sim))
+    with pytest.raises(SimTimeout):
+        sim.run()
+    assert len(sim.transcript) > 0
+    assert sim.transcript.to_jsonl() == reference_to_jsonl(sim.transcript)
